@@ -45,6 +45,7 @@
 
 module E = Repro_core.Experiments
 module Ga = Repro_search.Ga
+module Clock = Repro_util.Clock
 
 let run_fig3 () =
   (* the full 10^4-evaluation sweep is cheap: measurements are synthesized
@@ -188,14 +189,14 @@ let bechamel_suite () =
        match Analyze.OLS.estimates r with
        | Some (e :: _) -> Printf.printf "bechamel %-42s %12.0f ns/run\n%!" name e
        | Some [] | None -> Printf.printf "bechamel %-42s (no estimate)\n%!" name)
-    (List.sort compare rows)
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) rows)
 
 (* one warm-up call, then the mean wall-clock over [iters] runs *)
 let time_ns ~iters f =
   f ();
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   for _ = 1 to iters do f () done;
-  (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
+  Clock.elapsed t0 *. 1e9 /. float_of_int iters
 
 (* ------------------------ replay micro-benchmark -------------------- *)
 
@@ -825,8 +826,6 @@ let compile_bench () =
   let s1 = Stagecache.stats () in
   let hits = s1.Stagecache.prefix_hits - s0.Stagecache.prefix_hits in
   let misses = s1.Stagecache.prefix_misses - s0.Stagecache.prefix_misses in
-  let bhits = s1.Stagecache.binary_hits - s0.Stagecache.binary_hits in
-  let bmisses = s1.Stagecache.binary_misses - s0.Stagecache.binary_misses in
   let reused = s1.Stagecache.genes_reused - s0.Stagecache.genes_reused in
   let ran = s1.Stagecache.genes_run - s0.Stagecache.genes_run in
   let frac a b = if a + b = 0 then 0.0 else float_of_int a /. float_of_int (a + b) in
@@ -838,9 +837,9 @@ let compile_bench () =
     for _ = 1 to iters do
       prepare ();
       Gc.full_major ();
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.now () in
       f ();
-      total := !total +. (Unix.gettimeofday () -. t0)
+      total := !total +. Clock.elapsed t0
     done;
     !total *. 1e9 /. float_of_int iters
   in
@@ -856,7 +855,7 @@ let compile_bench () =
   in
   Stagecache.set_enabled true;
   (* first visit: generation 2 compiled with only generation 1 cached —
-     partial prefix reuse plus whole-binary hits on exact re-proposals *)
+     partial prefix reuse, full-length prefixes on exact re-proposals *)
   let gen2_ns =
     time_gen2 ~iters
       ~prepare:(fun () ->
@@ -895,8 +894,6 @@ let compile_bench () =
     "prefix_hits": %d,
     "prefix_misses": %d,
     "hit_rate": %.3f,
-    "binary_hits": %d,
-    "binary_misses": %d,
     "genes_reused": %d,
     "genes_run": %d,
     "reuse_frac": %.3f,
@@ -912,7 +909,7 @@ let compile_bench () =
     n_children (List.length region) n_parents n_children cold_ns nocache_ns
     gen2_ns warm_ns speedup gen2_speedup frontend_speedup prefix_speedup
     hits misses
-    (frac hits misses) bhits bmisses reused ran (frac reused ran)
+    (frac hits misses) reused ran (frac reused ran)
     s1.Stagecache.longest_prefix s1.Stagecache.entries
     s1.Stagecache.bytes_held s1.Stagecache.evictions target meets;
   close_out oc;
@@ -927,11 +924,10 @@ let compile_bench () =
      hoisted front-end, %.2fx prefix reuse)\n"
     speedup gen2_speedup frontend_speedup prefix_speedup;
   Printf.printf
-    "  stage cache     %d/%d prefix hits (%.0f%%), %d/%d whole-binary hits, \
-     %d/%d genes reused (%.0f%%), longest prefix %d\n"
+    "  stage cache     %d/%d prefix hits (%.0f%%), %d/%d genes reused \
+     (%.0f%%), longest prefix %d\n"
     hits (hits + misses)
     (100.0 *. frac hits misses)
-    bhits (bhits + bmisses)
     reused (reused + ran)
     (100.0 *. frac reused ran)
     s1.Stagecache.longest_prefix;
@@ -976,9 +972,9 @@ let fleet_bench ~jobs () =
        otherwise hand later runs their compiles for free and swamp the
        j1-vs-jN comparison *)
     Repro_lir.Stagecache.reset ();
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now () in
     let r = Fleet.run ~jobs ~cache:true ?bank ~cfg ~seed ~devices env in
-    (r, Unix.gettimeofday () -. t0)
+    (r, Clock.elapsed t0)
   in
   (* (a) throughput scaling over fleet size and worker count, with the
      determinism contract re-checked across -j per size *)
@@ -1176,14 +1172,14 @@ let serve_bench ~jobs () =
     List.map
       (fun a ->
          Repro_lir.Stagecache.reset ();
-         let t0 = Unix.gettimeofday () in
+         let t0 = Clock.now () in
          let co = Option.get (P.capture_corpus ~seed ~k:1 a) in
          let opt =
            P.optimize ~seed:(seed + 13) ~cfg
              ~quarantine:(P.create_quarantine_log ())
              ~corpus:co.P.co_entries a co.P.co_primary
          in
-         (name_of a, P.search_digest opt, Unix.gettimeofday () -. t0))
+         (name_of a, P.search_digest opt, Clock.elapsed t0))
       apps
   in
   let standalone_wall =
@@ -1197,7 +1193,7 @@ let serve_bench ~jobs () =
     let t =
       Serve.create ~jobs ~queue_capacity:n_apps ?abort_after ~max_active ()
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now () in
     let aborted =
       try
         List.iter
@@ -1211,7 +1207,7 @@ let serve_bench ~jobs () =
         false
       with Repro_core.Checkpoint.Injected_abort -> true
     in
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = Clock.elapsed t0 in
     let reports = Serve.reports t in
     let stats = Serve.stats t in
     Serve.shutdown t;

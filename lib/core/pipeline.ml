@@ -482,8 +482,8 @@ let outcome_of_core env ~ev_index core =
   | Core_wrong_output -> Ga.Wrong_output
   | Core_quarantined msg -> Ga.Quarantined msg
 
-let make_pool ?jobs ?cache ?memo_budget ?pool env =
-  Evalpool.create ?jobs ?cache ?memo_budget ?pool ~canon:Genome.canon
+let make_pool ?jobs ?cache ?pool env =
+  Evalpool.create ?jobs ?cache ?pool ~canon:Genome.canon
     ~compile:(compile_core env) ~key_of:binary_key ~verify:(verify_core env)
     ~finish:(fun ~ev_index core -> outcome_of_core env ~ev_index core)
     ()
@@ -492,8 +492,8 @@ let make_pool ?jobs ?cache ?memo_budget ?pool env =
    noised GA outcome: the fleet coordinator synthesizes per-device times
    itself (each device re-seeds noise from its own profile), so it needs
    the core before noise is applied. *)
-let make_core_pool ?jobs ?cache ?memo_budget ?pool env =
-  Evalpool.create ?jobs ?cache ?memo_budget ?pool ~canon:Genome.canon
+let make_core_pool ?jobs ?cache ?pool env =
+  Evalpool.create ?jobs ?cache ?pool ~canon:Genome.canon
     ~compile:(compile_core env) ~key_of:binary_key ~verify:(verify_core env)
     ~finish:(fun ~ev_index:_ core -> core)
     ()
@@ -583,18 +583,9 @@ let core_of_ckpt = function
   | Checkpoint.C_wrong_output -> Core_wrong_output
   | Checkpoint.C_quarantined m -> Core_quarantined m
 
-let config_fingerprint (cfg : Ga.config) =
-  Printf.sprintf
-    "pop=%d;gens=%d;seedr=%d;gmut=%h;pmut=%h;tsz=%d;tp=%h;maxid=%d;noimp=%d;\
-     elites=%d;alpha=%h"
-    cfg.Ga.population cfg.Ga.generations cfg.Ga.seed_retries
-    cfg.Ga.genome_mutation_prob cfg.Ga.gene_mutation_prob
-    cfg.Ga.tournament_size cfg.Ga.tournament_p cfg.Ga.max_identical
-    cfg.Ga.no_improve_generations cfg.Ga.elites cfg.Ga.size_tiebreak_alpha
-
 (* Identity of a run configuration.  Everything the recorded evaluation
-   sequence depends on is covered; [jobs]/[cache]/[memo_budget] are
-   deliberately {e not} — the determinism contract makes them
+   sequence depends on is covered; [jobs]/[cache] are deliberately
+   {e not} — the determinism contract makes them
    result-invariant, so a checkpoint taken at [-j4] resumes fine at
    [-j1 --no-cache] and vice versa. *)
 let run_fingerprint ~app ~seed ~cfg ~corpus ~seed_genomes ~replays =
@@ -608,7 +599,7 @@ let run_fingerprint ~app ~seed ~cfg ~corpus ~seed_genomes ~replays =
          (String.concat "\n" (List.map Genome.to_text seed_genomes)))
   in
   Printf.sprintf "ckpt-v1;app=%s;seed=%d;replays=%d;%s;corpus=%s;seeds=%s"
-    app.App.name seed replays (config_fingerprint cfg) corpus_txt seeds_txt
+    app.App.name seed replays (Ga.config_fingerprint cfg) corpus_txt seeds_txt
 
 type search_session = {
   ss_env : evaluation_env;
@@ -655,14 +646,14 @@ let seed_pool_from_journal pool batches =
     batches;
   Evalpool.seed_caches pool ~genomes:!genomes ~keys:!keys
 
-let start_search ?(seed = 99) ?(cfg = Ga.quick_config) ?jobs ?cache
-    ?memo_budget ?pool ?(corpus = []) ?(seed_genomes = []) ?quarantine
-    ?checkpoint ?abort_after app capture =
+let start_search ?(seed = 99) ?(cfg = Ga.quick_config) ?jobs ?cache ?pool
+    ?(corpus = []) ?(seed_genomes = []) ?quarantine ?checkpoint ?abort_after
+    app capture =
   let qlog =
     match quarantine with Some q -> q | None -> global_quarantine
   in
   let env = make_eval_env ~seed:(seed + 1) ~corpus ~quarantine:qlog app capture in
-  let mk_pool () = make_core_pool ?jobs ?cache ?memo_budget ?pool env in
+  let mk_pool () = make_core_pool ?jobs ?cache ?pool env in
   let the_pool = ref (mk_pool ()) in
   let fingerprint =
     run_fingerprint ~app ~seed ~cfg ~corpus ~seed_genomes ~replays:10
@@ -832,12 +823,12 @@ let rec search_step s : step_outcome =
        s.ss_step <- resume outcomes;
        `Live)
 
-let optimize ?seed ?cfg ?jobs ?cache ?memo_budget ?pool ?(corpus = [])
-    ?seed_genomes ?quarantine ?checkpoint ?abort_after app capture =
+let optimize ?seed ?cfg ?jobs ?cache ?pool ?(corpus = []) ?seed_genomes
+    ?quarantine ?checkpoint ?abort_after app capture =
   Trace.span ~cat:"pipeline" ~args:[ ("app", app.App.name) ] "optimize"
   @@ fun () ->
   let s =
-    start_search ?seed ?cfg ?jobs ?cache ?memo_budget ?pool ~corpus
+    start_search ?seed ?cfg ?jobs ?cache ?pool ~corpus
       ?seed_genomes ?quarantine ?checkpoint ?abort_after app capture
   in
   let rec go () =

@@ -214,19 +214,19 @@ val outcome_of_core :
     frequency-pinned device: §4), seeded from [(measure_seed, ev_index)]. *)
 
 val make_pool :
-  ?jobs:int -> ?cache:bool -> ?memo_budget:int ->
-  ?pool:Repro_search.Domainpool.t -> evaluation_env ->
+  ?jobs:int -> ?cache:bool -> ?pool:Repro_search.Domainpool.t ->
+  evaluation_env ->
   (Repro_lir.Binary.t, eval_core, Repro_search.Ga.outcome) Repro_search.Evalpool.t
 (** A parallel memoizing evaluator over [compile_core]/[verify_core] for
     this environment; feed {!Repro_search.Evalpool.evaluate_batch} to
-    {!Repro_search.Ga.run}.  [memo_budget] bounds the genome/binary memos
-    ({!Repro_search.Evalpool.default_memo_budget} entries by default);
-    [pool] runs batches on a shared persistent domain pool instead of
-    spawning [jobs] domains per batch (the serve scheduler's mode). *)
+    {!Repro_search.Ga.run}.  The genome/binary memos are LRU tables at
+    the Evalpool default budget; [pool] runs batches on a shared
+    persistent domain pool instead of spawning [jobs] domains per batch
+    (the serve scheduler's mode). *)
 
 val make_core_pool :
-  ?jobs:int -> ?cache:bool -> ?memo_budget:int ->
-  ?pool:Repro_search.Domainpool.t -> evaluation_env ->
+  ?jobs:int -> ?cache:bool -> ?pool:Repro_search.Domainpool.t ->
+  evaluation_env ->
   (Repro_lir.Binary.t, eval_core, eval_core) Repro_search.Evalpool.t
 (** Like {!make_pool}, but the finished value is the raw {!eval_core}
     (no noise applied): the fleet coordinator synthesizes measurement
@@ -265,14 +265,14 @@ val search_digest : optimized -> string
 
 val optimize :
   ?seed:int -> ?cfg:Repro_search.Ga.config -> ?jobs:int -> ?cache:bool ->
-  ?memo_budget:int -> ?pool:Repro_search.Domainpool.t ->
+  ?pool:Repro_search.Domainpool.t ->
   ?corpus:corpus_entry list -> ?seed_genomes:Repro_search.Genome.t list ->
   ?quarantine:quarantine_log -> ?checkpoint:string -> ?abort_after:int ->
   App.t -> captured -> optimized
 (** The full search, including the final hill-climbing step.  [jobs]
     (default 1) evaluates each generation on that many domains; [cache]
-    (default true) memoizes repeated genomes and binaries (bounded by
-    [memo_budget]).  [corpus] makes every candidate verify against the
+    (default true) memoizes repeated genomes and binaries in bounded LRU
+    memos.  [corpus] makes every candidate verify against the
     secondary inputs too (the corpus verdict folds into the same
     retry/quarantine policy under fault injection).  Results are
     identical for every [jobs]/[cache] combination, and independent of
@@ -305,7 +305,7 @@ type step_outcome = [ `Live | `Replayed | `Finished of optimized ]
 
 val start_search :
   ?seed:int -> ?cfg:Repro_search.Ga.config -> ?jobs:int -> ?cache:bool ->
-  ?memo_budget:int -> ?pool:Repro_search.Domainpool.t ->
+  ?pool:Repro_search.Domainpool.t ->
   ?corpus:corpus_entry list -> ?seed_genomes:Repro_search.Genome.t list ->
   ?quarantine:quarantine_log -> ?checkpoint:string -> ?abort_after:int ->
   App.t -> captured -> search_session
@@ -316,7 +316,7 @@ val start_search :
     about ({!session_warnings}) and ignored; a valid journal seeds the
     eval pool's memos and will be replayed batch-for-batch.  The
     fingerprint covers app, seed, GA config, corpus and warm-start seeds
-    — but deliberately {e not} [jobs]/[cache]/[memo_budget], which are
+    — but deliberately {e not} [jobs]/[cache], which are
     result-invariant: a checkpoint taken at [-j4] resumes at
     [-j1 --no-cache] and vice versa. *)
 

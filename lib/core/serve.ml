@@ -34,7 +34,6 @@ type t = {
   pool : Domainpool.t option;
   jobs : int;
   cache : bool;
-  memo_budget : int option;
   max_active : int;
   queue_capacity : int;
   abort_after : int option;
@@ -48,11 +47,11 @@ type t = {
   mutable rejected : int;
 }
 
-let create ?(jobs = 1) ?(cache = true) ?memo_budget ?(queue_capacity = 16)
-    ?abort_after ~max_active () =
+let create ?(jobs = 1) ?(cache = true) ?(queue_capacity = 16) ?abort_after
+    ~max_active () =
   if max_active < 1 then invalid_arg "Serve.create: max_active < 1";
   { pool = (if jobs > 1 then Some (Domainpool.create ~workers:jobs) else None);
-    jobs; cache; memo_budget; max_active; queue_capacity; abort_after;
+    jobs; cache; max_active; queue_capacity; abort_after;
     queue = Queue.create (); active = []; all_rev = []; rounds = 0;
     concurrent_rounds = 0; peak_active = 0; live_batches = 0; rejected = 0 }
 
@@ -68,8 +67,7 @@ let start_job t job =
    | Some co ->
      (match
         Pipeline.start_search ~seed:(r.r_seed + 13) ~cfg:r.r_cfg
-          ~jobs:t.jobs ~cache:t.cache ?memo_budget:t.memo_budget
-          ?pool:t.pool ~corpus:co.Pipeline.co_entries
+          ~jobs:t.jobs ~cache:t.cache ?pool:t.pool ~corpus:co.Pipeline.co_entries
           ~quarantine:job.j_quarantine ?checkpoint:r.r_checkpoint
           r.r_app co.Pipeline.co_primary
       with

@@ -40,7 +40,7 @@ val request :
 type t
 
 val create :
-  ?jobs:int -> ?cache:bool -> ?memo_budget:int -> ?queue_capacity:int ->
+  ?jobs:int -> ?cache:bool -> ?queue_capacity:int ->
   ?abort_after:int -> max_active:int -> unit -> t
 (** A scheduler whose shared domain pool runs [jobs] workers (default 1:
     everything on the calling domain).  At most [max_active] jobs run

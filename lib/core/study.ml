@@ -8,16 +8,14 @@ type t = {
   speedups : Pipeline.speedups;
 }
 
-let cache : (string * int, t option) Hashtbl.t = Hashtbl.create 32
+(* Keyed on (app name, every config field, seed).  [jobs]/[cache] are
+   deliberately absent from the memo key: the pool guarantees identical
+   results for every combination, so studies computed at different
+   parallelism levels are interchangeable. *)
+let cache : (string * string * int, t option) Hashtbl.t = Hashtbl.create 32
 
-let config_id (cfg : Ga.config) =
-  Hashtbl.hash (cfg.Ga.population, cfg.Ga.generations, cfg.Ga.max_identical)
-
-(* [jobs]/[cache] are deliberately absent from the memo key: the pool
-   guarantees identical results for every combination, so studies computed
-   at different parallelism levels are interchangeable. *)
 let run ?(seed = 7) ?(cfg = Ga.quick_config) ?jobs ?cache:pool_cache app =
-  let key = (app.App.name, config_id cfg + seed) in
+  let key = (app.App.name, Ga.config_fingerprint cfg, seed) in
   match Hashtbl.find_opt cache key with
   | Some s -> s
   | None ->

@@ -24,13 +24,15 @@
    The analysis is pure bookkeeping: the executor in [Blockexec] remains
    bit-identical to [Exec] on cycle accounting, observable memory, return
    values and crash/hang classification.  Plans are immutable after
-   construction and cached keyed by ([Binary.digest], cost model). *)
+   construction and cached keyed by ([Binary.digest], cost model) in an
+   LRU of [max_cached] digests. *)
 
 module B = Repro_dex.Bytecode
 module Ast = Repro_dex.Ast
 module Hir = Repro_hgraph.Hir
 module Cost = Repro_vm.Cost
 module Trace = Repro_util.Trace
+module Lru = Repro_util.Lru
 
 (* ------------------------------ micro-ops --------------------------- *)
 
@@ -367,37 +369,37 @@ let build cost binary =
   Trace.add "blockexec.checks_hoisted" !hoisted;
   { pl_cost = cost; pl_funcs }
 
-(* Keyed by (binary digest, cost model): [Replay.run ?cost] may replay the
-   same binary under different models, and segment bounds depend on the
-   model.  Lookup and build both run under the lock so the build/hit
-   counters are deterministic for every -j level: exactly one build per
-   unique key, every other install is a hit. *)
-let cache : (string, (Cost.model * t) list) Hashtbl.t = Hashtbl.create 64
-let cache_lock = Mutex.create ()
+(* Keyed by binary digest, then by cost model: [Replay.run ?cost] may
+   replay the same binary under different models, and segment bounds
+   depend on the model.  An entry-bounded LRU over digests (the GA's
+   working set is far below the bound).  Lookup and build both run under
+   the lock so the build/hit counters are deterministic for every -j
+   level: exactly one build per resident key, every other install is a
+   hit. *)
 let max_cached = 256
+let cache : (Cost.model * t) list ref Lru.t =
+  Lru.create ~budget:max_cached ~weight:(fun _ -> 1) ()
+let cache_lock = Mutex.create ()
 
 let plan_for ?(cost = Cost.default) binary =
   let key = Binary.digest binary in
   Mutex.protect cache_lock @@ fun () ->
-  let entries = Option.value (Hashtbl.find_opt cache key) ~default:[] in
-  match List.find_opt (fun (c0, _) -> Cost.equal c0 cost) entries with
+  let entries =
+    match Lru.find cache key with
+    | Some entries -> entries
+    | None ->
+      let entries = ref [] in
+      Lru.add cache key entries;
+      entries
+  in
+  match List.find_opt (fun (c0, _) -> Cost.equal c0 cost) !entries with
   | Some (_, plan) ->
     Trace.incr "blockexec.plan_cache_hits";
     plan
   | None ->
-    let entries =
-      if Hashtbl.length cache >= max_cached && entries = [] then begin
-        (* size backstop: the GA's working set is far below this; on
-           overflow drop everything rather than track recency *)
-        Hashtbl.reset cache;
-        Trace.incr "blockexec.plan_cache_flushes";
-        []
-      end
-      else entries
-    in
     let plan = build cost binary in
-    Hashtbl.replace cache key ((cost, plan) :: entries);
+    entries := (cost, plan) :: !entries;
     plan
 
 let reset_cache () =
-  Mutex.protect cache_lock @@ fun () -> Hashtbl.reset cache
+  Mutex.protect cache_lock @@ fun () -> Lru.reset cache

@@ -98,7 +98,9 @@ val build : Repro_vm.Cost.model -> Binary.t -> t
 
 val plan_for : ?cost:Repro_vm.Cost.model -> Binary.t -> t
 (** Cached {!build}, keyed by ([Binary.digest], cost model) with a typed
-    {!Repro_vm.Cost.equal} match — never polymorphic compare.  Thread-safe;
-    build/hit counters are deterministic across [-j] levels. *)
+    {!Repro_vm.Cost.equal} match — never polymorphic compare.  The cache is
+    a {!Repro_util.Lru} of at most 256 digests; the least recently used
+    digest's plans are dropped first.  Thread-safe; build/hit counters are
+    deterministic across [-j] levels. *)
 
 val reset_cache : unit -> unit

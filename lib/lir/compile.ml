@@ -161,16 +161,6 @@ let llvm_binary_staged fe spec mids =
     if size > size_limit then raise Compile_timeout;
     if !work > !effective_work_limit then raise Compile_timeout
   in
-  (* The materialization stage: a completed compile is pure in (front-end,
-     region, whole-genome canonical fingerprint) — completion implies
-     every gene was arity- and range-valid, so the canonical fingerprint
-     pins the raw spec, and with it the miscompile-fault site key.  Armed
-     fault injection bypasses the stage anyway: the cache must never
-     answer with a clean binary where a fresh compile would have been
-     sabotaged (entries are only written clean, see below). *)
-  let bin_cache = use_cache && n > 0 && not (Faults.active ()) in
-  let full_fp = if bin_cache then Some fps.(n - 1) else None in
-  let flat_rev = ref [] in   (* every charge of this compile, newest first *)
   let shash = spec_hash spec in
   let compile_one mid =
     match frontend_func fe mid with
@@ -212,7 +202,6 @@ let llvm_binary_staged fe spec mids =
             { Stagecache.sc_func = f';
               sc_charges = Array.of_list (List.rev !charges) }
       done;
-      flat_rev := !charges @ !flat_rev;
       (* The final state may be shared (a cache entry, or the front-end
          template when the spec is empty): copy before the mutating
          consumers below.  [Hir.copy] preserves the printed form, so
@@ -233,22 +222,7 @@ let llvm_binary_staged fe spec mids =
       in
       Some f
   in
-  match full_fp with
-  | Some fp ->
-    (match Stagecache.lookup_binary ~frontend:fe.fe_digest ~mids ~fp with
-     | Some be ->
-       (* Replay the whole compile's recorded charges: a repeat under a
-          tighter [effective_work_limit] still times out at the exact
-          point the uncached run would have. *)
-       Array.iter charge be.Stagecache.sb_charges;
-       be.Stagecache.sb_binary
-     | None ->
-       let b = Binary.create (List.filter_map compile_one mids) in
-       Stagecache.insert_binary ~frontend:fe.fe_digest ~mids ~fp
-         { Stagecache.sb_binary = b;
-           sb_charges = Array.of_list (List.rev !flat_rev) };
-       b)
-  | None -> Binary.create (List.filter_map compile_one mids)
+  Binary.create (List.filter_map compile_one mids)
 
 let llvm_binary ?profile dx spec mids =
   llvm_binary_staged (anonymous_frontend ?profile dx) spec mids

@@ -4,35 +4,16 @@
 
 module Hir = Repro_hgraph.Hir
 module Trace = Repro_util.Trace
+module Lru = Repro_util.Lru
 
 type entry = {
   sc_func : Hir.func;
   sc_charges : int array;
 }
 
-type binary_entry = {
-  sb_binary : Binary.t;
-  sb_charges : int array;
-}
-
-(* Prefix IR states and materialized binaries share one table, one LRU
-   clock and one byte budget. *)
-type payload =
-  | P_prefix of entry
-  | P_binary of binary_entry
-
-(* One slot in the table: the payload plus LRU/byte bookkeeping. *)
-type slot = {
-  s_payload : payload;
-  s_bytes : int;
-  mutable s_tick : int;
-}
-
 type stats = {
   prefix_hits : int;
   prefix_misses : int;
-  binary_hits : int;
-  binary_misses : int;
   genes_reused : int;
   genes_run : int;
   longest_prefix : int;
@@ -42,35 +23,6 @@ type stats = {
   bytes_held : int;
   frontend_funcs : int;
 }
-
-(* Everything below the mutex: entries, LRU clock, byte budget, counters.
-   A single lock is fine — each operation is O(prefix length) at worst and
-   the per-operation work it guards is tiny next to running a pass. *)
-let lock = Mutex.create ()
-let table : (string, slot) Hashtbl.t = Hashtbl.create 256
-let tick = ref 0
-let bytes_held = ref 0
-let enabled_flag = ref true
-let capacity = ref (256 * 1024 * 1024)
-
-let c_prefix_hits = ref 0
-let c_prefix_misses = ref 0
-let c_binary_hits = ref 0
-let c_binary_misses = ref 0
-let c_genes_reused = ref 0
-let c_genes_run = ref 0
-let c_longest = ref 0
-let c_inserts = ref 0
-let c_evictions = ref 0
-let c_frontend_funcs = ref 0
-
-let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-let enabled () = locked (fun () -> !enabled_flag)
-let set_enabled b = locked (fun () -> enabled_flag := b)
-let capacity_bytes () = locked (fun () -> !capacity)
 
 (* Rough resident-size estimate for one cached IR state: the block table,
    per-instruction boxes and the charge array.  Only relative accuracy
@@ -82,46 +34,34 @@ let slot_bytes entry =
   let ir_size = if n = 0 then Hir.size entry.sc_func else entry.sc_charges.(n - 1) in
   256 + (112 * ir_size) + (8 * n)
 
-let binary_slot_bytes be =
-  512 + (112 * be.sb_binary.Binary.size) + (8 * Array.length be.sb_charges)
+(* Everything below the mutex: the LRU table, its byte budget and the
+   counters.  Every operation is O(prefix length) at worst, tiny next to
+   running a pass. *)
+let lock = Mutex.create ()
+let table =
+  Lru.create ~budget:(256 * 1024 * 1024) ~weight:slot_bytes
+    ~on_evict:(fun _ _ -> Trace.incr "stagecache.evictions")
+    ()
+let enabled_flag = ref true
+
+let c_prefix_hits = ref 0
+let c_prefix_misses = ref 0
+let c_genes_reused = ref 0
+let c_genes_run = ref 0
+let c_longest = ref 0
+let c_inserts = ref 0
+let c_frontend_funcs = ref 0
+
+let locked f =
+  Mutex.lock lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+
+let enabled () = locked (fun () -> !enabled_flag)
+let set_enabled b = locked (fun () -> enabled_flag := b)
+let capacity_bytes () = locked (fun () -> Lru.budget table)
+let set_capacity_bytes n = locked (fun () -> Lru.set_budget table n)
 
 let key ~frontend ~mid fp = Printf.sprintf "%s|%d|%s" frontend mid fp
-
-(* Materialized binaries key on the whole genome and region: the full
-   canonical fingerprint plus the method list the binary was built from.
-   Front-end digests are hex (or "anon-..."), so "bin|" cannot collide
-   with a prefix key. *)
-let binary_key ~frontend ~mids fp =
-  Printf.sprintf "bin|%s|%s|%s" frontend
-    (String.concat "," (List.map string_of_int mids))
-    fp
-
-let evict_locked () =
-  (* Evict least-recently-used slots until back under budget.  O(n) scans,
-     but eviction is rare (only when the budget is crossed) and the table
-     stays small under any sane budget. *)
-  while !bytes_held > !capacity && Hashtbl.length table > 0 do
-    let victim =
-      Hashtbl.fold
-        (fun k s acc ->
-           match acc with
-           | Some (_, best) when best.s_tick <= s.s_tick -> acc
-           | _ -> Some (k, s))
-        table None
-    in
-    match victim with
-    | None -> ()
-    | Some (k, s) ->
-      Hashtbl.remove table k;
-      bytes_held := !bytes_held - s.s_bytes;
-      incr c_evictions;
-      Trace.incr "stagecache.evictions"
-  done
-
-let set_capacity_bytes n =
-  locked (fun () ->
-      capacity := max 0 n;
-      evict_locked ())
 
 let fingerprints ~frontend spec =
   let acc = ref frontend in
@@ -140,12 +80,9 @@ let lookup ~frontend ~mid ~fps =
         let rec probe k =
           if k = 0 then None
           else
-            match Hashtbl.find_opt table (key ~frontend ~mid fps.(k - 1)) with
-            | Some ({ s_payload = P_prefix e; _ } as s) ->
-              incr tick;
-              s.s_tick <- !tick;
-              Some (k, e)
-            | Some _ | None -> probe (k - 1)
+            match Lru.find table (key ~frontend ~mid fps.(k - 1)) with
+            | Some e -> Some (k, e)
+            | None -> probe (k - 1)
         in
         match probe (Array.length fps) with
         | Some (k, e) ->
@@ -161,44 +98,15 @@ let lookup ~frontend ~mid ~fps =
           None
       end)
 
-let insert_slot_locked k payload bytes =
-  if not (Hashtbl.mem table k) then begin
-    incr tick;
-    Hashtbl.add table k { s_payload = payload; s_bytes = bytes; s_tick = !tick };
-    bytes_held := !bytes_held + bytes;
-    incr c_inserts;
-    Trace.incr "stagecache.inserts";
-    evict_locked ();
-    Trace.gauge "stagecache.bytes_held" (float_of_int !bytes_held)
-  end
-
 let insert ~frontend ~mid ~fp entry =
   locked (fun () ->
-      if !enabled_flag then
-        insert_slot_locked (key ~frontend ~mid fp) (P_prefix entry)
-          (slot_bytes entry))
-
-let lookup_binary ~frontend ~mids ~fp =
-  locked (fun () ->
-      if not !enabled_flag then None
-      else
-        match Hashtbl.find_opt table (binary_key ~frontend ~mids fp) with
-        | Some ({ s_payload = P_binary be; _ } as s) ->
-          incr tick;
-          s.s_tick <- !tick;
-          incr c_binary_hits;
-          Trace.incr "stagecache.binary_hits";
-          Some be
-        | Some _ | None ->
-          incr c_binary_misses;
-          Trace.incr "stagecache.binary_misses";
-          None)
-
-let insert_binary ~frontend ~mids ~fp be =
-  locked (fun () ->
-      if !enabled_flag then
-        insert_slot_locked (binary_key ~frontend ~mids fp) (P_binary be)
-          (binary_slot_bytes be))
+      let k = key ~frontend ~mid fp in
+      if !enabled_flag && not (Lru.mem table k) then begin
+        Lru.add table k entry;
+        incr c_inserts;
+        Trace.incr "stagecache.inserts";
+        Trace.gauge "stagecache.bytes_held" (float_of_int (Lru.weight table))
+      end)
 
 let note_gene_run () =
   locked (fun () -> incr c_genes_run);
@@ -212,43 +120,34 @@ let stats () =
   locked (fun () ->
       { prefix_hits = !c_prefix_hits;
         prefix_misses = !c_prefix_misses;
-        binary_hits = !c_binary_hits;
-        binary_misses = !c_binary_misses;
         genes_reused = !c_genes_reused;
         genes_run = !c_genes_run;
         longest_prefix = !c_longest;
         inserts = !c_inserts;
-        evictions = !c_evictions;
-        entries = Hashtbl.length table;
-        bytes_held = !bytes_held;
+        evictions = Lru.evictions table;
+        entries = Lru.length table;
+        bytes_held = Lru.weight table;
         frontend_funcs = !c_frontend_funcs })
 
 let reset () =
   locked (fun () ->
-      Hashtbl.reset table;
-      tick := 0;
-      bytes_held := 0;
+      Lru.reset table;
       c_prefix_hits := 0;
       c_prefix_misses := 0;
-      c_binary_hits := 0;
-      c_binary_misses := 0;
       c_genes_reused := 0;
       c_genes_run := 0;
       c_longest := 0;
       c_inserts := 0;
-      c_evictions := 0;
       c_frontend_funcs := 0)
 
 let print_stats ?(label = "stage cache") s =
   let total = s.prefix_hits + s.prefix_misses in
   let pct a b = if b = 0 then 0.0 else 100.0 *. float_of_int a /. float_of_int b in
   Printf.printf
-    "%s: %d/%d prefix hits (%.0f%%), %d/%d whole-binary hits, %d/%d genes \
-     reused (%.0f%%), longest reused prefix %d\n"
+    "%s: %d/%d prefix hits (%.0f%%), %d/%d genes reused (%.0f%%), longest \
+     reused prefix %d\n"
     label s.prefix_hits total
     (pct s.prefix_hits total)
-    s.binary_hits
-    (s.binary_hits + s.binary_misses)
     s.genes_reused
     (s.genes_reused + s.genes_run)
     (pct s.genes_reused (s.genes_reused + s.genes_run))

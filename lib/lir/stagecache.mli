@@ -1,6 +1,5 @@
 (** The staged-compilation cache: content-addressed memoization of
-    per-pass-prefix IR states and materialized region binaries for
-    {!Compile.llvm_binary_staged}.
+    per-pass-prefix IR states for {!Compile.llvm_binary_staged}.
 
     The GA mutates and recombines pass sequences a few genes at a time, so
     most of a generation's compile work re-runs prefixes that were already
@@ -8,11 +7,9 @@
     digest, method, canonical gene-prefix fingerprint), the IR state after
     that prefix together with the {e recorded work charges} the prefix
     incurred, so a later compile resumes at its first divergent gene and
-    pays only for the changed suffix.  A second stage memoizes the
-    finished region binary under the whole-genome fingerprint, so exact
-    recompiles (elite survivors, re-proposed hill-climb neighbours, any
-    repeat under [--no-cache]) skip materialization — register-pressure
-    precomputation and the content digest — entirely.
+    pays only for the changed suffix.  An exact recompile resumes from its
+    full-length prefix and only re-materializes the binary; whole-genome
+    repeats are the Evalpool genome memo's job.
 
     {b Accounting transparency.}  An entry carries the per-pass
     [Hir.size] charges its prefix accumulated; on a hit the compiler
@@ -26,10 +23,10 @@
     canonicalization the Evalpool genome memo uses ([Genome.canon]), so
     the two caches can never disagree on genome identity.
 
-    {b Domain safety and bounds.}  One process-global table behind a
-    mutex, shared by all Evalpool worker domains; cached funcs are never
-    mutated after insertion (the compiler copies before materializing a
-    binary from them).  Residency is bounded by an LRU byte budget with
+    {b Domain safety and bounds.}  One process-global {!Repro_util.Lru}
+    behind a mutex, shared by all Evalpool worker domains; cached funcs are
+    never mutated after insertion (the compiler copies before materializing
+    a binary from them).  Residency is bounded by an LRU byte budget with
     eviction counters.  All counters are mirrored as [stagecache.*] trace
     counters when tracing is enabled. *)
 
@@ -68,32 +65,6 @@ val insert : frontend:string -> mid:int -> fp:string -> entry -> unit
     identical).  May evict least-recently-used entries to stay under the
     byte budget.  No-op when disabled. *)
 
-type binary_entry = {
-  sb_binary : Binary.t;
-  (** the finished region binary, with register pressure and digest
-      already computed; shared read-only across domains like Evalpool's
-      binary memo *)
-  sb_charges : int array;
-  (** every work charge of the full compile, in compile order across the
-      region, for replay (a recompile under a lower {e work limit} must
-      still time out at the same point) *)
-}
-
-val lookup_binary :
-  frontend:string -> mids:int list -> fp:string -> binary_entry option
-(** Materialized binary for (front-end, region method list, whole-genome
-    fingerprint).  Sound only for genomes that completed: completion
-    implies every gene was arity- and range-valid, so the canonical
-    fingerprint pins the raw parameter values (and with them the
-    fault-injection site key).  {!Compile} bypasses this stage while
-    [Repro_util.Faults] is armed so a binary cached clean is never
-    returned where a fresh compile would have been sabotaged. *)
-
-val insert_binary :
-  frontend:string -> mids:int list -> fp:string -> binary_entry -> unit
-(** Publish a finished binary (first writer wins); same budget/eviction
-    rules as prefix entries.  No-op when disabled. *)
-
 val note_gene_run : unit -> unit
 (** One pass actually executed (the denominator of the reuse ratio). *)
 
@@ -104,8 +75,6 @@ val note_frontend_func : unit -> unit
 type stats = {
   prefix_hits : int;      (** method-compiles resumed from a cached prefix *)
   prefix_misses : int;    (** method-compiles with no usable prefix *)
-  binary_hits : int;      (** whole compiles served as materialized binaries *)
-  binary_misses : int;    (** binary-stage probes that fell through *)
   genes_reused : int;     (** passes skipped by prefix reuse *)
   genes_run : int;        (** passes actually executed *)
   longest_prefix : int;   (** longest prefix ever reused, in genes *)

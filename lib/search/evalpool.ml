@@ -14,10 +14,10 @@
    the serve scheduler shares one pool across every tenant's Evalpool so
    process parallelism stays bounded.
 
-   The memos are budgeted LRU caches (Stagecache-style: per-entry tick,
-   evict the stalest when over budget).  Eviction can only cause
-   re-computation of a deterministic stage, never a different result, so
-   the search-history digest is invariant under any budget.
+   The memos are entry-budgeted {!Repro_util.Lru} tables, owned by the
+   calling domain.  Eviction can only cause re-computation of a
+   deterministic stage, never a different result, so the search-history
+   digest is invariant under any budget.
 
    Tracing: each batch is a span on the calling domain and each worker
    wraps its work loop in a span on its own domain, so an exported trace
@@ -26,6 +26,7 @@
 
 module Trace = Repro_util.Trace
 module Clock = Repro_util.Clock
+module Lru = Repro_util.Lru
 
 type worker = {
   w_id : int;
@@ -96,22 +97,17 @@ let record_worker c (id, tasks, busy) =
   let t, b = !r in
   r := (t + tasks, b +. busy)
 
-(* One memo entry: the cached core plus its last-touch tick for LRU. *)
-type 'core slot = { s_core : 'core; mutable s_tick : int }
-
 type ('bin, 'core, 'out) t = {
   jobs : int;
   cache : bool;
-  memo_budget : int;           (* max entries per memo table *)
   pool : Domainpool.t option;
   canon : Genome.t -> string;
   compile : Genome.t -> ('bin, 'core) result;
   key_of : 'bin -> string;
   verify : 'bin -> 'core;
   finish : ev_index:int -> 'core -> 'out;
-  genome_cache : (string, 'core slot) Hashtbl.t;
-  key_cache : (string, 'core slot) Hashtbl.t;
-  mutable tick : int;
+  genome_cache : 'core Lru.t;
+  key_cache : 'core Lru.t;
   ctr : counters;
 }
 
@@ -125,11 +121,17 @@ let create ?(jobs = 1) ?(cache = true) ?(memo_budget = default_memo_budget)
   if memo_budget < 1 then
     invalid_arg "Evalpool.create: memo_budget must be >= 1";
   let jobs = match pool with Some p -> Domainpool.size p | None -> jobs in
-  { jobs; cache; memo_budget; pool; canon; compile; key_of; verify; finish;
-    genome_cache = Hashtbl.create 256;
-    key_cache = Hashtbl.create 256;
-    tick = 0;
-    ctr = fresh_counters () }
+  let ctr = fresh_counters () in
+  let memo () =
+    Lru.create ~budget:memo_budget ~weight:(fun _ -> 1)
+      ~on_evict:(fun _ _ ->
+          ctr.c_evictions <- ctr.c_evictions + 1;
+          cumulative.c_evictions <- cumulative.c_evictions + 1;
+          Trace.incr "evalpool.memo_evictions")
+      ()
+  in
+  { jobs; cache; pool; canon; compile; key_of; verify; finish;
+    genome_cache = memo (); key_cache = memo (); ctr }
 
 let jobs t = t.jobs
 let stats t = snapshot t.ctr
@@ -141,51 +143,10 @@ let reset_cumulative () =
   c.c_verifies <- 0; c.c_evictions <- 0;
   Hashtbl.reset c.c_workers
 
-(* ----------------------------- memo LRU ------------------------------ *)
-
-let touch t slot =
-  t.tick <- t.tick + 1;
-  slot.s_tick <- t.tick
-
-let memo_find t tbl key =
-  match Hashtbl.find_opt tbl key with
-  | None -> None
-  | Some slot ->
-    touch t slot;
-    Some slot.s_core
-
-(* Evict the least-recently-touched entry.  O(n) scan, same trade-off as
-   the stage cache: eviction is rare relative to lookups and the table is
-   budget-bounded. *)
-let evict_one t tbl =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun key slot ->
-       match !victim with
-       | Some (_, best) when best <= slot.s_tick -> ()
-       | _ -> victim := Some (key, slot.s_tick))
-    tbl;
-  match !victim with
-  | None -> ()
-  | Some (key, _) ->
-    Hashtbl.remove tbl key;
-    t.ctr.c_evictions <- t.ctr.c_evictions + 1;
-    cumulative.c_evictions <- cumulative.c_evictions + 1;
-    Trace.incr "evalpool.memo_evictions"
-
-let memo_add t tbl key core =
-  if not (Hashtbl.mem tbl key) then begin
-    while Hashtbl.length tbl >= t.memo_budget do
-      evict_one t tbl
-    done;
-    t.tick <- t.tick + 1;
-    Hashtbl.add tbl key { s_core = core; s_tick = t.tick }
-  end
-
 let seed_caches t ~genomes ~keys =
   if t.cache then begin
-    List.iter (fun (c, core) -> memo_add t t.genome_cache c core) genomes;
-    List.iter (fun (k, core) -> memo_add t t.key_cache k core) keys
+    List.iter (fun (c, core) -> Lru.add t.genome_cache c core) genomes;
+    List.iter (fun (k, core) -> Lru.add t.key_cache k core) keys
   end
 
 (* Run [f] over [arr] on up to [t.jobs] domains (the calling domain acts as
@@ -288,7 +249,7 @@ let evaluate_batch t tasks =
   Array.iteri
     (fun i (_, _) ->
        let c = canons.(i) in
-       match if t.cache then memo_find t t.genome_cache c else None with
+       match if t.cache then Lru.find t.genome_cache c else None with
        | Some core ->
          cores.(i) <- Some core;
          bump_hit ()
@@ -324,7 +285,7 @@ let evaluate_batch t tasks =
        match bin with
        | None -> ()
        | Some (_, key) ->
-         (match if t.cache then memo_find t t.key_cache key else None with
+         (match if t.cache then Lru.find t.key_cache key else None with
           | Some core ->
             rep_core.(k) <- Some core;
             bump_key_hit ()
@@ -363,7 +324,7 @@ let evaluate_batch t tasks =
     Array.iteri
       (fun k bin ->
          match bin, rep_core.(k) with
-         | Some (_, key), Some core -> memo_add t t.key_cache key core
+         | Some (_, key), Some core -> Lru.add t.key_cache key core
          | _, _ -> ())
       rep_bin;
   (* Publish representative results into an in-batch table first (and the
@@ -377,7 +338,7 @@ let evaluate_batch t tasks =
        in
        cores.(i) <- Some core;
        Hashtbl.replace batch_results canons.(i) core;
-       if t.cache then memo_add t t.genome_cache canons.(i) core)
+       if t.cache then Lru.add t.genome_cache canons.(i) core)
     reps;
   Array.mapi
     (fun i (ev_index, _) ->

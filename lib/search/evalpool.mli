@@ -21,14 +21,14 @@
 
     Determinism contract: for a fixed batch of [(ev_index, genome)] tasks,
     [evaluate_batch] returns the same outcomes for any [jobs] value,
-    whether or not the cache is enabled, and for any [memo_budget].  Two
+    whether or not the cache is enabled, and for any memo budget.  Two
     caches are maintained when enabled: a genome-level memo (canonicalized
     genome -> core result) and a binary-level memo ([key_of] the compiled
     binary -> core result, which also feeds the GA's identical-binaries
-    halting rule upstream).  Both are budgeted LRU tables — a long-lived
-    serving process evaluates millions of genomes, so unbounded memos
-    would be a slow leak; eviction merely forces a deterministic
-    recomputation and can never change an outcome. *)
+    halting rule upstream).  Both are entry-budgeted {!Repro_util.Lru}
+    tables — a long-lived serving process evaluates millions of genomes,
+    so unbounded memos would be a slow leak; eviction merely forces a
+    deterministic recomputation and can never change an outcome. *)
 
 type worker = {
   w_id : int;
@@ -70,7 +70,8 @@ val create :
     genome and binary memos; when disabled every task is evaluated
     honestly, which is what the differential tests rely on.
     [memo_budget] caps each memo table's entry count ({!default_memo_budget}
-    by default); the least-recently-used entry is evicted when full.
+    by default; smaller budgets are a test seam for eviction); the
+    least-recently-used entry is evicted when full.
     [pool], when given, makes parallel stages run on the supplied
     persistent {!Domainpool} instead of spawning fresh domains per batch
     (and overrides [jobs] with the pool's size) — this is how the serve

@@ -46,6 +46,15 @@ let quick_config = {
   no_improve_generations = 4;
 }
 
+let config_fingerprint cfg =
+  Printf.sprintf
+    "pop=%d;gens=%d;seedr=%d;gmut=%h;pmut=%h;tsz=%d;tp=%h;maxid=%d;noimp=%d;\
+     elites=%d;alpha=%h"
+    cfg.population cfg.generations cfg.seed_retries cfg.genome_mutation_prob
+    cfg.gene_mutation_prob cfg.tournament_size cfg.tournament_p
+    cfg.max_identical cfg.no_improve_generations cfg.elites
+    cfg.size_tiebreak_alpha
+
 type eval_record = {
   ev_index : int;
   ev_generation : int;

@@ -43,6 +43,11 @@ val default_config : config
 val quick_config : config
 (** Reduced search (fewer genomes/generations) for fast harness runs. *)
 
+val config_fingerprint : config -> string
+(** An exact rendering of every field (floats in hex), so equal strings
+    mean equal configs: the config part of checkpoint fingerprints and of
+    the study memo key. *)
+
 (** One line of the evaluation history (the Figure 9 evolution data). *)
 type eval_record = {
   ev_index : int;              (** dense, increasing evaluation id *)

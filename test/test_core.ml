@@ -78,6 +78,16 @@ let test_study_memoized () =
   Alcotest.(check bool) "same study" true
     (match a, b with Some a, Some b -> a == b | _ -> false)
 
+(* Regression: the memo key once hashed only population, generations and
+   max_identical, so configs differing in any other field shared a study. *)
+let test_study_key_covers_config () =
+  Study.clear_cache ();
+  let app = fft () in
+  let a = Study.run ~cfg:tiny_cfg app in
+  let b = Study.run ~cfg:{ tiny_cfg with Ga.tournament_p = 0.5 } app in
+  Alcotest.(check bool) "tournament_p gets its own study" true
+    (match a, b with Some a, Some b -> a != b | _ -> false)
+
 let test_fig1_classifies () =
   let f = E.fig1 ~sequences:20 ~seed:5 () in
   Alcotest.(check int) "total" 20 f.E.f1_total;
@@ -158,7 +168,9 @@ let () =
          Alcotest.test_case "genome outcomes" `Quick test_evaluate_genome_outcomes;
          Alcotest.test_case "optimize beats android" `Slow test_optimize_beats_android;
          Alcotest.test_case "final binary" `Slow test_final_binary_overlays_region;
-         Alcotest.test_case "study memoized" `Slow test_study_memoized ]);
+         Alcotest.test_case "study memoized" `Slow test_study_memoized;
+         Alcotest.test_case "study key covers config" `Slow
+           test_study_key_covers_config ]);
       ("experiments",
        [ Alcotest.test_case "fig1" `Quick test_fig1_classifies;
          Alcotest.test_case "fig2" `Quick test_fig2_speedups;

@@ -11,6 +11,8 @@ module Pipeline = Repro_core.Pipeline
 module App = Repro_apps.Registry
 module Blockexec = Repro_lir.Blockexec
 module Blockplan = Repro_lir.Blockplan
+module Binary = Repro_lir.Binary
+module Hir = Repro_hgraph.Hir
 module Trace = Repro_util.Trace
 
 (* ----------------------- end-to-end determinism --------------------- *)
@@ -73,7 +75,7 @@ let test_engine_determinism () =
    never builds more plans than it runs verified replays (the memo already
    deduplicated identical binaries), and re-running the same search reuses
    every plan from the process-global cache even though the fresh pool's
-   memo starts cold. *)
+   memo starts cold.  The cache itself is an LRU bounded at 256 binaries. *)
 let test_plan_cache_tracks_binary_memo () =
   let app = Option.get (App.find "FFT") in
   let cap = Option.get (Pipeline.capture_once ~seed:5 app) in
@@ -99,10 +101,25 @@ let test_plan_cache_tracks_binary_memo () =
     builds1 (Trace.counter_value "blockexec.plan_builds");
   Alcotest.(check bool) "repeat search hits the plan cache" true
     (Trace.counter_value "blockexec.plan_cache_hits" > 0);
-  Alcotest.(check int) "small searches never flush the cache" 0
-    (Trace.counter_value "blockexec.plan_cache_flushes");
   Alcotest.(check int) "fresh pool re-verified the same binaries"
-    verifies o2.Pipeline.pool_stats.Evalpool.verifies
+    verifies o2.Pipeline.pool_stats.Evalpool.verifies;
+  (* 257 distinct binaries (one function renumbered) through the
+     256-entry bound: exactly the least recently planned one is evicted *)
+  let best = Option.get o1.Pipeline.best_binary in
+  let f = Option.get (Binary.find best (List.hd (Binary.mids best))) in
+  let bins =
+    Array.init 257 (fun i ->
+        Binary.create [ { f with Hir.f_mid = 100_000 + i } ])
+  in
+  Blockplan.reset_cache ();
+  Array.iter (fun b -> ignore (Blockplan.plan_for b)) bins;
+  let builds = Trace.counter_value "blockexec.plan_builds" in
+  ignore (Blockplan.plan_for bins.(1));
+  Alcotest.(check int) "the 256 most recent plans stay cached" builds
+    (Trace.counter_value "blockexec.plan_builds");
+  ignore (Blockplan.plan_for bins.(0));
+  Alcotest.(check int) "the least recently used plan was evicted"
+    (builds + 1) (Trace.counter_value "blockexec.plan_builds")
 
 (* ----------------------- synthetic pool fixtures --------------------- *)
 
@@ -191,22 +208,33 @@ let test_memo_budget_bounds_and_evicts () =
   Alcotest.(check int) "evicted entry recompiles" 4 !compiles
 
 (* Eviction must never change what the search *sees* — an LRU-bounded
-   memo is a cache, not a semantics change.  A full FFT search under an
+   memo is a cache, not a semantics change.  A full FFT GA under an
    absurdly small budget (constant evictions) must be byte-identical to
-   the unbounded reference. *)
+   the default-budget reference. *)
 let test_memo_budget_digest_invariant () =
   let app = Option.get (App.find "FFT") in
   let cap = Option.get (Pipeline.capture_once ~seed:5 app) in
-  let reference =
-    fingerprint (Pipeline.optimize ~seed:3 ~cfg:tiny_cfg app cap)
+  let env = Pipeline.make_eval_env app cap in
+  let search ?memo_budget () =
+    let pool =
+      Evalpool.create ?memo_budget ~canon:Genome.canon
+        ~compile:(Pipeline.compile_core env) ~key_of:Pipeline.binary_key
+        ~verify:(Pipeline.verify_core env)
+        ~finish:(fun ~ev_index core ->
+            Pipeline.outcome_of_core env ~ev_index core)
+        ()
+    in
+    let ga =
+      Ga.run (Repro_util.Rng.create 3) tiny_cfg
+        ~evaluate_batch:(Evalpool.evaluate_batch pool) ()
+    in
+    (Ga.history_digest ga, Evalpool.stats pool)
   in
-  let bounded =
-    Pipeline.optimize ~seed:3 ~cfg:tiny_cfg ~memo_budget:4 app cap
-  in
-  Alcotest.(check bool) "tiny budget, identical search" true
-    (fingerprint bounded = reference);
+  let reference, _ = search () in
+  let bounded, stats = search ~memo_budget:4 () in
+  Alcotest.(check string) "tiny budget, identical search" reference bounded;
   Alcotest.(check bool) "and the budget really bit" true
-    (bounded.Pipeline.pool_stats.Evalpool.evictions > 0)
+    (stats.Evalpool.evictions > 0)
 
 let test_parallel_matches_sequential () =
   (* pure stages, so domains can run them without shared state *)
