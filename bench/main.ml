@@ -945,8 +945,9 @@ let compile_bench () =
    simulated device fleet (Repro_fleet).  Measures (a) fleet throughput —
    device samples and GA evaluations per second — as fleet size and worker
    count grow, re-asserting the byte-identical-history contract across -j
-   on the way; (b) convergence against the single-device GA at the same
-   evaluation budget (winners compared by verified replay on the reference
+   on the way; (b) convergence against the single-device search at the
+   same configuration (both sides run the pipeline session, hill climb
+   included; winners compared by verified replay on the reference
    environment); and (c) the genome bank's warm-start value: hit rate and
    generations saved on a second search against the same bank.  Writes
    BENCH_fleet.json for CI. *)
@@ -954,15 +955,9 @@ let fleet_bench ~jobs () =
   let module P = Repro_core.Pipeline in
   let module Fleet = Repro_fleet.Fleet in
   let module Bank = Repro_fleet.Bank in
-  let module Rng = Repro_util.Rng in
-  let module Evalpool = Repro_search.Evalpool in
   let seed = 7 in
   let app = Option.get (Repro_apps.Registry.find "FFT") in
   let co = Option.get (P.capture_corpus ~seed ~k:2 app) in
-  let env =
-    P.make_eval_env ~seed:(seed + 1) ~corpus:co.P.co_entries app
-      co.P.co_primary
-  in
   let cfg =
     { Fleet.default_config with
       Fleet.ga = { Ga.quick_config with Ga.generations = 3 } }
@@ -973,7 +968,7 @@ let fleet_bench ~jobs () =
        j1-vs-jN comparison *)
     Repro_lir.Stagecache.reset ();
     let t0 = Clock.now () in
-    let r = Fleet.run ~jobs ~cache:true ?bank ~cfg ~seed ~devices env in
+    let r = Fleet.run ~jobs ~cache:true ?bank ~cfg ~seed ~devices co in
     (r, Clock.elapsed t0)
   in
   (* (a) throughput scaling over fleet size and worker count, with the
@@ -993,29 +988,22 @@ let fleet_bench ~jobs () =
          (devices, r1, w1, rj, wj))
       sizes
   in
-  let evals_per_sec r w = float_of_int r.Fleet.ga.Ga.evaluations /. w in
+  (* all the session's evaluations, the final hill climb's included *)
+  let evaluations r = r.Fleet.opt.P.pool_stats.Repro_search.Evalpool.tasks in
+  let evals_per_sec r w = float_of_int (evaluations r) /. w in
   let samples_per_sec r w = float_of_int r.Fleet.fleet_samples /. w in
-  (* (b) convergence vs the single-device GA at the same budget *)
+  (* (b) convergence vs the single-device search at the same budget: the
+     same session (seed, config, corpus) under the default finish policy *)
   let fleet_big, _ =
     match List.rev scaling with
     | (_, _, _, rj, wj) :: _ -> (rj, wj)
     | [] -> assert false
   in
-  let pool = P.make_pool ~jobs:j_hi env in
-  let ga_single =
-    Ga.run (Rng.create seed) cfg.Fleet.ga
-      ~evaluate_batch:(Evalpool.evaluate_batch pool)
-      ~baseline_ms:env.P.android_region_ms ~o3_ms:env.P.o3_region_ms ()
+  let single =
+    P.optimize ~seed ~cfg:cfg.Fleet.ga ~jobs:j_hi ~corpus:co.P.co_entries app
+      co.P.co_primary
   in
-  let winner_ms ga =
-    match ga.Ga.best with
-    | None -> None
-    | Some (g, _) ->
-      (match P.compile_core env g with
-       | Ok b -> P.replay_ms env b
-       | Error _ -> None)
-  in
-  let single_ms = winner_ms ga_single in
+  let single_ms = Option.bind single.P.best_binary (P.replay_ms single.P.env) in
   let fleet_ms = fleet_big.Fleet.winner_ms in
   let converges =
     match (fleet_ms, single_ms) with
@@ -1043,7 +1031,7 @@ let fleet_bench ~jobs () =
         ga.Ga.history
   in
   let gens_saved =
-    match (gen_of_best cold.Fleet.ga, gen_of_best warm.Fleet.ga) with
+    match (gen_of_best cold.Fleet.opt.P.ga, gen_of_best warm.Fleet.opt.P.ga) with
     | Some c, Some w -> c - w
     | _ -> 0
   in
@@ -1054,7 +1042,7 @@ let fleet_bench ~jobs () =
          (fun (devices, r1, w1, rj, wj) ->
             Printf.sprintf
               {|{ "devices": %d, "capable": %d, "evaluations": %d, "fleet_samples": %d, "j1": { "wall_s": %.2f, "evals_per_sec": %.2f, "samples_per_sec": %.0f }, "j%d": { "wall_s": %.2f, "evals_per_sec": %.2f, "samples_per_sec": %.0f }, "digest": "%s" }|}
-              devices r1.Fleet.capable r1.Fleet.ga.Ga.evaluations
+              devices r1.Fleet.capable (evaluations r1)
               r1.Fleet.fleet_samples w1 (evals_per_sec r1 w1)
               (samples_per_sec r1 w1) j_hi wj (evals_per_sec rj wj)
               (samples_per_sec rj wj) r1.Fleet.history_digest)
@@ -1101,11 +1089,11 @@ let fleet_bench ~jobs () =
   }
 }
 |}
-    seed j_hi cores scaling_json scales fleet_big.Fleet.ga.Ga.evaluations
-    ga_single.Ga.evaluations (fmt_ms fleet_ms) (fmt_ms single_ms) converges
+    seed j_hi cores scaling_json scales fleet_big.Fleet.opt.P.ga.Ga.evaluations
+    single.P.ga.Ga.evaluations (fmt_ms fleet_ms) (fmt_ms single_ms) converges
     (Bank.size bank) warm.Fleet.bank_seeds hit_rate
-    (Option.value ~default:(-1) (gen_of_best cold.Fleet.ga))
-    (Option.value ~default:(-1) (gen_of_best warm.Fleet.ga))
+    (Option.value ~default:(-1) (gen_of_best cold.Fleet.opt.P.ga))
+    (Option.value ~default:(-1) (gen_of_best warm.Fleet.opt.P.ga))
     gens_saved cold.Fleet.history_digest warm.Fleet.history_digest;
   close_out oc;
   Printf.printf "fleet benchmark (FFT, %d-generation quick GA)\n"
@@ -1173,12 +1161,12 @@ let serve_bench ~jobs () =
       (fun a ->
          Repro_lir.Stagecache.reset ();
          let t0 = Clock.now () in
-         let co = Option.get (P.capture_corpus ~seed ~k:1 a) in
-         let opt =
-           P.optimize ~seed:(seed + 13) ~cfg
-             ~quarantine:(P.create_quarantine_log ())
-             ~corpus:co.P.co_entries a co.P.co_primary
+         let _, session =
+           Option.get
+             (P.start ~quarantine:(P.create_quarantine_log ())
+                (P.request ~seed ~cfg a))
          in
+         let opt = P.run_session session in
          (name_of a, P.search_digest opt, Clock.elapsed t0))
       apps
   in

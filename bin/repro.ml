@@ -121,6 +121,29 @@ let with_trace trace metrics f =
   in
   Fun.protect ~finally:finish f
 
+(* The flags every search command shares ([optimize], [serve], [fleet]),
+   parsed once.  [--full] picks the paper-scale GA config; [wrap] runs the
+   command's body under its tracing, engine and stage-cache settings. *)
+type search_flags = {
+  seed : int;
+  cfg : Ga.config;
+  jobs : int;
+  cache : bool;
+  wrap : (unit -> unit) -> unit;
+}
+
+let search_flags =
+  let make seed full jobs no_cache no_stage_cache engine trace metrics =
+    { seed; cfg = (if full then Ga.default_config else Ga.quick_config);
+      jobs; cache = not no_cache;
+      wrap =
+        (fun f ->
+           with_trace trace metrics @@ fun () ->
+           with_engine engine @@ fun () -> with_stage_cache no_stage_cache f) }
+  in
+  Term.(const make $ seed_arg $ full_arg $ jobs_arg $ no_cache_arg
+        $ no_stage_cache_arg $ engine_arg $ trace_arg $ metrics_arg)
+
 (* Cache/worker report for commands that run evaluation pools, plus the
    staged-compilation cache totals right beside it. *)
 let print_pool_report () =
@@ -446,18 +469,16 @@ let print_session_warnings warnings =
   List.iter (fun w -> Printf.printf "warning: %s\n" w) warnings
 
 let optimize_cmd =
-  let run app seed full jobs no_cache no_stage_cache engine trace metrics
-      faults store corpus_k checkpoint ckpt_abort =
-    with_trace trace metrics @@ fun () ->
-    with_engine engine @@ fun () ->
-    with_stage_cache no_stage_cache @@ fun () ->
+  let run app fl faults store corpus_k checkpoint ckpt_abort =
+    fl.wrap @@ fun () ->
     with_store store @@ fun () ->
     with_faults faults @@ fun () ->
-    let cfg = if full then Ga.default_config else Ga.quick_config in
-    match Pipeline.capture_corpus ~seed ~k:corpus_k app with
+    match
+      Pipeline.start ~jobs:fl.jobs ~cache:fl.cache ?abort_after:ckpt_abort
+        (Pipeline.request ~seed:fl.seed ~cfg:fl.cfg ~corpus_k ?checkpoint app)
+    with
     | None -> print_endline "no replayable hot region: nothing to optimize"
-    | Some co ->
-      let cap = co.Pipeline.co_primary in
+    | Some (co, session) ->
       if co.Pipeline.co_entries <> [] then
         Printf.printf "corpus: %d secondary capture(s): %s\n"
           (List.length co.Pipeline.co_entries)
@@ -465,23 +486,10 @@ let optimize_cmd =
              (List.map
                 (fun ce -> ce.Pipeline.ce_input.App.in_label)
                 co.Pipeline.co_entries));
-      let session =
-        Pipeline.start_search ~seed:(seed + 13) ~cfg ~jobs
-          ~cache:(not no_cache) ~corpus:co.Pipeline.co_entries
-          ?checkpoint ?abort_after:ckpt_abort app cap
-      in
       print_session_warnings (Pipeline.session_warnings session);
       let opt =
-        match
-          let rec loop () =
-            match Pipeline.search_step session with
-            | `Live | `Replayed -> loop ()
-            | `Finished r -> r
-          in
-          loop ()
-        with
-        | r -> r
-        | exception Repro_core.Checkpoint.Injected_abort ->
+        try Pipeline.run_session session
+        with Repro_core.Checkpoint.Injected_abort ->
           Printf.printf
             "aborted after %d live batch(es) (--ckpt-abort); checkpoint %s \
              is resumable\n"
@@ -516,10 +524,8 @@ let optimize_cmd =
   Cmd.v
     (Cmd.info "optimize"
        ~doc:"Run the full replay-based iterative compilation (Figure 6).")
-    Term.(const run $ app_arg $ seed_arg $ full_arg $ jobs_arg $ no_cache_arg
-          $ no_stage_cache_arg $ engine_arg $ trace_arg $ metrics_arg
-          $ faults_arg $ store_arg $ corpus_arg $ checkpoint_arg
-          $ ckpt_abort_arg)
+    Term.(const run $ app_arg $ search_flags $ faults_arg $ store_arg
+          $ corpus_arg $ checkpoint_arg $ ckpt_abort_arg)
 
 (* ------------------------------ serve ------------------------------ *)
 
@@ -558,15 +564,11 @@ let ckpt_dir_arg =
                byte-identical history. The directory must exist.")
 
 let serve_cmd =
-  let run apps seed full jobs no_cache no_stage_cache engine trace metrics
-      max_active queue_capacity ckpt_dir ckpt_abort =
-    with_trace trace metrics @@ fun () ->
-    with_engine engine @@ fun () ->
-    with_stage_cache no_stage_cache @@ fun () ->
-    let cfg = if full then Ga.default_config else Ga.quick_config in
+  let run apps fl max_active queue_capacity ckpt_dir ckpt_abort =
+    fl.wrap @@ fun () ->
     let max_active = Option.value max_active ~default:(List.length apps) in
     let t =
-      Serve.create ~jobs ~cache:(not no_cache) ~queue_capacity
+      Serve.create ~jobs:fl.jobs ~cache:fl.cache ~queue_capacity
         ?abort_after:ckpt_abort ~max_active ()
     in
     Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
@@ -577,7 +579,7 @@ let serve_cmd =
              (fun dir -> Filename.concat dir (app.App.name ^ ".ckpt"))
              ckpt_dir
          in
-         let r = Serve.request ~seed ~cfg ?checkpoint app in
+         let r = Serve.request ~seed:fl.seed ~cfg:fl.cfg ?checkpoint app in
          match Serve.submit t r with
          | `Admitted -> Printf.printf "%s: admitted\n" app.App.name
          | `Queued n -> Printf.printf "%s: queued (position %d)\n" app.App.name n
@@ -634,10 +636,8 @@ let serve_cmd =
              searches over one shared worker pool with round-robin \
              fairness, admission control and per-tenant crash-safe \
              checkpoints.")
-    Term.(const run $ serve_apps_arg $ seed_arg $ full_arg $ jobs_arg
-          $ no_cache_arg $ no_stage_cache_arg $ engine_arg $ trace_arg
-          $ metrics_arg $ max_active_arg $ queue_arg $ ckpt_dir_arg
-          $ ckpt_abort_arg)
+    Term.(const run $ serve_apps_arg $ search_flags $ max_active_arg
+          $ queue_arg $ ckpt_dir_arg $ ckpt_abort_arg)
 
 (* ------------------------------ fleet ------------------------------ *)
 
@@ -691,25 +691,18 @@ let sched_seed_arg =
                determinism contract the fleet smoke test asserts.")
 
 let fleet_cmd =
-  let run app seed full jobs no_cache no_stage_cache engine trace metrics
-      devices gens bank_file sched_seed corpus_k =
-    with_trace trace metrics @@ fun () ->
-    with_engine engine @@ fun () ->
-    with_stage_cache no_stage_cache @@ fun () ->
-    let ga_base = if full then Ga.default_config else Ga.quick_config in
+  let run app fl devices gens bank_file sched_seed corpus_k =
+    fl.wrap @@ fun () ->
     let ga_cfg =
       match gens with
-      | None -> ga_base
-      | Some g -> { ga_base with Ga.generations = g }
+      | None -> fl.cfg
+      | Some g -> { fl.cfg with Ga.generations = g }
     in
     let cfg = { Fleet.default_config with Fleet.ga = ga_cfg } in
+    let seed = fl.seed in
     match Pipeline.capture_corpus ~seed ~k:corpus_k app with
     | None -> print_endline "no replayable hot region: nothing to optimize"
     | Some co ->
-      let env =
-        Pipeline.make_eval_env ~seed:(seed + 1)
-          ~corpus:co.Pipeline.co_entries app co.Pipeline.co_primary
-      in
       let bank =
         match bank_file with
         | None -> None
@@ -721,9 +714,10 @@ let fleet_cmd =
           Some bank
       in
       let r =
-        Fleet.run ~jobs ~cache:(not no_cache) ~sched_seed ?bank
-          ~cfg ~seed ~devices env
+        Fleet.run ~jobs:fl.jobs ~cache:fl.cache ~sched_seed ?bank ~cfg ~seed
+          ~devices co
       in
+      let opt = r.Fleet.opt in
       Printf.printf "fleet: %d devices (%d with %s installed)\n" r.Fleet.devices
         r.Fleet.capable app.App.name;
       Printf.printf "reference %s\n" (Device.describe (Device.make ~fleet_seed:seed 0));
@@ -735,19 +729,20 @@ let fleet_cmd =
         (Array.fold_left max neg_infinity avail)
         r.Fleet.ticks r.Fleet.empty_rounds;
       Printf.printf "replay baselines: Android %.3f ms, LLVM -O3 %.3f ms\n"
-        env.Pipeline.android_region_ms env.Pipeline.o3_region_ms;
+        opt.Pipeline.env.Pipeline.android_region_ms
+        opt.Pipeline.env.Pipeline.o3_region_ms;
       Printf.printf "GA: %d evaluations, %d device samples%s\n"
-        r.Fleet.ga.Ga.evaluations r.Fleet.fleet_samples
-        (match r.Fleet.ga.Ga.halted_early with
+        opt.Pipeline.ga.Ga.evaluations r.Fleet.fleet_samples
+        (match opt.Pipeline.ga.Ga.halted_early with
          | Some reason -> " (halted early: " ^ reason ^ ")"
          | None -> "");
       if r.Fleet.bank_seeds > 0 then
         Printf.printf "bank warm start: %d seed genome(s)\n" r.Fleet.bank_seeds;
-      (match r.Fleet.ga.Ga.best with
-       | Some (g, fit) ->
+      (match opt.Pipeline.best_genome, opt.Pipeline.best_fitness with
+       | Some g, Some fit ->
          Printf.printf "best pooled fitness: %.3f ms\nbest genome: %s\n" fit
            (Repro_search.Genome.to_string g)
-       | None -> print_endline "no verified binary found");
+       | _ -> print_endline "no verified binary found");
       (match r.Fleet.winner_ms with
        | Some ms -> Printf.printf "winner on reference device: %.3f ms\n" ms
        | None -> ());
@@ -768,9 +763,8 @@ let fleet_cmd =
              online each round and pooled in device-id order, so the \
              search history is byte-identical across -j, --sched-seed \
              and availability interleaving.")
-    Term.(const run $ app_arg $ seed_arg $ full_arg $ jobs_arg $ no_cache_arg
-          $ no_stage_cache_arg $ engine_arg $ trace_arg $ metrics_arg
-          $ devices_arg $ gens_arg $ bank_arg $ sched_seed_arg $ corpus_arg)
+    Term.(const run $ app_arg $ search_flags $ devices_arg $ gens_arg
+          $ bank_arg $ sched_seed_arg $ corpus_arg)
 
 (* ----------------------------- storage ----------------------------- *)
 

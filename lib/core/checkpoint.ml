@@ -8,13 +8,13 @@ module Storage = Repro_os.Storage
 module Trace = Repro_util.Trace
 
 type core =
-  | C_measured of { cycles : int; size : int; key : string }
-  | C_compile_failed of string
-  | C_compile_timeout
-  | C_crashed of string
-  | C_hung
-  | C_wrong_output
-  | C_quarantined of string
+  | Core_measured of { cycles : int; size : int; key : string }
+  | Core_compile_failed of string
+  | Core_compile_timeout
+  | Core_crashed of string
+  | Core_hung
+  | Core_wrong_output
+  | Core_quarantined of string
 
 type task = {
   t_ev_index : int;
@@ -49,26 +49,26 @@ let unesc s =
   | exception Scanf.Scan_failure _ -> raise (Malformed "bad escape")
 
 let render_core buf = function
-  | C_measured { cycles; size; key } ->
+  | Core_measured { cycles; size; key } ->
     Buffer.add_string buf (Printf.sprintf "M\t%d\t%d\t%s" cycles size (esc key))
-  | C_compile_failed msg -> Buffer.add_string buf ("CF\t" ^ esc msg)
-  | C_compile_timeout -> Buffer.add_string buf "CT"
-  | C_crashed msg -> Buffer.add_string buf ("RC\t" ^ esc msg)
-  | C_hung -> Buffer.add_string buf "RH"
-  | C_wrong_output -> Buffer.add_string buf "WO"
-  | C_quarantined msg -> Buffer.add_string buf ("QU\t" ^ esc msg)
+  | Core_compile_failed msg -> Buffer.add_string buf ("CF\t" ^ esc msg)
+  | Core_compile_timeout -> Buffer.add_string buf "CT"
+  | Core_crashed msg -> Buffer.add_string buf ("RC\t" ^ esc msg)
+  | Core_hung -> Buffer.add_string buf "RH"
+  | Core_wrong_output -> Buffer.add_string buf "WO"
+  | Core_quarantined msg -> Buffer.add_string buf ("QU\t" ^ esc msg)
 
 let core_of_fields = function
   | [ "M"; cycles; size; key ] ->
-    C_measured
+    Core_measured
       { cycles = int_of_string cycles; size = int_of_string size;
         key = unesc key }
-  | [ "CF"; msg ] -> C_compile_failed (unesc msg)
-  | [ "CT" ] -> C_compile_timeout
-  | [ "RC"; msg ] -> C_crashed (unesc msg)
-  | [ "RH" ] -> C_hung
-  | [ "WO" ] -> C_wrong_output
-  | [ "QU"; msg ] -> C_quarantined (unesc msg)
+  | [ "CF"; msg ] -> Core_compile_failed (unesc msg)
+  | [ "CT" ] -> Core_compile_timeout
+  | [ "RC"; msg ] -> Core_crashed (unesc msg)
+  | [ "RH" ] -> Core_hung
+  | [ "WO" ] -> Core_wrong_output
+  | [ "QU"; msg ] -> Core_quarantined (unesc msg)
   | _ -> raise (Malformed "bad core record")
 
 let render_batches t =
@@ -160,38 +160,23 @@ let of_text text =
 let blob_label = "checkpoint"
 
 let save t file =
-  let st = Storage.create () in
-  Storage.write st ~label:blob_label
-    ~pages:(Storage.pages_of_string (to_text t));
-  Storage.flush st;
-  let tmp = file ^ ".tmp" in
-  Storage.save st tmp;
-  Sys.rename tmp file;
+  Storage.save_text ~label:blob_label file (to_text t);
   Trace.incr "ckpt.saves";
   Trace.add "ckpt.batches_saved" (List.length t.batches)
 
 let load file =
-  if not (Sys.file_exists file) then `Absent
-  else begin
+  let damaged why =
     Trace.incr "ckpt.loads";
-    let damaged why =
-      Trace.incr "ckpt.damaged";
-      `Damaged why
-    in
-    match Storage.load file with
-    | exception Sys_error why -> damaged why
-    | st, warnings ->
-      if not (Storage.contains st ~label:blob_label) then
-        damaged "no checkpoint blob in store"
-      else
-        match Storage.read st ~label:blob_label with
-        | Error e -> damaged (Storage.describe e)
-        | Ok pages ->
-          (match Storage.string_of_pages pages with
-           | Error why -> damaged why
-           | Ok text ->
-             (match of_text text with
-              | t -> `Loaded (t, warnings)
-              | exception Malformed why -> damaged why
-              | exception _ -> damaged "unparseable checkpoint payload"))
-  end
+    Trace.incr "ckpt.damaged";
+    `Damaged why
+  in
+  match Storage.load_text ~label:blob_label file with
+  | `Absent -> `Absent
+  | `Damaged why -> damaged why
+  | `Loaded (text, warnings) ->
+    (match of_text text with
+     | t ->
+       Trace.incr "ckpt.loads";
+       `Loaded (t, warnings)
+     | exception Malformed why -> damaged why
+     | exception _ -> damaged "unparseable checkpoint payload")

@@ -13,25 +13,28 @@
     a history digest byte-identical to an uninterrupted run at any
     [-j]/[--no-cache] setting.
 
-    On disk a checkpoint is a text image framed into checksummed
-    {!Repro_os.Storage} pages and written with [Storage.save]'s
+    On disk a checkpoint is a text image written with
+    {!Repro_os.Storage.save_text}: checksummed store pages in a
     deterministic layout, via a temp file and atomic rename — a crash
     mid-save leaves the previous checkpoint intact, and the same state
     always produces the same bytes.  Damage is detected by the store's
     per-page checksums (plus a whole-journal digest) and degrades to a
     cold start, routed through the quarantine policy by the caller. *)
 
-(** Mirror of [Pipeline.eval_core]: the deterministic part of one
-    evaluation.  (A separate type keeps this module independent of the
-    pipeline, which sits above it.) *)
+(** The deterministic part of one evaluation (everything but measurement
+    noise): what the eval pool memoizes and the journal records.  Defined
+    here, below the pipeline, and re-exported as [Pipeline.eval_core]. *)
 type core =
-  | C_measured of { cycles : int; size : int; key : string }
-  | C_compile_failed of string
-  | C_compile_timeout
-  | C_crashed of string
-  | C_hung
-  | C_wrong_output
-  | C_quarantined of string
+  | Core_measured of { cycles : int; size : int; key : string }
+  | Core_compile_failed of string
+  | Core_compile_timeout
+  | Core_crashed of string
+  | Core_hung
+  | Core_wrong_output
+  | Core_quarantined of string
+  (** persistently failed verification under fault injection (failed, then
+      failed the retry too): discarded as a deterministic miscompile.
+      Only produced while [Repro_util.Faults] is armed. *)
 
 type task = {
   t_ev_index : int;

@@ -375,8 +375,9 @@ let binary_key = Binary.digest
    synthesized measurement noise.  This is what Evalpool memoizes — two
    genomes (or two cache states) producing the same core always yield the
    same final outcome once [outcome_of_core] re-synthesizes the times from
-   the evaluation index. *)
-type eval_core =
+   the evaluation index.  The type lives in [Checkpoint], whose journal
+   records it. *)
+type eval_core = Checkpoint.core =
   | Core_measured of { cycles : int; size : int; key : string }
   | Core_compile_failed of string
   | Core_compile_timeout
@@ -482,16 +483,9 @@ let outcome_of_core env ~ev_index core =
   | Core_wrong_output -> Ga.Wrong_output
   | Core_quarantined msg -> Ga.Quarantined msg
 
-let make_pool ?jobs ?cache ?pool env =
-  Evalpool.create ?jobs ?cache ?pool ~canon:Genome.canon
-    ~compile:(compile_core env) ~key_of:binary_key ~verify:(verify_core env)
-    ~finish:(fun ~ev_index core -> outcome_of_core env ~ev_index core)
-    ()
-
-(* Same pool, but [finish] returns the raw deterministic core instead of a
-   noised GA outcome: the fleet coordinator synthesizes per-device times
-   itself (each device re-seeds noise from its own profile), so it needs
-   the core before noise is applied. *)
+(* The pool yields the raw deterministic core, not a noised GA outcome:
+   the session journals cores and turns them into outcomes with its
+   per-batch finish policy. *)
 let make_core_pool ?jobs ?cache ?pool env =
   Evalpool.create ?jobs ?cache ?pool ~canon:Genome.canon
     ~compile:(compile_core env) ~key_of:binary_key ~verify:(verify_core env)
@@ -541,13 +535,6 @@ let search_digest opt =
     (Digest.string
        (String.concat "\n" [ Ga.history_digest opt.ga; best_txt; fit_txt ]))
 
-let compile_genome env genome =
-  match
-    Compile.llvm_binary_staged env.frontend (Genome.to_spec genome) env.region
-  with
-  | b -> Some b
-  | exception (Compile.Compile_error _ | Compile.Compile_timeout) -> None
-
 (* Idle-priority spooler model (paper §3.2): the device hashes and stores
    captured pages while the search is otherwise idle — in the gaps between
    GA evaluation batches.  A bounded chunk per gap keeps the model honest
@@ -563,25 +550,11 @@ let idle_drain () =
 
 (* ---------------------- checkpointed search driver ------------------- *)
 
-let ckpt_of_core = function
-  | Core_measured { cycles; size; key } ->
-    Checkpoint.C_measured { cycles; size; key }
-  | Core_compile_failed m -> Checkpoint.C_compile_failed m
-  | Core_compile_timeout -> Checkpoint.C_compile_timeout
-  | Core_crashed m -> Checkpoint.C_crashed m
-  | Core_hung -> Checkpoint.C_hung
-  | Core_wrong_output -> Checkpoint.C_wrong_output
-  | Core_quarantined m -> Checkpoint.C_quarantined m
+type finish =
+  evaluation_env -> batch:int -> (int * eval_core) array -> Ga.outcome array
 
-let core_of_ckpt = function
-  | Checkpoint.C_measured { cycles; size; key } ->
-    Core_measured { cycles; size; key }
-  | Checkpoint.C_compile_failed m -> Core_compile_failed m
-  | Checkpoint.C_compile_timeout -> Core_compile_timeout
-  | Checkpoint.C_crashed m -> Core_crashed m
-  | Checkpoint.C_hung -> Core_hung
-  | Checkpoint.C_wrong_output -> Core_wrong_output
-  | Checkpoint.C_quarantined m -> Core_quarantined m
+let default_finish env ~batch:_ tasks =
+  Array.map (fun (ev_index, core) -> outcome_of_core env ~ev_index core) tasks
 
 (* Identity of a run configuration.  Everything the recorded evaluation
    sequence depends on is covered; [jobs]/[cache] are deliberately
@@ -609,6 +582,7 @@ type search_session = {
   ss_mk_pool : unit -> (Binary.t, eval_core, eval_core) Evalpool.t;
   ss_pool : (Binary.t, eval_core, eval_core) Evalpool.t ref;
   ss_mk_search : unit -> Rng.t * optimized Ga.step;
+  ss_finish : finish;
   mutable ss_rng : Rng.t;
   mutable ss_step : optimized Ga.step;
   mutable ss_journal : Checkpoint.batch list;       (* left to replay *)
@@ -625,7 +599,6 @@ let session_warnings s = List.rev s.ss_warnings
 let session_live_batches s = s.ss_live
 let session_replayed_batches s = s.ss_replayed
 let session_result s = s.ss_result
-let session_env s = s.ss_env
 
 (* Seed the pool's memos with everything the journal already knows: a
    resumed run's live batches then hit the genome/binary memos exactly as
@@ -637,7 +610,7 @@ let seed_pool_from_journal pool batches =
     (fun b ->
        List.iter
          (fun tk ->
-            let core = core_of_ckpt tk.Checkpoint.t_core in
+            let core = tk.Checkpoint.t_core in
             genomes := (tk.Checkpoint.t_canon, core) :: !genomes;
             match core with
             | Core_measured { key; _ } -> keys := (key, core) :: !keys
@@ -648,7 +621,7 @@ let seed_pool_from_journal pool batches =
 
 let start_search ?(seed = 99) ?(cfg = Ga.quick_config) ?jobs ?cache ?pool
     ?(corpus = []) ?(seed_genomes = []) ?quarantine ?checkpoint ?abort_after
-    app capture =
+    ?(finish = default_finish) app capture =
   let qlog =
     match quarantine with Some q -> q | None -> global_quarantine
   in
@@ -681,7 +654,9 @@ let start_search ?(seed = 99) ?(cfg = Ga.quick_config) ?jobs ?cache ?pool
                ~rounds:2)
       in
       let best_genome = Option.map fst best in
-      let best_binary = Option.bind best_genome (compile_genome env) in
+      let best_binary =
+        Option.bind best_genome (fun g -> Result.to_option (compile_core env g))
+      in
       { env; ga; best_genome; best_fitness = Option.map snd best;
         best_binary; pool_stats = Evalpool.stats !the_pool }
     in
@@ -716,7 +691,7 @@ let start_search ?(seed = 99) ?(cfg = Ga.quick_config) ?jobs ?cache ?pool
   let rng, step = mk_search () in
   { ss_env = env; ss_file = checkpoint; ss_fingerprint = fingerprint;
     ss_abort_after = abort_after; ss_mk_pool = mk_pool; ss_pool = the_pool;
-    ss_mk_search = mk_search; ss_rng = rng; ss_step = step;
+    ss_mk_search = mk_search; ss_finish = finish; ss_rng = rng; ss_step = step;
     ss_journal = journal; ss_recorded_rev = []; ss_live = 0;
     ss_replayed = 0; ss_warnings = List.rev warnings; ss_result = None }
 
@@ -774,21 +749,20 @@ let rec search_step s : step_outcome =
     `Finished r
   | Ga.Step_eval (tasks, resume) ->
     let cursor = Rng.cursor s.ss_rng in
+    let batch = s.ss_live + s.ss_replayed in
     (match s.ss_journal with
      | b :: rest when batch_matches b ~cursor tasks ->
        s.ss_journal <- rest;
        s.ss_recorded_rev <- b :: s.ss_recorded_rev;
        s.ss_replayed <- s.ss_replayed + 1;
        Trace.incr "ckpt.batches_replayed";
-       let outcomes =
+       let cores =
          Array.of_list
            (List.map
-              (fun tk ->
-                 outcome_of_core s.ss_env ~ev_index:tk.Checkpoint.t_ev_index
-                   (core_of_ckpt tk.Checkpoint.t_core))
+              (fun tk -> (tk.Checkpoint.t_ev_index, tk.Checkpoint.t_core))
               b.Checkpoint.b_tasks)
        in
-       s.ss_step <- resume outcomes;
+       s.ss_step <- resume (s.ss_finish s.ss_env ~batch cores);
        `Replayed
      | _ :: _ ->
        cold_restart s "journal diverged from the configured search";
@@ -805,7 +779,7 @@ let rec search_step s : step_outcome =
                      let ev_index, genome = tasks.(i) in
                      { Checkpoint.t_ev_index = ev_index;
                        t_canon = Genome.canon genome;
-                       t_core = ckpt_of_core core })
+                       t_core = core })
                   cores) }
        in
        s.ss_recorded_rev <- recorded :: s.ss_recorded_rev;
@@ -814,29 +788,48 @@ let rec search_step s : step_outcome =
        (match s.ss_abort_after with
         | Some n when s.ss_live >= n -> raise Checkpoint.Injected_abort
         | _ -> ());
-       let outcomes =
-         Array.mapi
-           (fun i core ->
-              outcome_of_core s.ss_env ~ev_index:(fst tasks.(i)) core)
-           cores
-       in
-       s.ss_step <- resume outcomes;
+       let cores = Array.mapi (fun i core -> (fst tasks.(i), core)) cores in
+       s.ss_step <- resume (s.ss_finish s.ss_env ~batch cores);
        `Live)
+
+let rec run_session s =
+  match search_step s with
+  | `Finished r -> r
+  | `Live | `Replayed -> run_session s
 
 let optimize ?seed ?cfg ?jobs ?cache ?pool ?(corpus = []) ?seed_genomes
     ?quarantine ?checkpoint ?abort_after app capture =
   Trace.span ~cat:"pipeline" ~args:[ ("app", app.App.name) ] "optimize"
   @@ fun () ->
-  let s =
-    start_search ?seed ?cfg ?jobs ?cache ?pool ~corpus
-      ?seed_genomes ?quarantine ?checkpoint ?abort_after app capture
-  in
-  let rec go () =
-    match search_step s with
-    | `Finished r -> r
-    | `Live | `Replayed -> go ()
-  in
-  go ()
+  run_session
+    (start_search ?seed ?cfg ?jobs ?cache ?pool ~corpus
+       ?seed_genomes ?quarantine ?checkpoint ?abort_after app capture)
+
+type request = {
+  r_app : App.t;
+  r_seed : int;
+  r_cfg : Ga.config;
+  r_corpus_k : int;
+  r_checkpoint : string option;
+}
+
+let request ?(seed = 7) ?(cfg = Ga.quick_config) ?(corpus_k = 1) ?checkpoint
+    app =
+  { r_app = app; r_seed = seed; r_cfg = cfg; r_corpus_k = corpus_k;
+    r_checkpoint = checkpoint }
+
+(* The one capture->search seed rule: capture at [seed], search at
+   [seed + 13].  Every front end (CLI, serve, studies) goes through here,
+   so their digests are comparable 1:1. *)
+let start ?jobs ?cache ?pool ?quarantine ?abort_after r =
+  match capture_corpus ~seed:r.r_seed ~k:r.r_corpus_k r.r_app with
+  | None -> None
+  | Some co ->
+    Some
+      ( co,
+        start_search ~seed:(r.r_seed + 13) ~cfg:r.r_cfg ?jobs ?cache ?pool
+          ~corpus:co.co_entries ?quarantine ?checkpoint:r.r_checkpoint
+          ?abort_after r.r_app co.co_primary )
 
 let overlay base overlay_binary =
   let funcs =

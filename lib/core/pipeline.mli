@@ -169,8 +169,9 @@ val make_eval_env :
     run's quarantine entries. *)
 
 (** The deterministic part of one evaluation (everything but measurement
-    noise): what {!make_pool} memoizes. *)
-type eval_core =
+    noise): what {!make_core_pool} memoizes and a checkpoint journals.
+    One type, defined in {!Checkpoint}. *)
+type eval_core = Checkpoint.core =
   | Core_measured of { cycles : int; size : int; key : string }
   | Core_compile_failed of string
   | Core_compile_timeout
@@ -178,9 +179,6 @@ type eval_core =
   | Core_hung
   | Core_wrong_output
   | Core_quarantined of string
-  (** persistently failed verification under fault injection (failed, then
-      failed the retry too): discarded as a deterministic miscompile.
-      Only produced while [Repro_util.Faults] is armed. *)
 
 val compile_core :
   evaluation_env -> Repro_search.Genome.t ->
@@ -213,26 +211,26 @@ val outcome_of_core :
     measurements through the offline noise model (replays run on an idle,
     frequency-pinned device: §4), seeded from [(measure_seed, ev_index)]. *)
 
-val make_pool :
-  ?jobs:int -> ?cache:bool -> ?pool:Repro_search.Domainpool.t ->
-  evaluation_env ->
-  (Repro_lir.Binary.t, eval_core, Repro_search.Ga.outcome) Repro_search.Evalpool.t
-(** A parallel memoizing evaluator over [compile_core]/[verify_core] for
-    this environment; feed {!Repro_search.Evalpool.evaluate_batch} to
-    {!Repro_search.Ga.run}.  The genome/binary memos are LRU tables at
-    the Evalpool default budget; [pool] runs batches on a shared
-    persistent domain pool instead of spawning [jobs] domains per batch
-    (the serve scheduler's mode). *)
+type finish =
+  evaluation_env -> batch:int -> (int * eval_core) array ->
+  Repro_search.Ga.outcome array
+(** How a search turns one batch's deterministic [(ev_index, core)] pairs
+    into measured outcomes (same order).  [batch] is the 0-based index of
+    the batch within the search.  A policy pure in [(batch, ev_index,
+    core)] keeps the determinism and kill/resume contracts: the session
+    applies it to live and journal-replayed batches alike. *)
 
 val make_core_pool :
   ?jobs:int -> ?cache:bool -> ?pool:Repro_search.Domainpool.t ->
   evaluation_env ->
   (Repro_lir.Binary.t, eval_core, eval_core) Repro_search.Evalpool.t
-(** Like {!make_pool}, but the finished value is the raw {!eval_core}
-    (no noise applied): the fleet coordinator synthesizes measurement
-    times per device — each device re-seeds its own noise stream from
-    [(device noise seed, ev_index)] — so it needs the deterministic core,
-    not a pre-noised {!Repro_search.Ga.outcome}. *)
+(** A parallel memoizing evaluator over [compile_core]/[verify_core] for
+    this environment, yielding the raw {!eval_core} (no noise applied):
+    the search session turns cores into outcomes with its {!finish}
+    policy.  The genome/binary memos are LRU tables at the Evalpool
+    default budget; [pool] runs batches on a shared persistent domain
+    pool instead of spawning [jobs] domains per batch (the serve
+    scheduler's mode). *)
 
 val evaluate_genome :
   ?ev_index:int ->
@@ -308,8 +306,12 @@ val start_search :
   ?pool:Repro_search.Domainpool.t ->
   ?corpus:corpus_entry list -> ?seed_genomes:Repro_search.Genome.t list ->
   ?quarantine:quarantine_log -> ?checkpoint:string -> ?abort_after:int ->
-  App.t -> captured -> search_session
-(** Build the environment and a suspended search.  With [checkpoint], an
+  ?finish:finish -> App.t -> captured -> search_session
+(** Build the environment and a suspended search.  [finish] (default:
+    {!outcome_of_core} per task, the single-device noise model) turns each
+    batch's cores into outcomes — the fleet passes its per-device sampling
+    here; it is not fingerprinted, so a resumed run must pass the same
+    policy.  With [checkpoint], an
     existing journal is loaded and validated here: a missing file starts
     cold silently; a damaged file or one whose fingerprint doesn't match
     this configuration is quarantined (key ["checkpoint:FILE"]), warned
@@ -333,8 +335,12 @@ val search_step : search_session -> step_outcome
     trusted at all.  [`Finished] yields the result (also via
     {!session_result}). *)
 
+val run_session : search_session -> optimized
+(** Step the session to the end and return its result: the one
+    drive-to-completion loop behind {!optimize}, [repro optimize] and
+    the fleet. *)
+
 val session_result : search_session -> optimized option
-val session_env : search_session -> evaluation_env
 
 val session_warnings : search_session -> string list
 (** Checkpoint damage/mismatch warnings, oldest first. *)
@@ -344,6 +350,33 @@ val session_live_batches : search_session -> int
 
 val session_replayed_batches : search_session -> int
 (** Batches served from the journal this process. *)
+
+(** {1 Requests}
+
+    The capture→search seed rule, in one place: a request captures its
+    corpus at [seed] and searches at [seed + 13]. *)
+
+type request = {
+  r_app : App.t;
+  r_seed : int;              (** capture seed; the search derives its own *)
+  r_cfg : Repro_search.Ga.config;
+  r_corpus_k : int;          (** 1 = single capture, >1 adds corpus inputs *)
+  r_checkpoint : string option;  (** journal file for crash-safe resume *)
+}
+
+val request :
+  ?seed:int -> ?cfg:Repro_search.Ga.config -> ?corpus_k:int ->
+  ?checkpoint:string -> App.t -> request
+(** Defaults: seed 7, {!Repro_search.Ga.quick_config}, corpus 1, no
+    checkpoint — matching the [repro optimize] CLI. *)
+
+val start :
+  ?jobs:int -> ?cache:bool -> ?pool:Repro_search.Domainpool.t ->
+  ?quarantine:quarantine_log -> ?abort_after:int -> request ->
+  (corpus * search_session) option
+(** Capture the request's corpus ({!capture_corpus} at [r_seed]) and
+    {!start_search} on it at [r_seed + 13] with the request's config and
+    checkpoint.  [None] when the app has no replayable hot region. *)
 
 val final_binary : optimized -> Repro_lir.Binary.t
 (** Android code with the GA-optimized region installed on top. *)

@@ -8,18 +8,9 @@ module Ga = Repro_search.Ga
 module Domainpool = Repro_search.Domainpool
 module Trace = Repro_util.Trace
 
-type request = {
-  r_app : App.t;
-  r_seed : int;
-  r_cfg : Ga.config;
-  r_corpus_k : int;
-  r_checkpoint : string option;
-}
+type request = Pipeline.request
 
-let request ?(seed = 7) ?(cfg = Ga.quick_config) ?(corpus_k = 1) ?checkpoint
-    app =
-  { r_app = app; r_seed = seed; r_cfg = cfg; r_corpus_k = corpus_k;
-    r_checkpoint = checkpoint }
+let request = Pipeline.request
 
 type job = {
   j_request : request;
@@ -56,27 +47,22 @@ let create ?(jobs = 1) ?(cache = true) ?(queue_capacity = 16) ?abort_after
     concurrent_rounds = 0; peak_active = 0; live_batches = 0; rejected = 0 }
 
 (* Admission: the capture and search construction run here, on the
-   scheduling domain.  The search-seed derivation matches the one-shot
-   [repro optimize] CLI (capture at [seed], search at [seed + 13]), so a
-   served job's digest is comparable 1:1 with a standalone run's. *)
+   scheduling domain, through [Pipeline.start] — the same capture/search
+   seed rule as the one-shot [repro optimize] CLI, so a served job's
+   digest is comparable 1:1 with a standalone run's. *)
 let start_job t job =
-  let r = job.j_request in
   Trace.incr "serve.admitted";
-  (match Pipeline.capture_corpus ~seed:r.r_seed ~k:r.r_corpus_k r.r_app with
-   | None -> job.j_outcome <- `Failed "no replayable hot region"
-   | Some co ->
-     (match
-        Pipeline.start_search ~seed:(r.r_seed + 13) ~cfg:r.r_cfg
-          ~jobs:t.jobs ~cache:t.cache ?pool:t.pool ~corpus:co.Pipeline.co_entries
-          ~quarantine:job.j_quarantine ?checkpoint:r.r_checkpoint
-          r.r_app co.Pipeline.co_primary
-      with
-      | s ->
-        job.j_session <- Some s;
-        job.j_outcome <- `Running;
-        t.active <- t.active @ [ job ];
-        t.peak_active <- max t.peak_active (List.length t.active)
-      | exception e -> job.j_outcome <- `Failed (Printexc.to_string e)))
+  match
+    Pipeline.start ~jobs:t.jobs ~cache:t.cache ?pool:t.pool
+      ~quarantine:job.j_quarantine job.j_request
+  with
+  | None -> job.j_outcome <- `Failed "no replayable hot region"
+  | Some (_, s) ->
+    job.j_session <- Some s;
+    job.j_outcome <- `Running;
+    t.active <- t.active @ [ job ];
+    t.peak_active <- max t.peak_active (List.length t.active)
+  | exception e -> job.j_outcome <- `Failed (Printexc.to_string e)
 
 type admission = [ `Admitted | `Queued of int | `Rejected ]
 
@@ -169,8 +155,8 @@ type report = {
 let report_of job =
   let session = job.j_session in
   let result = Option.bind session Pipeline.session_result in
-  { rp_app = job.j_request.r_app.App.name;
-    rp_checkpoint = job.j_request.r_checkpoint;
+  { rp_app = job.j_request.Pipeline.r_app.App.name;
+    rp_checkpoint = job.j_request.Pipeline.r_checkpoint;
     rp_outcome =
       (match job.j_outcome with
        | `Finished -> `Finished
@@ -204,7 +190,7 @@ let reports t = List.map report_of (jobs_in_order t)
 let quarantine_of t app_name =
   List.concat_map
     (fun job ->
-       if job.j_request.r_app.App.name = app_name then
+       if job.j_request.Pipeline.r_app.App.name = app_name then
          Pipeline.quarantine_summary ~log:job.j_quarantine ()
        else [])
     (jobs_in_order t)

@@ -23,19 +23,13 @@
     beside it, in what order they were submitted, or whether the job was
     killed and resumed from its checkpoint. *)
 
-type request = {
-  r_app : Repro_apps.Registry.t;
-  r_seed : int;              (** capture seed; the search derives its own *)
-  r_cfg : Repro_search.Ga.config;
-  r_corpus_k : int;          (** 1 = single capture, >1 adds corpus inputs *)
-  r_checkpoint : string option;  (** journal file for crash-safe resume *)
-}
+type request = Pipeline.request
+(** A search request; admission runs {!Pipeline.start} on it. *)
 
 val request :
   ?seed:int -> ?cfg:Repro_search.Ga.config -> ?corpus_k:int ->
   ?checkpoint:string -> Repro_apps.Registry.t -> request
-(** Defaults: seed 7, {!Repro_search.Ga.quick_config}, corpus 1, no
-    checkpoint — matching the one-shot [repro optimize] CLI. *)
+(** {!Pipeline.request}. *)
 
 type t
 

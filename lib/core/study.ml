@@ -20,15 +20,14 @@ let run ?(seed = 7) ?(cfg = Ga.quick_config) ?jobs ?cache:pool_cache app =
   | Some s -> s
   | None ->
     let study =
-      match Pipeline.capture_once ~seed app with
+      match
+        Pipeline.start ?jobs ?cache:pool_cache (Pipeline.request ~seed ~cfg app)
+      with
       | None -> None
-      | Some capture ->
-        let opt =
-          Pipeline.optimize ~seed:(seed + 13) ~cfg ?jobs ?cache:pool_cache app
-            capture
-        in
+      | Some (co, session) ->
+        let opt = Pipeline.run_session session in
         let speedups = Pipeline.measure_speedups app opt in
-        Some { app; capture; opt; speedups }
+        Some { app; capture = co.Pipeline.co_primary; opt; speedups }
     in
     Hashtbl.replace cache key study;
     study

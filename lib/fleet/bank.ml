@@ -108,26 +108,13 @@ let of_text text =
    | _ -> raise (Malformed "bad header"));
   bank
 
-(* {2 Page image}
+(* {2 On disk}
 
-   The text payload is framed into whole store pages by the shared
-   [Storage.pages_of_string] codec (8-byte little-endian length prefix,
-   zero padding) and written as one blob labelled "bank".  Storage.save
-   then gives byte-determinism (frames sorted by digest) and per-page
-   checksums for free. *)
+   The text image goes through the store's shared text codec
+   ([Storage.save_text]/[load_text]): one "bank" blob with per-page
+   checksums, a byte-deterministic layout and an atomic rename. *)
 
-let pages_of_text = Storage.pages_of_string
-
-let text_of_pages pages =
-  match Storage.string_of_pages pages with
-  | Ok text -> text
-  | Error why -> raise (Malformed why)
-
-let save bank file =
-  let st = Storage.create () in
-  Storage.write st ~label:"bank" ~pages:(pages_of_text (to_text bank));
-  Storage.flush st;
-  Storage.save st file
+let save bank file = Storage.save_text ~label:"bank" file (to_text bank)
 
 let corrupt_result file reason =
   Trace.incr "fleet.bank_corrupt";
@@ -135,17 +122,11 @@ let corrupt_result file reason =
   (create (), [ Printf.sprintf "bank %s: %s (starting cold)" file reason ])
 
 let load file =
-  if not (Sys.file_exists file) then (create (), [])
-  else begin
-    let st, store_warnings = Storage.load file in
-    if not (Storage.contains st ~label:"bank") then
-      corrupt_result file "no bank blob in store"
-    else
-      match Storage.read st ~label:"bank" with
-      | Error e -> corrupt_result file (Storage.describe e)
-      | Ok pages ->
-        (match of_text (text_of_pages pages) with
-         | bank -> (bank, store_warnings)
-         | exception Malformed why -> corrupt_result file why
-         | exception _ -> corrupt_result file "unparseable bank payload")
-  end
+  match Storage.load_text ~label:"bank" file with
+  | `Absent -> (create (), [])
+  | `Damaged why -> corrupt_result file why
+  | `Loaded (text, store_warnings) ->
+    (match of_text text with
+     | bank -> (bank, store_warnings)
+     | exception Malformed why -> corrupt_result file why
+     | exception _ -> corrupt_result file "unparseable bank payload")

@@ -3,15 +3,15 @@
 
     Search winners are recorded keyed by [(app, device-feature bucket)]
     ({!Device.bucket}); a later search over the same app warm-starts from
-    the bank's genomes ({!Repro_search.Ga.run}'s [seed_genomes]), so the
+    the bank's genomes (the search's warm-start [seed_genomes]), so the
     population as a whole keeps getting faster without any device
     re-paying for discovery.
 
     Persistence rides the content-addressed page store: the bank
-    serializes to a deterministic byte image packed into
-    {!Repro_os.Storage.page_bytes}-sized pages and saved through
-    {!Repro_os.Storage.save}, so the on-disk artifact is byte-identical
-    for equal contents and every page is checksummed.  A corrupted bank
+    serializes to a deterministic text image saved through
+    {!Repro_os.Storage.save_text} (the codec search checkpoints use), so
+    the on-disk artifact is byte-identical for equal contents, every page
+    is checksummed and a save is atomic.  A corrupted or unreadable bank
     file degrades gracefully on load — the damage is routed into the
     process-wide quarantine log ({!Repro_core.Pipeline.record_quarantine})
     and the search proceeds cold, exactly like any other untrustworthy
@@ -48,12 +48,14 @@ val entries : t -> entry list
 val size : t -> int
 
 val save : t -> string -> unit
-(** Serialize to [file] via the page store.  Byte-deterministic: equal
-    bank contents produce identical files. *)
+(** Serialize to [file] via the page store, atomically (temp file +
+    rename).  Byte-deterministic: equal bank contents produce identical
+    files. *)
 
 val load : string -> t * string list
 (** Rebuild a bank from a {!save}d file, returning load warnings.  A
-    missing file yields an empty bank; a damaged one (failed page
-    checksum, torn payload, unparseable entry) yields an empty bank, a
+    missing file yields an empty bank; a damaged or unreadable one
+    (a directory, failed page checksum, torn payload, unparseable entry)
+    yields an empty bank, a
     warning, a [fleet.bank_corrupt] counter bump, and a quarantine-log
     entry keyed ["bank:"^file]. *)

@@ -4,7 +4,6 @@ module Trace = Repro_util.Trace
 module App = Repro_apps.Registry
 module Genome = Repro_search.Genome
 module Ga = Repro_search.Ga
-module Evalpool = Repro_search.Evalpool
 module Pipeline = Repro_core.Pipeline
 module Cost = Repro_vm.Cost
 
@@ -23,7 +22,7 @@ let default_config =
   { ga = Ga.quick_config; replicas = 7; samples_per_device = 3 }
 
 type result = {
-  ga : Ga.result;
+  opt : Pipeline.optimized;
   devices : int;
   capable : int;
   ticks : int;
@@ -33,13 +32,7 @@ type result = {
   bank_seeds : int;
   winner_ms : float option;
   history_digest : string;
-  pool_stats : Evalpool.stats;
 }
-
-(* Canonical history rendering lives in [Ga.history_digest] (floats as
-   exact bit patterns, so equal digests mean byte-identical searches);
-   this alias keeps the fleet's public name. *)
-let history_digest = Ga.history_digest
 
 (* One device's contribution to one evaluation: a small batch of replay
    samples whose noise stream is pure in (device noise seed, ev_index) and
@@ -56,14 +49,13 @@ let device_samples env cfg (d : Device.t) ~ev_index cycles =
       ms *. Rng.lognormal rng ~mu:0.0 ~sigma)
 
 let run ?jobs ?cache ?(sched_seed = 0) ?bank ?(cfg = default_config) ~seed
-    ~devices env =
+    ~devices (corpus : Pipeline.corpus) =
+  let app_name = corpus.Pipeline.co_app.App.name in
   Trace.span ~cat:"fleet"
-    ~args:[ ("app", env.Pipeline.app.App.name);
-            ("devices", string_of_int devices) ]
+    ~args:[ ("app", app_name); ("devices", string_of_int devices) ]
     "fleet:run"
   @@ fun () ->
   if devices < 1 then invalid_arg "Fleet.run: devices must be >= 1";
-  let app_name = env.Pipeline.app.App.name in
   let fleet = Device.fleet ~fleet_seed:seed devices in
   let capable =
     Array.of_list
@@ -74,33 +66,29 @@ let run ?jobs ?cache ?(sched_seed = 0) ?bank ?(cfg = default_config) ~seed
   (* Device 0 has every app installed, so [capable] is never empty. *)
   assert (Array.length capable > 0);
   Trace.add "fleet.devices" devices;
-  let pool = Pipeline.make_core_pool ?jobs ?cache env in
-  let tick = ref 0 in
   let avail_trace = ref [] in
   let empty_rounds = ref 0 in
   let fleet_samples = ref 0 in
-  let evaluate_batch tasks =
-    let t = !tick in
-    incr tick;
+  (* The session's finish policy: batch [t] is availability round [t]. *)
+  let finish env ~batch tasks =
     Trace.incr "fleet.batches";
     let online =
       Array.of_list
         (List.filter
-           (fun d -> Device.available d ~gen:t)
+           (fun d -> Device.available d ~gen:batch)
            (Array.to_list capable))
     in
-    let avail, empty = if Array.length online = 0 then (capable, true)
-      else (online, false)
+    let avail =
+      if Array.length online > 0 then online
+      else begin
+        incr empty_rounds;
+        Trace.incr "fleet.empty_rounds";
+        capable
+      end
     in
-    if empty then begin
-      incr empty_rounds;
-      Trace.incr "fleet.empty_rounds"
-    end;
     avail_trace := Array.length avail :: !avail_trace;
-    let cores = Evalpool.evaluate_batch pool tasks in
-    Array.mapi
-      (fun i core ->
-         let ev_index, _genome = tasks.(i) in
+    Array.map
+      (fun (ev_index, core) ->
          match core with
          | Pipeline.Core_measured { cycles; size; key } ->
            let n = Array.length avail in
@@ -136,30 +124,31 @@ let run ?jobs ?cache ?(sched_seed = 0) ?bank ?(cfg = default_config) ~seed
            Trace.add "fleet.samples" (Array.length times);
            Ga.Measured { times; size; key }
          | core -> Pipeline.outcome_of_core env ~ev_index core)
-      cores
+      tasks
   in
-  let ref_bucket = Device.bucket fleet.(0) in
   let seed_genomes =
     match bank with
     | None -> []
     | Some bank ->
-      let seeds = Bank.lookup bank ~app:app_name ~bucket:ref_bucket in
+      let seeds =
+        Bank.lookup bank ~app:app_name ~bucket:(Device.bucket fleet.(0))
+      in
       let seeds =
         List.filteri (fun i _ -> i < cfg.ga.Ga.population) seeds
       in
       Trace.add "fleet.bank_seeds" (List.length seeds);
       seeds
   in
-  let rng = Rng.create seed in
-  let ga =
-    Ga.run ~seed_genomes rng cfg.ga ~evaluate_batch
-      ~baseline_ms:env.Pipeline.android_region_ms
-      ~o3_ms:env.Pipeline.o3_region_ms ()
+  let opt =
+    Pipeline.run_session
+      (Pipeline.start_search ~seed ~cfg:cfg.ga ?jobs ?cache
+         ~corpus:corpus.Pipeline.co_entries ~seed_genomes ~finish
+         corpus.Pipeline.co_app corpus.Pipeline.co_primary)
   in
   (* Publish the winner to the bank under every device-feature bucket the
      capable fleet contains: the fleet as a whole validated it. *)
-  (match (bank, ga.Ga.best) with
-   | Some bank, Some (genome, fitness_ms) ->
+  (match (bank, opt.Pipeline.best_genome, opt.Pipeline.best_fitness) with
+   | Some bank, Some genome, Some fitness_ms ->
      let buckets =
        List.sort_uniq compare
          (Array.to_list (Array.map Device.bucket capable))
@@ -168,16 +157,11 @@ let run ?jobs ?cache ?(sched_seed = 0) ?bank ?(cfg = default_config) ~seed
        (fun bucket -> Bank.record bank ~app:app_name ~bucket genome ~fitness_ms)
        buckets
    | _ -> ());
-  let winner_ms =
-    match ga.Ga.best with
-    | None -> None
-    | Some (genome, _) ->
-      (match Pipeline.compile_core env genome with
-       | Ok binary -> Pipeline.replay_ms env binary
-       | Error _ -> None)
-  in
-  { ga; devices; capable = Array.length capable; ticks = !tick;
-    avail_trace = List.rev !avail_trace; empty_rounds = !empty_rounds;
-    fleet_samples = !fleet_samples;
-    bank_seeds = List.length seed_genomes; winner_ms;
-    history_digest = history_digest ga; pool_stats = Evalpool.stats pool }
+  { opt; devices; capable = Array.length capable;
+    ticks = List.length !avail_trace; avail_trace = List.rev !avail_trace;
+    empty_rounds = !empty_rounds; fleet_samples = !fleet_samples;
+    bank_seeds = List.length seed_genomes;
+    winner_ms =
+      Option.bind opt.Pipeline.best_binary
+        (Pipeline.replay_ms opt.Pipeline.env);
+    history_digest = Ga.history_digest opt.Pipeline.ga }

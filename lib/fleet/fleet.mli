@@ -1,24 +1,26 @@
-(** The fleet coordinator: one app's GA sharded across a simulated device
-    population (the paper's crowdsourced deployment; ROADMAP item 1).
+(** The fleet coordinator: one app's search sharded across a simulated
+    device population (the paper's crowdsourced deployment; ROADMAP
+    item 1).
 
-    The coordinator owns the search: genomes are drawn by the ordinary
-    {!Repro_search.Ga.run} loop, each generation's batch is compiled and
-    verified {e once} on the shared {!Repro_core.Pipeline.make_core_pool}
-    (the server does the expensive deterministic work), and each genome's
-    {e measurements} are crowdsourced — the genome is assigned to a
-    rotation of the devices online that round, and every assigned device
-    contributes a small batch of replay samples drawn from its own noise
-    model (its DVFS multiplier widens the lognormal sigma; its stream is
-    seeded [(device noise seed, ev_index)]).  Per-device sample batches
-    are pooled in device-id order with {!Repro_util.Stats.pool_samples}
-    and handed to the GA as one [Measured] outcome, so ranking reuses the
-    existing MAD-outlier + Welch-t-test machinery unchanged.
+    A fleet search {e is} a {!Repro_core.Pipeline} search session — same
+    GA, same final hill climb, same shared eval pool (the server compiles
+    and verifies each genome {e once}) — with one difference: its
+    per-batch {!Repro_core.Pipeline.finish} policy.  Instead of the
+    single-device noise model, each measured genome is assigned to a
+    rotation of the devices online that round (round = the session's batch
+    index), and every assigned device contributes a small batch of replay
+    samples drawn from its own noise model (its DVFS multiplier widens the
+    lognormal sigma; its stream is seeded [(device noise seed,
+    ev_index)]).  Per-device sample batches are pooled in device-id order
+    with {!Repro_util.Stats.pool_samples} and handed to the GA as one
+    [Measured] outcome, so ranking reuses the existing MAD-outlier +
+    Welch-t-test machinery unchanged.
 
     {2 Determinism contract}
 
-    The search history is byte-identical (see {!history_digest}) across:
+    The search history is byte-identical (see [history_digest]) across:
     - worker-domain count ([jobs]) and cache state — inherited from the
-      core pool's contract;
+      session's pool contract;
     - device {e scheduling} order — [sched_seed] shuffles the order in
       which assigned devices are processed, but samples are pure per
       (device, ev_index) and aggregation sorts by device id;
@@ -46,35 +48,37 @@ val default_config : config
     a pooled sample set comparable to the single-device pipeline's
     [replays_per_eval]. *)
 
+(** Rounds, samples and the winner cover the whole session: the GA
+    batches and the final hill climb's. *)
 type result = {
-  ga : Ga.result;
+  opt : Pipeline.optimized;   (** the session's result (GA + hill climb) *)
   devices : int;              (** fleet size as requested *)
   capable : int;              (** devices with the app installed *)
-  ticks : int;                (** availability rounds (one per GA batch) *)
+  ticks : int;                (** availability rounds (one per batch) *)
   avail_trace : int list;     (** online capable devices per round *)
   empty_rounds : int;         (** rounds rescued by the whole-fleet fallback *)
   fleet_samples : int;        (** device samples contributed in total *)
   bank_seeds : int;           (** warm-start genomes taken from the bank *)
-  winner_ms : float option;   (** winner's replay on the reference env *)
-  history_digest : string;    (** {!history_digest} of [ga] *)
-  pool_stats : Repro_search.Evalpool.stats;
+  winner_ms : float option;   (** replay of [opt.best_binary] on the
+                                  reference env *)
+  history_digest : string;
+  (** {!Repro_search.Ga.history_digest} of [opt.ga]: equal digests mean
+      byte-identical GA searches; the CLI smoke and the qcheck
+      determinism properties compare these *)
 }
-
-val history_digest : Ga.result -> string
-(** Hex digest of a canonical rendering of the full evaluation history —
-    every index, generation, genome, outcome and exact measurement bits
-    ([Int64.bits_of_float]).  Equal digests mean byte-identical searches;
-    the CLI smoke and the qcheck determinism properties compare these. *)
 
 val run :
   ?jobs:int -> ?cache:bool -> ?sched_seed:int -> ?bank:Bank.t ->
   ?cfg:config -> seed:int -> devices:int ->
-  Pipeline.evaluation_env -> result
-(** Run the sharded search over a fleet of [devices] profiles derived from
-    [seed] ({!Device.fleet}).  [bank] (shared, mutated in place)
-    warm-starts the GA from previous winners for the app — matching the
-    reference device's bucket first — and receives this search's winner
-    under every bucket present in the capable fleet.  [sched_seed]
+  Pipeline.corpus -> result
+(** Run the sharded search on the app's capture [corpus] over a fleet of
+    [devices] profiles derived from [seed] ({!Device.fleet}): a
+    {!Pipeline.start_search} session at [seed] (environment at
+    [seed + 1]) with the fleet's finish policy, driven to the end.
+    [bank] (shared, mutated in place) warm-starts the GA from previous
+    winners for the app — matching the reference device's bucket first —
+    and receives this search's hill-climbed winner under every bucket
+    present in the capable fleet.  [sched_seed]
     (default 0) permutes device processing order only; the result is
     independent of it.  If no capable device is online in a round the
     whole capable fleet steps in ([empty_rounds]).  Device 0 guarantees

@@ -632,3 +632,30 @@ let load file =
           Hashtbl.remove t.frames h)
         orphans;
       (t, List.rev !warnings))
+
+(* -- text files ---------------------------------------------------------
+   One framed text payload per file, under one blob label: the on-disk
+   form of search checkpoints and genome banks. *)
+
+let save_text ~label file text =
+  let st = create () in
+  write st ~label ~pages:(pages_of_string text);
+  let tmp = file ^ ".tmp" in
+  save st tmp;
+  Sys.rename tmp file
+
+let load_text ~label file =
+  if not (Sys.file_exists file) then `Absent
+  else
+    match load file with
+    | exception Sys_error why -> `Damaged why
+    | st, warnings ->
+      if not (contains st ~label) then
+        `Damaged (Printf.sprintf "no %s blob in store" label)
+      else
+        match read st ~label with
+        | Error e -> `Damaged (describe e)
+        | Ok pages ->
+          (match string_of_pages pages with
+           | Error why -> `Damaged why
+           | Ok text -> `Loaded (text, warnings))

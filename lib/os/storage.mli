@@ -215,3 +215,18 @@ val load : string -> t * string list
     manifest entries pointing at missing frames are kept (their blobs
     read back as {!Missing_page} and get quarantined downstream), and
     every such event is reported in the returned warning list. *)
+
+(** {1 Text files: the codec of search checkpoints and genome banks} *)
+
+val save_text : label:string -> string -> string -> unit
+(** [save_text ~label file text] writes [text] as the only blob, [label],
+    of a store file, atomically (temp file + rename: a crash mid-save
+    leaves the previous file intact).  Byte-deterministic. *)
+
+val load_text :
+  label:string -> string ->
+  [ `Absent | `Damaged of string | `Loaded of string * string list ]
+(** Read a {!save_text} file back with the store load's warnings.  Never
+    raises on a bad file: one that cannot be read (e.g. a directory),
+    lacks the blob, or fails its page checksums or framing is
+    [`Damaged]. *)

@@ -84,18 +84,51 @@ let test_resume_replays_cheaply () =
       ~quarantine:(Pipeline.create_quarantine_log ())
       ~checkpoint:file (fft ()) (Lazy.force capture)
   in
-  let rec drive () =
-    match Pipeline.search_step s with
-    | `Finished r -> r
-    | `Live | `Replayed -> drive ()
-  in
-  let r = drive () in
+  let r = Pipeline.run_session s in
   Alcotest.(check string) "stepped resume digest"
     (Lazy.force reference) (Pipeline.search_digest r);
   Alcotest.(check int) "replayed exactly the recorded batches" 3
     (Pipeline.session_replayed_batches s);
   Alcotest.(check bool) "no warnings on a clean resume" true
     (Pipeline.session_warnings s = [])
+
+(* A non-default finish policy that depends on the batch index: the
+   session must apply it identically to live and journal-replayed batches,
+   so a killed-and-resumed run still lands on the uninterrupted digest. *)
+let skewed_finish env ~batch tasks =
+  Array.map
+    (fun (ev_index, core) ->
+       match Pipeline.outcome_of_core env ~ev_index core with
+       | Ga.Measured m ->
+         let skew = 1. +. (0.01 *. float_of_int ((batch * 7 + ev_index) mod 5)) in
+         Ga.Measured { m with times = Array.map (fun t -> t *. skew) m.times }
+       | o -> o)
+    tasks
+
+let skewed_search ?abort_after ?checkpoint () =
+  Pipeline.start_search ~seed:3 ~cfg:tiny_cfg
+    ~quarantine:(Pipeline.create_quarantine_log ()) ?checkpoint ?abort_after
+    ~finish:skewed_finish (fft ()) (Lazy.force capture)
+
+let test_finish_policy_resumes () =
+  let uninterrupted =
+    Pipeline.search_digest (Pipeline.run_session (skewed_search ()))
+  in
+  Alcotest.(check bool) "the policy changes the search" true
+    (uninterrupted <> Lazy.force reference);
+  let file = temp_ckpt () in
+  Fun.protect ~finally:(fun () -> rm file) @@ fun () ->
+  (match
+     Pipeline.run_session (skewed_search ~abort_after:3 ~checkpoint:file ())
+   with
+   | _ -> Alcotest.fail "interrupted run should have aborted"
+   | exception Checkpoint.Injected_abort -> ());
+  let s = skewed_search ~checkpoint:file () in
+  let resumed = Pipeline.search_digest (Pipeline.run_session s) in
+  Alcotest.(check int) "replayed the recorded batches" 3
+    (Pipeline.session_replayed_batches s);
+  Alcotest.(check string) "resumed digest = uninterrupted digest"
+    uninterrupted resumed
 
 (* ------------------------ byte-determinism of files ------------------- *)
 
@@ -119,14 +152,6 @@ let start_with ~quarantine file =
   Pipeline.start_search ~seed:3 ~cfg:tiny_cfg ~quarantine ~checkpoint:file
     (fft ()) (Lazy.force capture)
 
-let drive_session s =
-  let rec go () =
-    match Pipeline.search_step s with
-    | `Finished r -> r
-    | `Live | `Replayed -> go ()
-  in
-  go ()
-
 let check_cold_start ~name file =
   let q = Pipeline.create_quarantine_log () in
   let s = start_with ~quarantine:q file in
@@ -134,7 +159,7 @@ let check_cold_start ~name file =
     (Pipeline.session_warnings s <> []);
   Alcotest.(check (list string)) (name ^ ": quarantined")
     [ "checkpoint:" ^ file ] (quarantine_keys q);
-  let r = drive_session s in
+  let r = Pipeline.run_session s in
   Alcotest.(check int) (name ^ ": nothing replayed") 0
     (Pipeline.session_replayed_batches s);
   Alcotest.(check string) (name ^ ": cold digest still right")
@@ -220,12 +245,12 @@ let test_checkpoint_codec () =
             b_tasks =
               [ { Checkpoint.t_ev_index = 1; t_canon = "a b:1,2";
                   t_core =
-                    Checkpoint.C_measured
+                    Checkpoint.Core_measured
                       { cycles = 123; size = 45; key = "\x00\xffbin" } };
                 { Checkpoint.t_ev_index = 2; t_canon = "c";
-                  t_core = Checkpoint.C_compile_failed "msg\twith tab" };
+                  t_core = Checkpoint.Core_compile_failed "msg\twith tab" };
                 { Checkpoint.t_ev_index = 3; t_canon = "d";
-                  t_core = Checkpoint.C_hung } ] };
+                  t_core = Checkpoint.Core_hung } ] };
           { Checkpoint.b_cursor = Int64.minus_one; b_tasks = [] } ];
       quarantine = [ ("key", "reason with spaces", 3) ] }
   in
@@ -258,7 +283,9 @@ let () =
          Alcotest.test_case "crash after every batch" `Quick
            test_crash_every_batch;
          Alcotest.test_case "resume replays, not re-evaluates" `Quick
-           test_resume_replays_cheaply ]);
+           test_resume_replays_cheaply;
+         Alcotest.test_case "batch-indexed finish policy resumes" `Quick
+           test_finish_policy_resumes ]);
       ("format",
        [ Alcotest.test_case "journal bytes deterministic" `Quick
            test_checkpoint_bytes_deterministic;

@@ -15,11 +15,8 @@ module Fleet = Repro_fleet.Fleet
 
 let app name = Option.get (App.find name)
 
-(* Shared cheap evaluation environment (FFT, no corpus). *)
-let env =
-  lazy
-    (let a = app "FFT" in
-     P.make_eval_env a (Option.get (P.capture_once a)))
+(* Shared cheap capture (FFT, no secondary inputs). *)
+let corpus = lazy (Option.get (P.capture_corpus ~k:1 (app "FFT")))
 
 (* Small search so the determinism matrix stays fast. *)
 let tiny_cfg =
@@ -75,11 +72,21 @@ let prop_availability_pure =
 
 let run_fleet ?(sched_seed = 0) ?bank ~jobs ~cache () =
   Fleet.run ~jobs ~cache ~sched_seed ?bank ~cfg:tiny_cfg ~seed:5 ~devices:40
-    (Lazy.force env)
+    (Lazy.force corpus)
+
+(* The tiny config's GA history digest, pinned (search seed 5,
+   environment seed 6, capture seed 42): any change to it is a change to
+   fleet search results. *)
+let pinned_tiny_digest = "0da4d8eab3e9864fbfcbd4ba0d7888b4"
+
+let test_fleet_history_pinned () =
+  Alcotest.(check string) "tiny-config history digest" pinned_tiny_digest
+    (run_fleet ~jobs:1 ~cache:true ()).Fleet.history_digest
 
 let test_fleet_history_deterministic () =
   let base = run_fleet ~jobs:1 ~cache:true () in
-  Alcotest.(check bool) "found a winner" true (base.Fleet.ga.Ga.best <> None);
+  Alcotest.(check bool) "found a winner" true
+    (base.Fleet.opt.P.ga.Ga.best <> None);
   List.iter
     (fun (label, r) ->
        Alcotest.(check string) label base.Fleet.history_digest
@@ -105,12 +112,12 @@ let test_single_device_fleet_runs () =
   let r = run_fleet ~jobs:1 ~cache:true () in
   let solo =
     Fleet.run ~jobs:1 ~cache:true ~cfg:tiny_cfg ~seed:5 ~devices:1
-      (Lazy.force env)
+      (Lazy.force corpus)
   in
   Alcotest.(check int) "capable" 1 solo.Fleet.capable;
   Alcotest.(check int) "no fallback rounds" 0 solo.Fleet.empty_rounds;
   Alcotest.(check bool) "same evaluation count" true
-    (solo.Fleet.ga.Ga.evaluations = r.Fleet.ga.Ga.evaluations)
+    (solo.Fleet.opt.P.ga.Ga.evaluations = r.Fleet.opt.P.ga.Ga.evaluations)
 
 (* ----------------------------- warm start --------------------------- *)
 
@@ -128,7 +135,7 @@ let test_bank_warm_start_seeds_ga () =
   Alcotest.(check string) "warm digest stable across jobs"
     warm.Fleet.history_digest warm2.Fleet.history_digest
 
-(* Ga.run seed_genomes: seeded slots consume no RNG draws, so the random
+(* Warm-start seed_genomes: seeded slots consume no RNG draws, so the random
    remainder of the first round is the same stream as an unseeded run. *)
 let test_seed_genomes_consume_no_draws () =
   let evaluate_batch tasks =
@@ -285,6 +292,21 @@ let test_bank_corrupted_file_quarantined () =
        quarantined);
   P.reset_quarantine ()
 
+(* A path that exists but cannot be read as a file fails closed, like a
+   damaged one, instead of raising out of the load. *)
+let test_bank_directory_quarantined () =
+  let dir = Filename.temp_dir "repro_bank" ".d" in
+  Fun.protect ~finally:(fun () -> Sys.rmdir dir) @@ fun () ->
+  P.reset_quarantine ();
+  let bank, warnings = Bank.load dir in
+  Alcotest.(check int) "empty" 0 (Bank.size bank);
+  Alcotest.(check bool) "warns" true (warnings <> []);
+  Alcotest.(check bool) "routed into the quarantine log" true
+    (List.exists
+       (fun e -> e.P.q_binary = "bank:" ^ dir)
+       (P.quarantine_summary ()));
+  P.reset_quarantine ()
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_availability_pure; prop_fleet_sched_invariant;
@@ -298,7 +320,9 @@ let () =
          Alcotest.test_case "device 0 is the reference" `Quick
            test_device_zero_is_reference ]);
       ("determinism",
-       [ Alcotest.test_case "history digest invariant" `Quick
+       [ Alcotest.test_case "history digest pinned" `Quick
+           test_fleet_history_pinned;
+         Alcotest.test_case "history digest invariant" `Quick
            test_fleet_history_deterministic;
          Alcotest.test_case "single-device fleet" `Quick
            test_single_device_fleet_runs ]);
@@ -312,5 +336,7 @@ let () =
          Alcotest.test_case "save/load round-trip" `Quick test_bank_roundtrip;
          Alcotest.test_case "missing file" `Quick test_bank_missing_file;
          Alcotest.test_case "corrupted file quarantined" `Quick
-           test_bank_corrupted_file_quarantined ]);
+           test_bank_corrupted_file_quarantined;
+         Alcotest.test_case "directory quarantined" `Quick
+           test_bank_directory_quarantined ]);
       ("properties", qcheck_cases) ]

@@ -18,12 +18,12 @@ let app name = Option.get (App.find name)
 
 (* What [repro optimize APP --seed S] would produce, for digest parity. *)
 let standalone name seed =
-  let a = app name in
-  let co = Option.get (Pipeline.capture_corpus ~seed ~k:1 a) in
-  Pipeline.search_digest
-    (Pipeline.optimize ~seed:(seed + 13) ~cfg:tiny_cfg
-       ~quarantine:(Pipeline.create_quarantine_log ())
-       ~corpus:co.Pipeline.co_entries a co.Pipeline.co_primary)
+  let _, session =
+    Option.get
+      (Pipeline.start ~quarantine:(Pipeline.create_quarantine_log ())
+         (Pipeline.request ~seed ~cfg:tiny_cfg (app name)))
+  in
+  Pipeline.search_digest (Pipeline.run_session session)
 
 let fft_digest = lazy (standalone "FFT" 5)
 let bubble_digest = lazy (standalone "BubbleSort" 7)

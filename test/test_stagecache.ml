@@ -62,13 +62,13 @@ let test_canon_folds_unobservable_params () =
     (classify fe env.Pipeline.region g2);
   (* the genome memo keys on the same canonical form: evaluating the
      second variant is a hit, not a compile *)
-  let pool = Pipeline.make_pool ~jobs:1 ~cache:true env in
-  let o1 = (Evalpool.evaluate_batch pool [| (0, g1) |]).(0) in
+  let pool = Pipeline.make_core_pool ~jobs:1 ~cache:true env in
+  let c1 = (Evalpool.evaluate_batch pool [| (0, g1) |]).(0) in
   let hits_before = (Evalpool.stats pool).Evalpool.genome_hits in
-  let o2 = (Evalpool.evaluate_batch pool [| (1, g2) |]).(0) in
+  let c2 = (Evalpool.evaluate_batch pool [| (1, g2) |]).(0) in
   let hits_after = (Evalpool.stats pool).Evalpool.genome_hits in
   Alcotest.(check int) "genome memo hit" (hits_before + 1) hits_after;
-  Alcotest.(check bool) "equal pool outcomes" true (o1 = o2)
+  Alcotest.(check bool) "equal pool cores" true (c1 = c2)
 
 (* ------------- outcome transparency (qcheck property) ---------------- *)
 
@@ -94,7 +94,7 @@ let prop_outcomes_transparent =
        let run ~stage ~jobs =
          with_stage stage @@ fun () ->
          Stagecache.reset ();
-         let pool = Pipeline.make_pool ~jobs ~cache:false env in
+         let pool = Pipeline.make_core_pool ~jobs ~cache:false env in
          Array.to_list (Evalpool.evaluate_batch pool tasks)
        in
        let reference = run ~stage:true ~jobs:1 in
