@@ -3,22 +3,21 @@
 
 module ISet : Set.S with type elt = int
 
-val liveness : Hir.func -> Repro_util.Cfg.t -> (int, ISet.t) Hashtbl.t
-(** Live-out register set per block (backward may analysis). *)
+type live
+(** Solved liveness of one function over one CFG: per-block register
+    bitsets.  Sets are materialized only for the blocks asked about. *)
 
-val live_before :
-  ISet.t -> Hir.instr list -> Hir.term -> ISet.t list
-(** Given a block's live-out set, the live set *before* each instruction, in
-    instruction order (same length as the instruction list). *)
+val liveness : Hir.func -> Repro_util.Cfg.t -> live
+(** Backward may analysis over the blocks reachable in the CFG, which must
+    describe the function as it is now. *)
 
-val defs_of_block : Hir.block -> ISet.t
-val uses_of_block : Hir.block -> ISet.t
+val live_out : live -> int -> ISet.t
+(** Registers live on exit from the block; empty for unreachable blocks. *)
 
-val def_count : Hir.func -> (int, int) Hashtbl.t
-(** Number of static definitions of each register over the whole function. *)
-
-val block_freq : Hir.func -> Repro_util.Cfg.t -> (int, float) Hashtbl.t
-(** Static execution-frequency estimate: 10^loop-depth. *)
+val live_in : live -> int -> ISet.t
+(** Registers live on entry to the block (read before any redefinition in
+    it, or live out and not defined in it); empty for unreachable
+    blocks. *)
 
 val pressure : Hir.func -> int
 (** Register pressure: the largest live-out set over all blocks.  Pure (no

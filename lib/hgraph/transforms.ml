@@ -250,10 +250,9 @@ let copy_prop f =
 let remove_unreachable f =
   let f = copy f in
   let g = cfg f in
-  let reachable = Cfg.nodes g in
   let all = Hashtbl.fold (fun bid _ acc -> bid :: acc) f.f_blocks [] in
   List.iter
-    (fun bid -> if not (List.mem bid reachable) then Hashtbl.remove f.f_blocks bid)
+    (fun bid -> if not (Cfg.mem g bid) then Hashtbl.remove f.f_blocks bid)
     all;
   f
 
@@ -261,12 +260,13 @@ let dce f =
   let f = remove_unreachable f in
   let changed = ref true in
   let f = copy f in
+  (* removing instructions never changes the CFG *)
+  let g = cfg f in
   while !changed do
     changed := false;
-    let g = cfg f in
-    let live_out = Analysis.liveness f g in
+    let live = Analysis.liveness f g in
     iter_blocks f (fun bid b ->
-        let out = Option.value ~default:ISet.empty (Hashtbl.find_opt live_out bid) in
+        let out = Analysis.live_out live bid in
         (* walk backwards, keeping track of liveness *)
         let after_term =
           List.fold_left (fun acc u -> ISet.add u acc) out (uses_of_term b.term)
@@ -550,9 +550,11 @@ let licm f =
          compare (List.length a.Cfg.body) (List.length b.Cfg.body))
       loops0
   in
+  (* Liveness is solved on first use and kept until a loop hoists: a loop
+     that hoists nothing leaves the function unchanged. *)
+  let live = ref None in
   List.iter
     (fun loop ->
-       let live_out = Analysis.liveness f (cfg f) in
        let body = loop.Cfg.body in
        let header = loop.Cfg.header in
        (* registers (re)defined anywhere in the loop, with def counts *)
@@ -573,19 +575,15 @@ let licm f =
          body;
        (* live into the header from outside: hoisting must not clobber *)
        let header_live =
-         match Hashtbl.find_opt f.f_blocks header with
-         | None -> ISet.empty
-         | Some hb ->
-           (match
-              Analysis.live_before
-                (Option.value ~default:ISet.empty (Hashtbl.find_opt live_out header))
-                hb.insns hb.term
-            with
-            | first :: _ -> first
-            | [] ->
-              List.fold_left (fun s u -> ISet.add u s)
-                (Option.value ~default:ISet.empty (Hashtbl.find_opt live_out header))
-                (uses_of_term hb.term))
+         let solved =
+           match !live with
+           | Some solved -> solved
+           | None ->
+             let solved = Analysis.liveness f (cfg f) in
+             live := Some solved;
+             solved
+         in
+         Analysis.live_in solved header
        in
        let invariant_regs = Hashtbl.create 16 in
        let is_invariant r =
@@ -625,11 +623,14 @@ let licm f =
          body;
        if !hoisted <> [] then begin
          (* build a preheader and retarget entry edges *)
+         let in_body = Hashtbl.create 16 in
+         List.iter (fun bid -> Hashtbl.replace in_body bid ()) body;
          let pre = add_block f (List.rev !hoisted) (Goto header) in
          iter_blocks f (fun bid b ->
-             if bid <> pre && not (List.mem bid body) then
+             if bid <> pre && not (Hashtbl.mem in_body bid) then
                b.term <- retarget_term ~from:header ~to_:pre b.term);
-         if f.f_entry = header then f.f_entry <- pre
+         if f.f_entry = header then f.f_entry <- pre;
+         live := None
        end)
     loops;
   f
@@ -645,50 +646,73 @@ let simplify_cfg f =
       match b.insns, b.term with
       | [], Goto t when t <> bid -> Hashtbl.replace redirect bid t
       | _ -> ());
-  let rec resolve bid seen =
-    if List.mem bid seen then bid
-    else
-      match Hashtbl.find_opt redirect bid with
-      | Some t -> resolve t (bid :: seen)
-      | None -> bid
+  (* [resolve b] follows trivial gotos from [b] to the first block that is
+     not one, or to the first block the walk revisits: on a cycle of
+     trivial gotos every block resolves to itself, and a block leading
+     into the cycle to the block where it enters.  Memoized over whole
+     walks; a block marked [on_path] by an earlier walk is memoized. *)
+  let resolved = Hashtbl.create 8 and on_path = Hashtbl.create 8 in
+  let resolve bid =
+    let rec walk b path =
+      match Hashtbl.find_opt resolved b with
+      | Some r -> List.iter (fun p -> Hashtbl.replace resolved p r) path
+      | None when Hashtbl.mem on_path b ->
+        let rec cycle = function
+          | p :: rest ->
+            Hashtbl.replace resolved p p;
+            if p = b then rest else cycle rest
+          | [] -> []
+        in
+        List.iter (fun p -> Hashtbl.replace resolved p b) (cycle path)
+      | None ->
+        (match Hashtbl.find_opt redirect b with
+         | Some t ->
+           Hashtbl.replace on_path b ();
+           walk t (b :: path)
+         | None -> List.iter (fun p -> Hashtbl.replace resolved p b) (b :: path))
+    in
+    walk bid [];
+    Hashtbl.find resolved bid
   in
   iter_blocks f (fun _ b ->
       b.term <-
         (match b.term with
-         | Goto t -> Goto (resolve t [])
-         | If (c, a, o, bt, be, h) -> If (c, a, o, resolve bt [], resolve be [], h)
+         | Goto t -> Goto (resolve t)
+         | If (c, a, o, bt, be, h) -> If (c, a, o, resolve bt, resolve be, h)
          | (Ret _ | ThrowT _) as t -> t));
   (* entry may itself be a trivial goto: keep it (it now points past chains) *)
   let f = remove_unreachable f in
-  (* Merge straight-line pairs: b -> c, c has exactly one predecessor. *)
+  (* Merge straight-line chains: b ends in [Goto c] and c, not the entry,
+     has b as its only predecessor.  Merging c into b leaves every other
+     block's predecessor count unchanged, so one pass in RPO over the
+     initial counts collapses every chain; a block's chain predecessor
+     precedes it in RPO, so an absorbed block is gone when its turn
+     comes. *)
   let f = copy f in
-  let merged = ref true in
-  while !merged do
-    merged := false;
-    let g = cfg f in
-    let candidates =
-      List.filter_map
-        (fun bid ->
-           match Hashtbl.find_opt f.f_blocks bid with
-           | Some b ->
-             (match b.term with
-              | Goto t when t <> bid && t <> f.f_entry
-                         && List.length (Cfg.preds g t) = 1 ->
-                Some (bid, t)
-              | _ -> None)
-           | None -> None)
-        (Cfg.nodes g)
-    in
-    (match candidates with
-     | (bid, t) :: _ ->
-       let b = block f bid in
-       let c = block f t in
-       b.insns <- b.insns @ c.insns;
-       b.term <- c.term;
-       Hashtbl.remove f.f_blocks t;
-       merged := true
-     | [] -> ())
-  done;
+  let g = cfg f in
+  let absorbable bid t =
+    t <> bid && t <> f.f_entry
+    && (match Cfg.preds g t with [ _ ] -> true | _ -> false)
+  in
+  List.iter
+    (fun bid ->
+       match Hashtbl.find_opt f.f_blocks bid with
+       | None -> ()
+       | Some b ->
+         let rec chain term tails =
+           match term with
+           | Goto t when absorbable bid t ->
+             let c = block f t in
+             Hashtbl.remove f.f_blocks t;
+             chain c.term (c.insns :: tails)
+           | _ -> (term, tails)
+         in
+         (match chain b.term [] with
+          | _, [] -> ()
+          | term, tails ->
+            b.insns <- List.concat (b.insns :: List.rev tails);
+            b.term <- term))
+    (Cfg.nodes g);
   f
 
 (* --------------------------- predict_static ------------------------ *)

@@ -1,26 +1,73 @@
+(* Node ids are ints: hash them as themselves and compare them unboxed,
+   instead of the polymorphic hash and compare of [Hashtbl].  No table
+   here is iterated in an order that reaches a result. *)
+module Tbl = Hashtbl.Make (struct
+    type t = int
+    let equal = Int.equal
+    let hash n = n land max_int
+  end)
+
 type t = {
   entry : int;
-  succs_of : (int, int list) Hashtbl.t;
-  preds_of : (int, int list) Hashtbl.t;
+  succs_of : int list Tbl.t;
+  preds_of : int list Tbl.t;
   rpo : int array;                       (* reverse postorder *)
-  rpo_idx : (int, int) Hashtbl.t;
-  idoms : (int, int) Hashtbl.t;          (* node -> immediate dominator *)
+  rpo_idx : int Tbl.t;
+  idoms : int array Lazy.t;
+  (* RPO index -> RPO index of the immediate dominator (entry: itself);
+     built on the first dominance query, never by [analyze] *)
 }
 
+(* Cooper-Harvey-Kennedy iterative dominators over RPO indices. *)
+let dominators rpo rpo_idx preds_of =
+  let n = Array.length rpo in
+  let preds =
+    Array.map
+      (fun node ->
+         List.map (Tbl.find rpo_idx)
+           (Option.value ~default:[] (Tbl.find_opt preds_of node))
+         |> Array.of_list)
+      rpo
+  in
+  let idom = Array.make n (-1) in
+  if n > 0 then idom.(0) <- 0;
+  let rec intersect a b =
+    if a = b then a
+    else if a > b then intersect idom.(a) b
+    else intersect a idom.(b)
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for i = 1 to n - 1 do
+      let nd =
+        Array.fold_left
+          (fun acc p ->
+             if idom.(p) < 0 then acc
+             else if acc < 0 then p
+             else intersect p acc)
+          (-1) preds.(i)
+      in
+      if nd >= 0 && idom.(i) <> nd then begin
+        idom.(i) <- nd;
+        changed := true
+      end
+    done
+  done;
+  idom
+
 let analyze ~entry ~succs =
-  let succs_of = Hashtbl.create 64 in
-  let preds_of = Hashtbl.create 64 in
+  let succs_of = Tbl.create 64 in
+  let preds_of = Tbl.create 64 in
   let postorder = ref [] in
-  let visited = Hashtbl.create 64 in
   let rec dfs n =
-    if not (Hashtbl.mem visited n) then begin
-      Hashtbl.add visited n ();
+    if not (Tbl.mem succs_of n) then begin
       let ss = succs n in
-      Hashtbl.replace succs_of n ss;
+      Tbl.replace succs_of n ss;
       List.iter
         (fun s ->
-           let ps = Option.value ~default:[] (Hashtbl.find_opt preds_of s) in
-           Hashtbl.replace preds_of s (n :: ps);
+           let ps = Option.value ~default:[] (Tbl.find_opt preds_of s) in
+           Tbl.replace preds_of s (n :: ps);
            dfs s)
         ss;
       postorder := n :: !postorder
@@ -28,87 +75,63 @@ let analyze ~entry ~succs =
   in
   dfs entry;
   let rpo = Array.of_list !postorder in
-  let rpo_idx = Hashtbl.create 64 in
-  Array.iteri (fun i n -> Hashtbl.replace rpo_idx n i) rpo;
-  (* Cooper-Harvey-Kennedy iterative dominators. *)
-  let idoms = Hashtbl.create 64 in
-  Hashtbl.replace idoms entry entry;
-  let intersect a b =
-    let rec walk a b =
-      if a = b then a
-      else begin
-        let ia = Hashtbl.find rpo_idx a and ib = Hashtbl.find rpo_idx b in
-        if ia > ib then walk (Hashtbl.find idoms a) b else walk a (Hashtbl.find idoms b)
-      end
-    in
-    walk a b
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun n ->
-         if n <> entry then begin
-           let preds = Option.value ~default:[] (Hashtbl.find_opt preds_of n) in
-           let processed = List.filter (fun p -> Hashtbl.mem idoms p) preds in
-           match processed with
-           | [] -> ()
-           | first :: rest ->
-             let new_idom = List.fold_left intersect first rest in
-             if Hashtbl.find_opt idoms n <> Some new_idom then begin
-               Hashtbl.replace idoms n new_idom;
-               changed := true
-             end
-         end)
-      rpo
-  done;
-  { entry; succs_of; preds_of; rpo; rpo_idx; idoms }
+  let rpo_idx = Tbl.create (Array.length rpo) in
+  Array.iteri (fun i n -> Tbl.replace rpo_idx n i) rpo;
+  { entry; succs_of; preds_of; rpo; rpo_idx;
+    idoms = lazy (dominators rpo rpo_idx preds_of) }
 
 let nodes t = Array.to_list t.rpo
-let preds t n = Option.value ~default:[] (Hashtbl.find_opt t.preds_of n)
-let succs t n = Option.value ~default:[] (Hashtbl.find_opt t.succs_of n)
+let mem t n = Tbl.mem t.rpo_idx n
+let preds t n = Option.value ~default:[] (Tbl.find_opt t.preds_of n)
+let succs t n = Option.value ~default:[] (Tbl.find_opt t.succs_of n)
 
 let rpo_index t n =
-  match Hashtbl.find_opt t.rpo_idx n with
+  match Tbl.find_opt t.rpo_idx n with
   | Some i -> i
   | None -> invalid_arg "Cfg.rpo_index: unreachable node"
 
 let idom t n =
-  if n = t.entry then None
-  else Hashtbl.find_opt t.idoms n
+  match Tbl.find_opt t.rpo_idx n with
+  | Some i when n <> t.entry -> Some t.rpo.((Lazy.force t.idoms).(i))
+  | Some _ | None -> None
 
 let dominates t a b =
-  let rec walk b = a = b || (b <> t.entry && walk (Hashtbl.find t.idoms b)) in
-  Hashtbl.mem t.rpo_idx b && Hashtbl.mem t.rpo_idx a && walk b
+  match Tbl.find_opt t.rpo_idx a, Tbl.find_opt t.rpo_idx b with
+  | Some ia, Some ib ->
+    let idom = Lazy.force t.idoms in
+    (* dominators precede what they dominate in RPO: climb while above [ia] *)
+    let rec walk i = i = ia || (i > ia && walk idom.(i)) in
+    walk ib
+  | _ -> false
 
 type loop = { header : int; back_edges : int list; body : int list }
 
 let natural_loop t header tails =
   (* Union of nodes that reach a back-edge source without passing header. *)
-  let body = Hashtbl.create 16 in
-  Hashtbl.replace body header ();
+  let body = Tbl.create 16 in
+  Tbl.replace body header ();
   let rec pull n =
-    if not (Hashtbl.mem body n) then begin
-      Hashtbl.replace body n ();
+    if not (Tbl.mem body n) then begin
+      Tbl.replace body n ();
       List.iter pull (preds t n)
     end
   in
   List.iter pull tails;
-  Hashtbl.fold (fun n () acc -> n :: acc) body [] |> List.sort Int.compare
+  Tbl.fold (fun n () acc -> n :: acc) body [] |> List.sort Int.compare
 
 let loops t =
-  let by_header = Hashtbl.create 8 in
+  let by_header = Tbl.create 8 in
   Array.iter
     (fun n ->
        List.iter
          (fun s ->
             if dominates t s n then begin
-              let tails = Option.value ~default:[] (Hashtbl.find_opt by_header s) in
-              Hashtbl.replace by_header s (n :: tails)
+              let tails = Option.value ~default:[] (Tbl.find_opt by_header s) in
+              Tbl.replace by_header s (n :: tails)
             end)
          (succs t n))
     t.rpo;
-  Hashtbl.fold
+  Tbl.fold
     (fun header tails acc ->
        { header; back_edges = tails; body = natural_loop t header tails } :: acc)
     by_header []

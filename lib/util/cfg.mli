@@ -3,7 +3,13 @@
     Nodes are integer block ids; the graph is given extensionally as an entry
     node and a successor function.  Provides reachability, predecessors,
     reverse postorder, immediate dominators (Cooper-Harvey-Kennedy) and
-    natural loops. *)
+    natural loops.
+
+    {!analyze} costs one depth-first search: reachability, predecessors and
+    reverse postorder come from it.  Dominators are computed on the first
+    call to {!idom}, {!dominates}, {!loops} or {!loop_depth} and kept, so a
+    pass that never asks about dominance never pays for it.  That first
+    query mutates the [t]: a [t] must stay in the domain that built it. *)
 
 type t
 
@@ -13,7 +19,13 @@ val analyze : entry:int -> succs:(int -> int list) -> t
 val nodes : t -> int list
 (** Reachable nodes in reverse postorder. *)
 
+val mem : t -> int -> bool
+(** Is the node reachable from the entry? *)
+
 val preds : t -> int -> int list
+(** Reachable predecessors, one entry per edge: a node whose two successors
+    are the same block appears twice. *)
+
 val succs : t -> int -> int list
 
 val rpo_index : t -> int -> int

@@ -641,6 +641,54 @@ let test_pressure_safe_across_domains () =
        Alcotest.(check int) "same cycles" ecycles cycles)
     domains
 
+(* ------------------- pinned compiler output ------------------------- *)
+
+(* 40 seeded random genomes each for FFT, SOR, LU and MaterialLife,
+   compiled over the app's expected hot region with the stage cache on
+   and then off.  Every outcome (binary digest and size, compile error or
+   timeout) folds into one MD5 pinned as a literal: a rewrite of a pass
+   or of an analysis that changes any binary, or the work charged before
+   a timeout, moves it. *)
+let pinned_compile_md5 = "1276383105d9fb87f9e5e0a8f0151830"
+
+let test_pinned_compile_digest () =
+  let module App = Repro_apps.Registry in
+  let module Genome = Repro_search.Genome in
+  let module Stagecache = Repro_lir.Stagecache in
+  let buf = Buffer.create 4096 in
+  let outcome fe region g =
+    match Compile.llvm_binary_staged fe (Genome.to_spec g) region with
+    | b -> Printf.sprintf "ok %s %d" (Binary.digest b) b.Binary.size
+    | exception Compile.Compile_error msg -> "error " ^ msg
+    | exception Compile.Compile_timeout -> "timeout"
+  in
+  let was_enabled = Stagecache.enabled () in
+  Fun.protect ~finally:(fun () -> Stagecache.set_enabled was_enabled)
+  @@ fun () ->
+  List.iteri
+    (fun k name ->
+       let app = Option.get (App.find name) in
+       let dx = App.dexfile app in
+       let cls, meth = List.hd app.App.expect_hot in
+       let hot = Option.get (B.find_method dx cls meth) in
+       let region = Repro_core.Pipeline.region_methods app hot.B.cm_id in
+       let fe = Compile.frontend ~key:("pinned-compile:" ^ name) dx in
+       let rng = Repro_util.Rng.of_pair 15 k in
+       let genomes = List.init 40 (fun _ -> Genome.random rng) in
+       List.iter
+         (fun stage ->
+            Stagecache.set_enabled stage;
+            Stagecache.reset ();
+            List.iteri
+              (fun i g ->
+                 Printf.bprintf buf "%s %b %d %s\n" name stage i
+                   (outcome fe region g))
+              genomes)
+         [ true; false ])
+    [ "FFT"; "SOR"; "LU"; "MaterialLife" ];
+  Alcotest.(check string) "pinned compile MD5" pinned_compile_md5
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "lir"
     [ ("build",
@@ -683,4 +731,6 @@ let () =
       ("pressure-cache",
        [ Alcotest.test_case "binary precomputes" `Quick test_binary_precomputes_pressure;
          Alcotest.test_case "executor read-only" `Quick test_executor_never_fills_pressure;
-         Alcotest.test_case "cross-domain" `Quick test_pressure_safe_across_domains ]) ]
+         Alcotest.test_case "cross-domain" `Quick test_pressure_safe_across_domains ]);
+      ("pinned",
+       [ Alcotest.test_case "compile digest" `Quick test_pinned_compile_digest ]) ]
