@@ -848,43 +848,56 @@ let experiment_cmd =
     [ "table1"; "fig1"; "fig2"; "fig3"; "fig7"; "fig8"; "fig9"; "fig10";
       "fig11"; "survival" ]
   in
-  let name_arg =
-    Arg.(required
-         & pos 0 (some (enum (List.map (fun n -> (n, n)) names))) None
-         & info [] ~docv:"EXPERIMENT")
+  let names_arg =
+    Arg.(value & pos_all (enum (List.map (fun n -> (n, n)) names)) []
+         & info [] ~docv:"EXPERIMENT"
+           ~doc:"Experiments to run, in the order given. With none, every \
+                 experiment runs: table1, fig1-3, fig7-11 and survival.")
   in
   let eager_arg =
     Arg.(value & flag
          & info [ "eager" ]
            ~doc:"Figure 10 ablation: CERE-style eager page copying.")
   in
-  let run name full eager jobs no_cache engine trace metrics faults =
+  let run picked full eager jobs no_cache no_stage_cache engine trace metrics
+      faults =
     with_trace trace metrics @@ fun () ->
     with_engine engine @@ fun () ->
+    with_stage_cache no_stage_cache @@ fun () ->
     with_faults faults @@ fun () ->
     let cfg = if full then Ga.default_config else Ga.quick_config in
     let cache = not no_cache in
-    (match name with
-     | "table1" -> E.print_table1 ()
-     | "fig1" -> E.print_fig1 (E.fig1 ~jobs ~cache ())
-     | "fig2" -> E.print_fig2 (E.fig2 ~jobs ~cache ())
-     | "fig3" -> E.print_fig3 (E.fig3 ())
-     | "fig7" -> E.print_fig7 (E.fig7 ~cfg ~jobs ~cache ())
-     | "fig8" -> E.print_fig8 (E.fig8 ())
-     | "fig9" -> E.print_fig9 (E.fig9 ~cfg ~jobs ~cache ())
-     | "fig10" -> E.print_fig10 (E.fig10 ~eager ())
-     | "fig11" -> E.print_fig11 (E.fig11 ())
-     | "survival" -> E.print_survival (E.survival ())
-     | _ -> assert false);
-    (match name with
-     | "fig1" | "fig2" | "fig7" | "fig9" -> print_pool_report ()
-     | _ -> ())
+    let quick_note () =
+      if not full then
+        print_endline
+          "(quick GA config: 6 generations x 14 genomes; pass --full for the \
+           paper's 11 x 50)"
+    in
+    List.iter
+      (fun name ->
+         Printf.printf "\n============ %s ============\n%!" name;
+         match name with
+         | "table1" -> E.print_table1 ()
+         | "fig1" -> E.print_fig1 (E.fig1 ~jobs ~cache ())
+         | "fig2" -> E.print_fig2 (E.fig2 ~jobs ~cache ())
+         | "fig3" -> E.print_fig3 (E.fig3 ())
+         | "fig7" -> quick_note (); E.print_fig7 (E.fig7 ~cfg ~jobs ~cache ())
+         | "fig8" -> E.print_fig8 (E.fig8 ())
+         | "fig9" -> quick_note (); E.print_fig9 (E.fig9 ~cfg ~jobs ~cache ())
+         | "fig10" -> E.print_fig10 (E.fig10 ~eager ())
+         | "fig11" -> E.print_fig11 (E.fig11 ())
+         | "survival" -> E.print_survival (E.survival ())
+         | _ -> assert false)
+      (if picked = [] then names else picked);
+    print_newline ();
+    print_pool_report ()
   in
   Cmd.v
     (Cmd.info "experiment"
-       ~doc:"Regenerate one of the paper's tables or figures.")
-    Term.(const run $ name_arg $ full_arg $ eager_arg $ jobs_arg $ no_cache_arg
-          $ engine_arg $ trace_arg $ metrics_arg $ faults_arg)
+       ~doc:"Regenerate the paper's tables and figures.")
+    Term.(const run $ names_arg $ full_arg $ eager_arg $ jobs_arg $ no_cache_arg
+          $ no_stage_cache_arg $ engine_arg $ trace_arg $ metrics_arg
+          $ faults_arg)
 
 (* ----------------------------- disasm ------------------------------ *)
 

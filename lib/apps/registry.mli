@@ -31,12 +31,9 @@ type input = {
   in_statics : (string * int64) list;   (** "Class.field" -> raw word *)
 }
 
-val default_input : input
-(** Pokes nothing: the app's own static initializers. *)
-
 val input_variants : t -> seed:int -> k:int -> input list
 (** [k] distinct deterministic inputs for one app; element 0 is always
-    {!default_input}.  The rest lead with curated adversarial edges —
+    the default input.  The rest lead with curated adversarial edges —
     including shapes on which the app's {e reference} execution traps
     (non-power-of-two FFT sizes, out-of-range sparse columns), the inputs
     that expose guard-stripping miscompiles — followed by seeded draws on

@@ -24,12 +24,6 @@ type run = {
   loader_collisions : int;        (** captured pages that hit loader pages *)
 }
 
-val loader_base : int
-(** Byte address of the loader program's own (fixed, low) range. *)
-
-val loader_pages : int
-(** Size of the loader's range in pages. *)
-
 val run :
   ?fuel:int -> ?cost:Repro_vm.Cost.model ->
   ?engine:Repro_lir.Blockexec.engine ->

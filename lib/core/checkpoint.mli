@@ -62,12 +62,6 @@ exception Injected_abort
     kill/resume tests) immediately {e after} a checkpoint write — the
     process dies exactly where a real kill between batches would. *)
 
-val memo_digest : t -> string
-(** Hex digest over the journal's recorded (canon, core) pairs — the
-    persisted genome/binary memo contents a resume will seed the eval
-    pool with.  Recorded inside the image and re-checked on load, an
-    end-to-end integrity net on top of the per-page checksums. *)
-
 val save : t -> string -> unit
 (** Serialize to [file] atomically (temp file + rename).  Byte-
     deterministic: equal values produce equal files. *)

@@ -6,9 +6,6 @@ module Ga = Repro_search.Ga
 
 (* ------------------------------- Table 1 --------------------------- *)
 
-val table1 : unit -> (string * string * string) list
-(** (type, name, description) rows. *)
-
 val print_table1 : unit -> unit
 
 (* ------------------------------- Figure 1 -------------------------- *)
@@ -131,8 +128,6 @@ type fig11_row = {
 
 val fig11 : ?seed:int -> ?apps:string list -> unit -> fig11_row list
 val print_fig11 : fig11_row list -> unit
-
-val average : float list -> float
 
 (** {1 Unsafe-pass survival vs corpus size}
 

@@ -104,9 +104,6 @@ type quarantine_log
 
 val create_quarantine_log : unit -> quarantine_log
 
-val global_quarantine : quarantine_log
-(** The process-wide default log — what every [?log]-less call uses. *)
-
 val quarantine_summary : ?log:quarantine_log -> unit -> quarantine_entry list
 (** The log's entries since its last {!reset_quarantine}, sorted by key
     (deterministic across worker counts). *)
@@ -165,7 +162,7 @@ val make_eval_env :
 (** Interpreted replay for the verification map and type profile, plus
     baseline replay measurements.  [corpus] (default none) adds secondary
     verification inputs; fitness and baselines stay on the primary
-    capture.  [quarantine] (default: {!global_quarantine}) scopes the
+    capture.  [quarantine] (default: the process-wide log) scopes the
     run's quarantine entries. *)
 
 (** The deterministic part of one evaluation (everything but measurement
@@ -380,9 +377,6 @@ val start :
 
 val final_binary : optimized -> Repro_lir.Binary.t
 (** Android code with the GA-optimized region installed on top. *)
-
-val o3_binary : evaluation_env -> Repro_lir.Binary.t
-(** Android code with the region compiled at LLVM -O3 instead. *)
 
 type speedups = {
   android_cycles : float;

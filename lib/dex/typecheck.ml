@@ -594,20 +594,6 @@ let check (prog : program) : tprogram =
          tc_static_fields = statics; tc_methods = methods })
     prog
 
-let field_typ (prog : tprogram) cls fname =
-  let rec find cls =
-    match List.find_opt (fun c -> c.tc_name = cls) prog with
-    | None -> err "field_typ: unknown class %s" cls
-    | Some c ->
-      (match List.assoc_opt fname c.tc_instance_fields with
-       | Some t -> t
-       | None ->
-         (match c.tc_super with
-          | Some s -> find s
-          | None -> err "field_typ: no field %s in %s" fname cls))
-  in
-  find cls
-
 let method_sig (prog : tprogram) cls name =
   let rec find cls =
     match List.find_opt (fun c -> c.tc_name = cls) prog with

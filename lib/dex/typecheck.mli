@@ -71,10 +71,6 @@ exception Type_error of string
 val check : Ast.program -> tprogram
 (** @raise Type_error on ill-typed or unresolvable programs. *)
 
-val field_typ : tprogram -> string -> string -> Ast.typ
-(** [field_typ prog cls field] is the type of an instance field, searching
-    the superclass chain.  @raise Type_error if absent. *)
-
 val method_sig : tprogram -> string -> string ->
   (bool * Ast.typ * Ast.typ list) option
 (** [method_sig prog cls name] finds a method in [cls] or its ancestors and

@@ -1,24 +1,3 @@
-let art_optimization_names = [
-  "bounds_check_elimination";
-  "cha_guard_optimization";
-  "code_sinking";
-  "constant_folding";
-  "constructor_fence_redundancy_elimination";
-  "dead_code_elimination";
-  "global_value_numbering";
-  "induction_variable_analysis";
-  "inliner";
-  "instruction_simplifier";
-  "intrinsics_recognition";
-  "licm";
-  "load_store_analysis";
-  "load_store_elimination";
-  "loop_optimization";
-  "scheduling";
-  "select_generator";
-  "side_effects_analysis";
-]
-
 let inline_threshold = 18
 
 let pipeline ~get_func f =

@@ -2,22 +2,10 @@
     optimization pipeline, "designed to be safe rather than highly
     optimizing" (paper §3.5).
 
-    The real dex2oat backend registers 18 distinct optimizations
-    ([art_optimization_names]); this model implements the data-flow core of
-    that set on the composite dialect with deliberately conservative
-    parameters (tiny inlining threshold, block-local value numbering, no
-    loop restructuring). *)
-
-val art_optimization_names : string list
-(** The 18 optimization names of the Android 10 optimizing backend, for
-    documentation and the CLI. *)
-
-val pipeline :
-  get_func:(int -> Hir.func option) -> Hir.func -> Hir.func
-(** Run the Android optimization pipeline on a composite-dialect graph.
-    [get_func] resolves callees for the (conservative) inliner. *)
-
-val inline_threshold : int
+    The real dex2oat backend registers 18 distinct optimizations; this
+    model implements the data-flow core of that set on the composite
+    dialect with deliberately conservative parameters (tiny inlining
+    threshold, block-local value numbering, no loop restructuring). *)
 
 val compile_method :
   Repro_dex.Bytecode.dexfile -> int -> Hir.func

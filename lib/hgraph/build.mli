@@ -13,6 +13,3 @@ val func : Repro_dex.Bytecode.dexfile -> int -> Hir.func
 (** Build the graph for one method id.  @raise Uncompilable. *)
 
 val compilable : Repro_dex.Bytecode.dexfile -> int -> bool
-
-val max_registers : int
-val max_code_length : int

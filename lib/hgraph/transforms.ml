@@ -4,8 +4,6 @@ module Cfg = Repro_util.Cfg
 module ISet = Analysis.ISet
 open Hir
 
-let instr_count = Hir.size
-
 (* ------------------------------------------------------------------ *)
 (* Constant evaluation                                                 *)
 (* ------------------------------------------------------------------ *)

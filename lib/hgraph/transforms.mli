@@ -53,5 +53,3 @@ val inline_calls :
     instructions.  [get_func] supplies callee graphs (and None for
     uncompilable callees).  Recursion is refused; [max_depth] bounds nested
     inlining (default 3). *)
-
-val instr_count : Hir.func -> int

@@ -1,4 +1,4 @@
-(** The block-fused LIR executor (ROADMAP item 2).
+(** The block-fused LIR executor.
 
     Executes compiled binaries against the decode-time plans of
     {!Blockplan}: per-block micro-op streams with straightened goto chains,
@@ -12,7 +12,7 @@
     {!Exec} — for conforming and non-conforming (guard-stripped,
     fault-injected, malformed) code alike.  [test/test_blockexec.ml] and
     the differential property in [test/test_fuzz.ml] enforce this in
-    lockstep; [bench/main.exe exec] measures the speedup. *)
+    lockstep; [bench/main.exe] gates the speedup on FFT's replay. *)
 
 type engine = Ref | Fused
 
@@ -24,13 +24,6 @@ val default_engine : unit -> engine
     engine is passed explicitly; starts as [Fused]. *)
 
 val set_default_engine : engine -> unit
-
-val run_plan :
-  Repro_vm.Exec_ctx.t -> Blockplan.fplan -> Repro_vm.Value.t list ->
-  Repro_vm.Value.t option
-(** Execute one planned method.  Precondition: [ctx.sample_period <= 0]
-    (the dispatcher falls back to {!Exec.run_func} for profiling replays).
-    @raise Exec.Segfault, Repro_vm.Exec_ctx.App_exception, Timeout. *)
 
 val dispatcher :
   Blockplan.t -> Binary.t ->

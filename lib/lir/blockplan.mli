@@ -91,8 +91,6 @@ type t = {
   pl_funcs : (int, fplan) Hashtbl.t;
 }
 
-val is_barrier : Repro_hgraph.Hir.instr -> bool
-
 val build : Repro_vm.Cost.model -> Binary.t -> t
 (** Analyze every function of the binary (no caching). *)
 

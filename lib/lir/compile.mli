@@ -23,12 +23,6 @@ exception Compile_timeout
 type spec = (string * int array) list
 (** Pass sequence: (catalog name, parameter values). *)
 
-val size_limit : int
-(** Per-function instruction ceiling; beyond it the compile times out. *)
-
-val work_limit : int
-(** Total instructions processed across passes before timing out. *)
-
 val with_work_limit : int -> (unit -> 'a) -> 'a
 (** Run [f] under a temporary work-limit ceiling (restored on exit, also
     on raise).  A test hook for pinning compiles exactly at the timeout

@@ -17,9 +17,6 @@ exception Segfault of string
     The block-fused engine must charge byte-identical cycles and raise
     byte-identical failures; it reuses these rather than re-deriving them. *)
 
-val pressure_of : Repro_hgraph.Hir.func -> int
-(** Cached register-pressure estimate (reads [f_pressure] when filled). *)
-
 val fetch_penalty_of : Repro_hgraph.Hir.func -> int
 (** Per-function static control-transfer penalty: instruction-cache
     pressure + register-spill reloads.  Charged on every branch. *)

@@ -27,11 +27,3 @@ let o3 : Compile.spec =
    preset family a natural stage-cache workload: compiling them in order
    reuses each predecessor's common prefix. *)
 let all = [ ("O0", o0); ("O1", o1); ("O2", o2); ("O3", o3) ]
-
-let of_name name =
-  match String.lowercase_ascii name with
-  | "o0" -> Some o0
-  | "o1" -> Some o1
-  | "o2" -> Some o2
-  | "o3" -> Some o3
-  | _ -> None

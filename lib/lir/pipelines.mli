@@ -14,6 +14,3 @@ val all : (string * Compile.spec) list
 (** Every preset with its canonical name, in ascending optimization order.
     The presets share leading genes, so compiling the family in order is a
     ready-made prefix-reuse workload for the stage cache. *)
-
-val of_name : string -> Compile.spec option
-(** "O0" | "O1" | "O2" | "O3" (case-insensitive). *)

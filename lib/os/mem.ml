@@ -62,7 +62,6 @@ let create () = {
   origin = None;
 }
 
-let page_of_addr addr = addr / page_size
 let addr_of_page page = page * page_size
 
 let overlaps m base npages =

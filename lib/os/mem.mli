@@ -80,11 +80,6 @@ val write_int : t -> int -> int -> unit
 val read_float : t -> int -> float
 val write_float : t -> int -> float -> unit
 
-val page_of_addr : int -> int
-(** Page index (address / page size). *)
-
-val addr_of_page : int -> int
-
 val kind_of_page : t -> int -> region_kind option
 (** Kind of the mapping containing the page, if mapped. *)
 

@@ -9,11 +9,6 @@ type category =
   | Uncompilable   (** methods the Android backend cannot process *)
 
 val category_name : category -> string
-val all_categories : category list
-
-val classify :
-  Repro_dex.Bytecode.dexfile -> region:int list -> int * bool -> category
-(** Classify one profiler sample given the hot region's method set. *)
 
 val of_profile :
   Repro_dex.Bytecode.dexfile -> region:int list -> Profile.t ->

@@ -14,8 +14,6 @@ let of_ctx (ctx : Ctx.t) =
 let exclusive t mid =
   List.length (List.filter (fun (m, native) -> m = mid && not native) t.samples)
 
-let native_samples t = List.length (List.filter snd t.samples)
-
 let hottest t =
   let counts = Hashtbl.create 16 in
   List.iter

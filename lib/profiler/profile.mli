@@ -12,8 +12,6 @@ val of_ctx : Repro_vm.Exec_ctx.t -> t
 val exclusive : t -> int -> int
 (** Non-native samples attributed to a method (its exclusive runtime). *)
 
-val native_samples : t -> int
-
 val hottest : t -> (int * int) list
 (** (method id, exclusive samples) sorted by sample count descending, ties
     broken by ascending method id — the order is a deterministic function

@@ -11,25 +11,11 @@
 val replayable : Repro_dex.Bytecode.dexfile -> int -> bool
 (** One method in isolation. *)
 
-val unreplayable_reason : Repro_dex.Bytecode.dexfile -> int -> string option
-
-val callees : Repro_dex.Bytecode.dexfile -> int -> int list
-(** Possible direct callees: static targets plus every vtable
-    implementation a virtual site could dispatch to (class-hierarchy
-    over-approximation). *)
-
-val reachable : Repro_dex.Bytecode.dexfile -> int -> int list
-(** Transitive closure of {!callees}, including the root. *)
-
 val region_replayable : Repro_dex.Bytecode.dexfile -> int -> bool
 
 val compilable_region : Repro_dex.Bytecode.dexfile -> int -> int list
 (** Algorithm 1's [compilableRegion]: root + transitively compilable
     callees (exploration cut at uncompilable methods). *)
-
-val estimate : Repro_dex.Bytecode.dexfile -> Profile.t -> int -> int option
-(** Algorithm 1's [estimateRegionRuntime]: [None] for unreplayable
-    regions, otherwise the summed exclusive samples. *)
 
 val hot_region : Repro_dex.Bytecode.dexfile -> Profile.t -> int option
 (** The method with the biggest replayable, compilable region. *)

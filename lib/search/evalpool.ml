@@ -136,12 +136,6 @@ let create ?(jobs = 1) ?(cache = true) ?(memo_budget = default_memo_budget)
 let jobs t = t.jobs
 let stats t = snapshot t.ctr
 let cumulative_stats () = snapshot cumulative
-let reset_cumulative () =
-  let c = cumulative in
-  c.c_batches <- 0; c.c_tasks <- 0; c.c_genome_hits <- 0;
-  c.c_genome_misses <- 0; c.c_key_hits <- 0; c.c_compiles <- 0;
-  c.c_verifies <- 0; c.c_evictions <- 0;
-  Hashtbl.reset c.c_workers
 
 let seed_caches t ~genomes ~keys =
   if t.cache then begin

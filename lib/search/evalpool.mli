@@ -50,10 +50,6 @@ type stats = {
 
 type ('bin, 'core, 'out) t
 
-val default_memo_budget : int
-(** Default per-table entry budget (large enough that a single search
-    never evicts). *)
-
 val create :
   ?jobs:int ->
   ?cache:bool ->
@@ -69,7 +65,7 @@ val create :
     everything on the calling domain.  [cache] (default true) enables the
     genome and binary memos; when disabled every task is evaluated
     honestly, which is what the differential tests rely on.
-    [memo_budget] caps each memo table's entry count ({!default_memo_budget}
+    [memo_budget] caps each memo table's entry count (65536
     by default; smaller budgets are a test seam for eviction); the
     least-recently-used entry is evicted when full.
     [pool], when given, makes parallel stages run on the supplied
@@ -102,9 +98,6 @@ val stats : _ t -> stats
 val cumulative_stats : unit -> stats
 (** Process-wide totals across every pool created so far (for end-of-run
     reports in the CLI and benchmark harness). *)
-
-val reset_cumulative : unit -> unit
-(** Zero the process-wide totals (between independent runs/tests). *)
 
 val print_stats : ?label:string -> stats -> unit
 (** Human-readable cache and per-worker timing report on stdout. *)

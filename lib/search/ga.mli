@@ -116,10 +116,6 @@ val hill_climb :
   Genome.t * float -> rounds:int -> Genome.t * float
 (** {!hill_climb_batch} with a sequential one-genome evaluator. *)
 
-val render_record : eval_record -> string
-(** Canonical one-line rendering of a history record: floats as exact bit
-    patterns, so equal strings mean byte-identical evaluations. *)
-
 val history_digest : result -> string
 (** Hex digest of the canonically rendered history.  Two searches with
     equal digests performed byte-identical evaluation sequences — the

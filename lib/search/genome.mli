@@ -50,9 +50,6 @@ val of_text : string -> t
 (** Parse the {!to_text} format.  Raises [Failure] on malformed parameter
     lists (callers treat that as a corrupt persisted image). *)
 
-val canon_gene : gene -> string
-(** {!Repro_lir.Passes.canon_token} of the gene: its canonical identity. *)
-
 val canon : t -> string
 (** Canonical identity of the genome: the string the Evalpool genome memo
     keys on, built from the same per-gene tokens the stage-cache prefix

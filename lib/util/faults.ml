@@ -122,17 +122,6 @@ let disable () = Atomic.set state None
 
 let active () = Atomic.get state <> None
 
-let current () = Atomic.get state
-
-let configure_from_env () =
-  match Sys.getenv_opt "REPRO_FAULTS" with
-  | None -> ()
-  | Some "" -> ()
-  | Some s ->
-    (match parse_spec s with
-     | Ok cfg -> enable cfg
-     | Error msg -> invalid_arg ("REPRO_FAULTS: " ^ msg))
-
 (* ------------------------------------------------------------------ *)
 (* Deterministic firing                                                *)
 (* ------------------------------------------------------------------ *)

@@ -40,8 +40,6 @@ val all_points : point list
 val point_name : point -> string
 (** Stable spec/report name, e.g. ["miscompile"], ["replay-truncate"]. *)
 
-val point_of_name : string -> point option
-
 type config = {
   fseed : int;                (** root of every fault decision *)
   frate : float;              (** firing probability per (point, key) site *)
@@ -64,12 +62,6 @@ val disable : unit -> unit
     readable until the next {!enable}. *)
 
 val active : unit -> bool
-val current : unit -> config option
-
-val configure_from_env : unit -> unit
-(** Arm from the [REPRO_FAULTS] environment variable (same syntax as
-    {!parse_spec}) if it is set and non-empty; the test-suite knob.
-    Malformed specs raise [Invalid_argument] rather than being ignored. *)
 
 val fire : point -> key:int -> bool
 (** [fire p ~key] decides — purely from [(seed, p, key)] — whether the

@@ -17,10 +17,9 @@ let split t = { state = bits64 t }
 let copy t = { state = t.state }
 
 (* The full generator state is one int64, so a stream position can be
-   captured and restored exactly — checkpoints record [cursor] per batch
-   and resume validation compares it against the replayed stream. *)
+   captured exactly — checkpoints record [cursor] per batch and resume
+   validation compares it against the replayed stream. *)
 let cursor t = t.state
-let of_cursor state = { state }
 
 (* An independent stream determined by a (seed, index) pair: used to give
    every GA evaluation its own noise stream so measurements do not depend
@@ -46,7 +45,6 @@ let float t bound =
   let u = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float u /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
 let chance t p = float t 1.0 < p
 
 let gaussian t ~mean ~stddev =

@@ -23,10 +23,6 @@ val cursor : t -> int64
     search checkpoints so a resumed run can prove it is replaying the same
     draw sequence. *)
 
-val of_cursor : int64 -> t
-(** [of_cursor c] rebuilds a generator at a previously captured
-    {!cursor} position. *)
-
 val of_pair : int -> int -> t
 (** [of_pair seed index] derives a stream that depends only on the pair:
     the same [(seed, index)] always yields the same stream, and different
@@ -44,8 +40,6 @@ val bits64 : t -> int64
 
 val float : t -> float -> float
 (** [float t bound] draws uniformly from [0, bound). *)
-
-val bool : t -> bool
 
 val chance : t -> float -> bool
 (** [chance t p] is true with probability [p]. *)

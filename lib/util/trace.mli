@@ -77,9 +77,6 @@ val events : unit -> event list
 val counters : unit -> (string * int) list
 (** All counters, sorted by name. *)
 
-val gauges : unit -> (string * float) list
-(** All gauges, sorted by name. *)
-
 val to_chrome_json : unit -> string
 (** The whole trace as Chrome [trace_event] JSON: one [B]/[E] pair per
     span, one [C] event per counter/gauge.  Field order and string
@@ -87,9 +84,5 @@ val to_chrome_json : unit -> string
 
 val write_chrome : string -> unit
 (** [write_chrome file] writes [to_chrome_json () ^ "\n"] to [file]. *)
-
-val summary : unit -> string
-(** Plain-text report: per-span-name count/total/mean/max table plus the
-    counter and gauge tables. *)
 
 val print_summary : unit -> unit

@@ -18,8 +18,6 @@ exception Timeout
 val exc_null_pointer : int
 val exc_out_of_bounds : int
 val exc_div_by_zero : int
-val exc_negative_size : int
-val exc_out_of_memory : int
 val exc_stack_overflow : int
 
 type sample = { s_method : int; s_native : bool }

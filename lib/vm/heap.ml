@@ -27,5 +27,4 @@ let alloc t ~nwords =
   addr
 
 let used_words t = (t.next - t.base_) / 8
-let base t = t.base_
 let next_addr t = t.next

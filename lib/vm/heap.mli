@@ -18,6 +18,6 @@ val alloc : t -> nwords:int -> int
 (** Returns the byte address of a zeroed block.  @raise Out_of_memory. *)
 
 val used_words : t -> int
-val base : t -> int
 val next_addr : t -> int
-(** First unallocated address; allocations are contiguous from [base]. *)
+(** First unallocated address; allocations are contiguous from the heap's
+    start address. *)

@@ -20,13 +20,7 @@ type config = {
 
 val default_config : config
 
-val runtime_base : int
-val code_base : int
 val statics_base : int
-val heap_base : int
-val stack_base : int
-val gc_aux_base : int
-val extra_base : int
 
 val build :
   ?config:config -> ?cost:Cost.model -> ?seed:int -> ?fuel:int ->

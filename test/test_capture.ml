@@ -231,8 +231,9 @@ let test_storage_accounting () =
        | None -> Alcotest.fail "shared frame missing")
     shared_frames;
   let ac = Storage.accounting storage in
-  Alcotest.(check bool) "dedup saves physical bytes" true
-    (ac.Storage.ac_physical_bytes < ac.Storage.ac_logical_bytes);
+  Alcotest.(check bool) "dedup ratio (logical/physical) above 1.5" true
+    (float_of_int ac.Storage.ac_logical_bytes
+     > 1.5 *. float_of_int ac.Storage.ac_physical_bytes);
   Alcotest.(check bool) "Figure 11 shape: shared bytes visible" true
     (ac.Storage.ac_shared_bytes >= List.length shared_frames * Storage.page_bytes);
   (* finishing app 1's optimization releases its program-specific blob;

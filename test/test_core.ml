@@ -161,6 +161,25 @@ let test_fig7_and_9_via_study () =
        (last.E.f9_best >= first.E.f9_best)
    | _ -> Alcotest.fail "one row expected")
 
+(* The corpus closes the guard-stripping hole: at the defaults, K=1 already
+   kills an unsafe pair, survivors strictly fall as K grows, and the pinned
+   o2+unsafe-bce genome (which passes single-input verification) dies by
+   K=4. *)
+let test_survival_falls_with_k () =
+  let s = E.survival () in
+  let survivors = List.map (fun p -> p.E.sp_survived) s.E.su_points in
+  (match s.E.su_points with
+   | p :: _ ->
+     Alcotest.(check bool) "a kill at K=1" true (p.E.sp_survived < p.E.sp_tested)
+   | [] -> Alcotest.fail "no survival points");
+  let rec falling = function
+    | a :: (b :: _ as rest) -> a > b && falling rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "survivors strictly fall with K" true (falling survivors);
+  Alcotest.(check bool) "pinned genome killed by K=4" true
+    (match s.E.su_pinned_killed_at with Some k -> k <= 4 | None -> false)
+
 let () =
   Alcotest.run "core"
     [ ("pipeline",
@@ -177,4 +196,6 @@ let () =
          Alcotest.test_case "fig3" `Quick test_fig3_offline_converges_faster;
          Alcotest.test_case "fig10/fig11" `Quick test_fig10_and_11_rows;
          Alcotest.test_case "fig8" `Quick test_fig8_rows;
-         Alcotest.test_case "fig7/fig9" `Slow test_fig7_and_9_via_study ]) ]
+         Alcotest.test_case "fig7/fig9" `Slow test_fig7_and_9_via_study;
+         Alcotest.test_case "survival falls with K" `Slow
+           test_survival_falls_with_k ]) ]

@@ -119,6 +119,31 @@ let test_single_device_fleet_runs () =
   Alcotest.(check bool) "same evaluation count" true
     (solo.Fleet.opt.P.ga.Ga.evaluations = r.Fleet.opt.P.ga.Ga.evaluations)
 
+(* Convergence at equal budget: FFT, seed 7, corpus K=2, the quick GA cut
+   to 3 generations.  The winner of a 1,000-device fleet search, replayed
+   on the reference device, lands within 5% of the single-device
+   [Pipeline.optimize] winner of the same configuration. *)
+let test_fleet_converges_to_single_device () =
+  let seed = 7 in
+  let co = Option.get (P.capture_corpus ~seed ~k:2 (app "FFT")) in
+  let cfg =
+    { Fleet.default_config with
+      Fleet.ga = { Ga.quick_config with Ga.generations = 3 } }
+  in
+  let fleet = Fleet.run ~jobs:1 ~cache:true ~cfg ~seed ~devices:1000 co in
+  let single =
+    P.optimize ~seed ~cfg:cfg.Fleet.ga ~corpus:co.P.co_entries (app "FFT")
+      co.P.co_primary
+  in
+  match
+    (fleet.Fleet.winner_ms,
+     Option.bind single.P.best_binary (P.replay_ms single.P.env))
+  with
+  | Some f, Some s ->
+    if f > s *. 1.05 then
+      Alcotest.failf "fleet winner %.3f ms vs single-device %.3f ms" f s
+  | _ -> Alcotest.fail "a search found no verified winner"
+
 (* ----------------------------- warm start --------------------------- *)
 
 let test_bank_warm_start_seeds_ga () =
@@ -325,7 +350,9 @@ let () =
          Alcotest.test_case "history digest invariant" `Quick
            test_fleet_history_deterministic;
          Alcotest.test_case "single-device fleet" `Quick
-           test_single_device_fleet_runs ]);
+           test_single_device_fleet_runs;
+         Alcotest.test_case "1,000 devices within 5% of single" `Slow
+           test_fleet_converges_to_single_device ]);
       ("warm start",
        [ Alcotest.test_case "bank seeds the GA" `Quick
            test_bank_warm_start_seeds_ga;

@@ -648,7 +648,10 @@ let test_pressure_safe_across_domains () =
    and then off.  Every outcome (binary digest and size, compile error or
    timeout) folds into one MD5 pinned as a literal: a rewrite of a pass
    or of an analysis that changes any binary, or the work charged before
-   a timeout, moves it. *)
+   a timeout, moves it.  The legacy per-genome path
+   ([Compile.llvm_binary]: front end rebuilt every compile, no stage
+   cache) must reach the same outcome genome by genome as the warm staged
+   path resuming from cached prefixes. *)
 let pinned_compile_md5 = "1276383105d9fb87f9e5e0a8f0151830"
 
 let test_pinned_compile_digest () =
@@ -656,8 +659,8 @@ let test_pinned_compile_digest () =
   let module Genome = Repro_search.Genome in
   let module Stagecache = Repro_lir.Stagecache in
   let buf = Buffer.create 4096 in
-  let outcome fe region g =
-    match Compile.llvm_binary_staged fe (Genome.to_spec g) region with
+  let outcome compile g =
+    match compile (Genome.to_spec g) with
     | b -> Printf.sprintf "ok %s %d" (Binary.digest b) b.Binary.size
     | exception Compile.Compile_error msg -> "error " ^ msg
     | exception Compile.Compile_timeout -> "timeout"
@@ -675,16 +678,25 @@ let test_pinned_compile_digest () =
        let fe = Compile.frontend ~key:("pinned-compile:" ^ name) dx in
        let rng = Repro_util.Rng.of_pair 15 k in
        let genomes = List.init 40 (fun _ -> Genome.random rng) in
+       let staged stage =
+         Stagecache.set_enabled stage;
+         Stagecache.reset ();
+         List.map
+           (outcome (fun spec -> Compile.llvm_binary_staged fe spec region))
+           genomes
+       in
+       let cached = staged true in
+       let uncached = staged false in
        List.iter
-         (fun stage ->
-            Stagecache.set_enabled stage;
-            Stagecache.reset ();
+         (fun (stage, outcomes) ->
             List.iteri
-              (fun i g ->
-                 Printf.bprintf buf "%s %b %d %s\n" name stage i
-                   (outcome fe region g))
-              genomes)
-         [ true; false ])
+              (fun i o -> Printf.bprintf buf "%s %b %d %s\n" name stage i o)
+              outcomes)
+         [ (true, cached); (false, uncached) ];
+       Alcotest.(check (list string)) (name ^ ": legacy path = staged")
+         cached
+         (List.map (outcome (fun spec -> Compile.llvm_binary dx spec region))
+            genomes))
     [ "FFT"; "SOR"; "LU"; "MaterialLife" ];
   Alcotest.(check string) "pinned compile MD5" pinned_compile_md5
     (Digest.to_hex (Digest.string (Buffer.contents buf)))

@@ -102,13 +102,14 @@ let test_serve_kill_resume () =
       Serve.request ~seed:7 ~cfg:tiny_cfg ~checkpoint:f2 (app "BubbleSort") ]
   in
   (* process 1: killed after 5 live batches across the two tenants *)
-  (match
-     with_serve ~abort_after:5 ~max_active:2 @@ fun t ->
-     List.iter (fun r -> ignore (Serve.submit t r)) (reqs ());
-     Serve.drive t
-   with
-   | () -> Alcotest.fail "serve should have been killed"
-   | exception Checkpoint.Injected_abort -> ());
+  let killed =
+    with_serve ~abort_after:5 ~max_active:2 @@ fun t ->
+    List.iter (fun r -> ignore (Serve.submit t r)) (reqs ());
+    match Serve.drive t with
+    | () -> Alcotest.fail "serve should have been killed"
+    | exception Checkpoint.Injected_abort ->
+      (Serve.stats t).Serve.st_live_batches
+  in
   Alcotest.(check bool) "both checkpoints written" true
     (Sys.file_exists f1 && Sys.file_exists f2);
   (* process 2: same requests, same files — resumes and finishes *)
@@ -118,6 +119,17 @@ let test_serve_kill_resume () =
   Alcotest.(check (list string)) "resumed digests = standalone"
     [ Lazy.force fft_digest; Lazy.force bubble_digest ]
     (digests_of t);
+  (* journal replay serves the killed process's batches without
+     evaluating: the kill costs at most 5% extra live batches.  The resumed
+     digests equal the standalone ones, so an uninterrupted run performs
+     exactly the resumed run's replayed plus live batches. *)
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 (Serve.reports t) in
+  let live_resumed = sum (fun r -> r.Serve.rp_live_batches) in
+  let replayed = sum (fun r -> r.Serve.rp_replayed_batches) in
+  Alcotest.(check bool) "kill + resume within 5% of uninterrupted live batches"
+    true
+    (float_of_int (killed + live_resumed)
+     <= 1.05 *. float_of_int (replayed + live_resumed));
   List.iter
     (fun r ->
        Alcotest.(check bool)
