@@ -337,11 +337,13 @@ let run_cmd =
       | `Android -> Pipeline.online_run ~seed app
       | `O0 ->
         Pipeline.online_run ~seed
-          ~binary:(Repro_lir.Compile.llvm_binary dx Repro_lir.Pipelines.o0 mids)
+          ~binary:(Repro_lir.Compile.(llvm_binary (frontend dx))
+                     Repro_lir.Pipelines.o0 mids)
           app
       | `O3 ->
         Pipeline.online_run ~seed
-          ~binary:(Repro_lir.Compile.llvm_binary dx Repro_lir.Pipelines.o3 mids)
+          ~binary:(Repro_lir.Compile.(llvm_binary (frontend dx))
+                     Repro_lir.Pipelines.o3 mids)
           app
     in
     Printf.printf "%s: %d cycles (%.2f simulated ms), result=%s, gc runs=%d\n"

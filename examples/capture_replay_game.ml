@@ -10,6 +10,7 @@ module Verify = Repro_capture.Verify
 module Typeprof = Repro_capture.Typeprof
 module Replay = Repro_capture.Replay
 module Compile = Repro_lir.Compile
+module Blockexec = Repro_lir.Blockexec
 module B = Repro_dex.Bytecode
 
 let () =
@@ -48,13 +49,17 @@ let () =
     (Typeprof.sites typeprof);
 
   let region = Pipeline.region_methods app cap.Pipeline.hot_mid in
+  let fe =
+    Compile.frontend
+      ~profile:(Typeprof.digest typeprof, Typeprof.lookup typeprof) dx
+  in
   let check label spec =
     let outcome =
-      match
-        Compile.llvm_binary ~profile:(Typeprof.lookup typeprof) dx spec region
-      with
+      match Compile.llvm_binary fe spec region with
       | binary ->
-        (match Verify.check dx cap.Pipeline.snapshot vmap binary with
+        (match
+           Verify.check dx cap.Pipeline.snapshot vmap (Blockexec.load binary)
+         with
          | Verify.Passed cycles -> Printf.sprintf "verified, %d cycles" cycles
          | Verify.Wrong_output -> "REJECTED: wrong output"
          | Verify.Crashed msg -> "REJECTED: crashed (" ^ msg ^ ")"
@@ -80,11 +85,14 @@ let () =
   Printf.printf "now %s (float kernel):\n" lu.Repro_apps.Registry.name;
   let check_lu label spec =
     let outcome =
-      match Compile.llvm_binary lu_dx spec lu_env.Pipeline.region with
+      match
+        Compile.llvm_binary lu_env.Pipeline.frontend spec
+          lu_env.Pipeline.region
+      with
       | binary ->
         (match
            Verify.check lu_dx lu_cap.Pipeline.snapshot lu_env.Pipeline.vmap
-             binary
+             (Blockexec.load binary)
          with
          | Verify.Passed cycles -> Printf.sprintf "verified, %d cycles" cycles
          | Verify.Wrong_output -> "REJECTED: wrong output"

@@ -9,9 +9,9 @@
 
 module Pipeline = Repro_core.Pipeline
 module Compile = Repro_lir.Compile
+module Blockexec = Repro_lir.Blockexec
 module Passes = Repro_lir.Passes
 module Verify = Repro_capture.Verify
-module Typeprof = Repro_capture.Typeprof
 
 let () =
   let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "SOR" in
@@ -25,12 +25,14 @@ let () =
   let cap = Option.get (Pipeline.capture_once ~seed:5 app) in
   let env = Pipeline.make_eval_env app cap in
   let dx = env.Pipeline.dx in
-  let profile = Typeprof.lookup env.Pipeline.typeprof in
   let cycles_of spec =
-    match Compile.llvm_binary ~profile dx spec env.Pipeline.region with
+    match
+      Compile.llvm_binary env.Pipeline.frontend spec env.Pipeline.region
+    with
     | binary ->
       (match
-         Verify.check dx cap.Pipeline.snapshot env.Pipeline.vmap binary
+         Verify.check dx cap.Pipeline.snapshot env.Pipeline.vmap
+           (Blockexec.load binary)
        with
        | Verify.Passed cycles -> Some cycles
        | Verify.Wrong_output | Verify.Crashed _ | Verify.Hung -> None)

@@ -56,7 +56,8 @@ let () =
     run "LLVM -O3"
       (fun ctx ->
          Repro_lir.Exec.install ctx
-           (Repro_lir.Compile.llvm_binary dx Repro_lir.Pipelines.o3 mids))
+           (Repro_lir.Compile.(llvm_binary (frontend dx))
+              Repro_lir.Pipelines.o3 mids))
   in
   Printf.printf "Android is %.1fx faster than the interpreter; -O3 %.2fx over Android\n"
     (float_of_int interp /. float_of_int android)
@@ -94,10 +95,13 @@ let () =
     | Repro_capture.Replay.Hung -> print_endline "replay hung"
   in
   replay Repro_capture.Replay.Interpreter "interpreter:";
-  replay (Repro_capture.Replay.Android_code binary) "Android code:";
+  replay
+    (Repro_capture.Replay.Android_code (Repro_lir.Blockexec.load binary))
+    "Android code:";
   replay
     (Repro_capture.Replay.Optimized
-       (Repro_lir.Compile.llvm_binary dx
-          (Repro_lir.Pipelines.o3 @ [ ("jni-to-intrinsic", [||]) ])
-          [ kernel_mid ]))
+       (Repro_lir.Blockexec.load
+          (Repro_lir.Compile.(llvm_binary (frontend dx))
+             (Repro_lir.Pipelines.o3 @ [ ("jni-to-intrinsic", [||]) ])
+             [ kernel_mid ])))
     "O3+intrinsics:"

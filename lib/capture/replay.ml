@@ -5,16 +5,15 @@ module Heap = Repro_vm.Heap
 module Interp = Repro_vm.Interp
 module Value = Repro_vm.Value
 module Exec = Repro_lir.Exec
-module Binary = Repro_lir.Binary
 module Storage = Repro_os.Storage
 module Trace = Repro_util.Trace
 module Faults = Repro_util.Faults
 module Rng = Repro_util.Rng
 
 type code_version =
-  | Android_code of Binary.t
+  | Android_code of Repro_lir.Blockexec.loaded
   | Interpreter
-  | Optimized of Binary.t
+  | Optimized of Repro_lir.Blockexec.loaded
 
 type outcome =
   | Finished of Value.t option * int
@@ -154,7 +153,7 @@ let perturb_args ~key args =
   end
   else args
 
-let run ?(fuel = default_fuel) ?cost ?engine ?record_vcall ?faults_key
+let run ?(fuel = default_fuel) ?engine ?record_vcall ?faults_key
     (dx : B.dexfile) (snap : Snapshot.t) version =
   let engine =
     match engine with
@@ -231,7 +230,7 @@ let run ?(fuel = default_fuel) ?cost ?engine ?record_vcall ?faults_key
     List.find (fun m -> m.Mem.map_kind = Mem.Rstatics) snap.Snapshot.snap_maps
   in
   let ctx =
-    Ctx.create ?cost ~seed:0 ~fuel dx mem heap
+    Ctx.create ~seed:0 ~fuel dx mem heap
       ~statics_base:statics_map.Mem.map_base
   in
   ctx.Ctx.alloc_since_gc <- snap.Snapshot.snap_alloc_since_gc;
@@ -241,8 +240,8 @@ let run ?(fuel = default_fuel) ?cost ?engine ?record_vcall ?faults_key
   (* 4) choose and execute the code version *)
   (match version with
    | Interpreter -> Interp.install ctx
-   | Android_code binary | Optimized binary ->
-     Repro_lir.Blockexec.install_engine engine ctx binary);
+   | Android_code loaded | Optimized loaded ->
+     Repro_lir.Blockexec.install_engine engine ctx loaded);
   let region_args =
     match faults_key with
     | Some key -> perturb_args ~key snap.Snapshot.snap_args

@@ -9,9 +9,11 @@
     binary. *)
 
 type code_version =
-  | Android_code of Repro_lir.Binary.t   (** the device's default code *)
-  | Interpreter                          (** reference semantics (§3.4) *)
-  | Optimized of Repro_lir.Binary.t      (** a candidate search binary *)
+  | Android_code of Repro_lir.Blockexec.loaded  (** the device's default code *)
+  | Interpreter                                 (** reference semantics (§3.4) *)
+  | Optimized of Repro_lir.Blockexec.loaded     (** a candidate search binary *)
+(** Compiled versions carry a loaded binary: replaying the same value
+    again reuses the block plan its first fused replay built. *)
 
 type outcome =
   | Finished of Repro_vm.Value.t option * int   (** result, cycles *)
@@ -25,7 +27,7 @@ type run = {
 }
 
 val run :
-  ?fuel:int -> ?cost:Repro_vm.Cost.model ->
+  ?fuel:int ->
   ?engine:Repro_lir.Blockexec.engine ->
   ?record_vcall:(Typeprof.site -> int -> unit) ->
   ?faults_key:int ->

@@ -3,6 +3,7 @@ module Mem = Repro_os.Mem
 module Ctx = Repro_vm.Exec_ctx
 module Value = Repro_vm.Value
 module Trace = Repro_util.Trace
+module Faults = Repro_util.Faults
 
 type t = {
   writes : (int * int64) list;
@@ -162,9 +163,9 @@ let count_result result =
   | Passed _ -> Trace.incr "verify.passed"
   | Wrong_output | Crashed _ | Hung -> Trace.incr "verify.rejected"
 
-let check ?fuel ?faults_key dx snap reference binary =
+let check ?fuel ?faults_key dx snap reference loaded =
   Trace.span ~cat:"verify" "verify" @@ fun () ->
-  let r = Replay.run ?fuel ?faults_key dx snap (Replay.Optimized binary) in
+  let r = Replay.run ?fuel ?faults_key dx snap (Replay.Optimized loaded) in
   let result =
     match r.Replay.outcome with
     | Replay.Crashed msg -> Crashed msg
@@ -193,9 +194,9 @@ let collect_ref ?record_vcall dx snap =
   | Replay.Crashed msg -> Ref_crash msg
   | Replay.Hung -> failwith "Verify.collect_ref: interpreted replay hung"
 
-let check_ref ?fuel ?faults_key dx snap reference binary =
+let check_ref ?fuel ?faults_key dx snap reference loaded =
   match reference with
-  | Ref_map m -> check ?fuel ?faults_key dx snap m binary
+  | Ref_map m -> check ?fuel ?faults_key dx snap m loaded
   | Ref_crash msg ->
     (* The reference itself traps on this input.  A correct binary must
        reproduce the exact trap; one that silently finishes read or wrote
@@ -204,7 +205,7 @@ let check_ref ?fuel ?faults_key dx snap reference binary =
        compared: legal optimizations may reorder stores ahead of the
        faulting access, and killing those would be a false positive. *)
     Trace.span ~cat:"verify" "verify:crash-ref" @@ fun () ->
-    let r = Replay.run ?fuel ?faults_key dx snap (Replay.Optimized binary) in
+    let r = Replay.run ?fuel ?faults_key dx snap (Replay.Optimized loaded) in
     let result =
       match r.Replay.outcome with
       | Replay.Crashed m when String.equal m msg ->
@@ -215,3 +216,27 @@ let check_ref ?fuel ?faults_key dx snap reference binary =
     in
     count_result result;
     result
+
+(* The primary first (its cycles are the fitness measurement), then every
+   corpus entry in order, stopping at the first failure.  Entry [i] runs
+   under fault key [combine site i], so each check's fault decisions are a
+   pure function of (seed, binary, attempt, entry) — independent of worker
+   count and evaluation order. *)
+let check_corpus ?site dx snap vmap corpus loaded =
+  let fkey i =
+    Option.map (fun s -> if i = 0 then s else Faults.combine s i) site
+  in
+  match check ?faults_key:(fkey 0) dx snap vmap loaded with
+  | Passed cycles ->
+    let rec loop i = function
+      | [] -> (Passed cycles, i - 1)
+      | (snap, reference) :: rest ->
+        Trace.incr "verify.corpus_checks";
+        (match check_ref ?faults_key:(fkey i) dx snap reference loaded with
+         | Passed _ -> loop (i + 1) rest
+         | bad ->
+           Trace.incr "verify.corpus_kills";
+           (bad, i))
+    in
+    loop 1 corpus
+  | bad -> (bad, 0)

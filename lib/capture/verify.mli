@@ -39,9 +39,10 @@ type check_result =
 val check :
   ?fuel:int ->
   ?faults_key:int ->
-  Repro_dex.Bytecode.dexfile -> Snapshot.t -> t -> Repro_lir.Binary.t ->
+  Repro_dex.Bytecode.dexfile -> Snapshot.t -> t -> Repro_lir.Blockexec.loaded ->
   check_result
-(** Replay the snapshot under a candidate binary and compare behaviour.
+(** Replay the snapshot under a loaded candidate binary and compare
+    behaviour.
     [fuel] bounds the replay's cycle budget before it is declared [Hung]
     (default {!Replay.default_fuel}).
 
@@ -75,7 +76,7 @@ val check_ref :
   ?fuel:int ->
   ?faults_key:int ->
   Repro_dex.Bytecode.dexfile -> Snapshot.t -> reference ->
-  Repro_lir.Binary.t -> check_result
+  Repro_lir.Blockexec.loaded -> check_result
 (** {!check} against a corpus reference.  For a [Ref_map] this is exactly
     {!check}.  For a [Ref_crash] the candidate passes only when it traps
     with the identical message ([Passed] carries its replay cycles); a
@@ -83,3 +84,20 @@ val check_ref :
     reference's faulting access — the guard-stripping signature — and is
     [Wrong_output].  Partial write sets at the trap are not compared:
     legal optimizations may reorder stores ahead of the faulting access. *)
+
+val check_corpus :
+  ?site:int ->
+  Repro_dex.Bytecode.dexfile -> Snapshot.t -> t ->
+  (Snapshot.t * reference) list -> Repro_lir.Blockexec.loaded ->
+  check_result * int
+(** One verification pass over a capture corpus: {!check} on the primary
+    snapshot, then {!check_ref} on each (snapshot, reference) entry in
+    order, stopping at the first failure.  Returns the verdict — the
+    primary's [Passed cycles] when everything passed — and how many corpus
+    entries were checked (counted by [verify.corpus_checks]; a failing
+    entry also bumps [verify.corpus_kills]).  All replays share the
+    loaded binary, so the fused engine plans it once.
+
+    [site] opts the pass into fault injection: the primary runs under
+    fault key [site] and entry [i] (from 1) under
+    [Repro_util.Faults.combine site i]. *)

@@ -250,19 +250,9 @@ let fig3_cycles () =
               m.B.cm_class_name = "FFT")
            mids
        in
+       let fe = Compile.frontend dx in
        let with_region spec =
-         let reg = Compile.llvm_binary dx spec region in
-         let combined =
-           Binary.create
-             (List.filter_map (Binary.find android) (Binary.mids android))
-         in
-         List.iter
-           (fun mid ->
-              match Binary.find reg mid with
-              | Some f -> Hashtbl.replace combined.Binary.funcs mid f
-              | None -> ())
-           (Binary.mids reg);
-         combined
+         Binary.overlay android (Compile.llvm_binary fe spec region)
        in
        let run binary =
          let ctx = Repro_vm.Image.build ~seed:5 dx in
@@ -699,24 +689,15 @@ let survival_genomes () =
 
 (* First corpus size K at which the binary is rejected: primary check
    first (K=1), then the corpus entries in order (entry i covers K=i+1).
-   Counts every check it actually runs in [checks]. *)
+   Adds every corpus check it actually runs to [checks]. *)
 let killed_at env checks binary =
-  match Repro_capture.Verify.check env.Pipeline.dx
-          env.Pipeline.capture.Pipeline.snapshot env.Pipeline.vmap binary
-  with
-  | Repro_capture.Verify.Passed _ ->
-    let rec loop i = function
-      | [] -> None
-      | ce :: rest ->
-        incr checks;
-        (match Repro_capture.Verify.check_ref env.Pipeline.dx
-                 ce.Pipeline.ce_snapshot ce.Pipeline.ce_reference binary
-         with
-         | Repro_capture.Verify.Passed _ -> loop (i + 1) rest
-         | _ -> Some (i + 1))
-    in
-    loop 1 env.Pipeline.corpus
-  | _ -> Some 1
+  let verdict, ran =
+    Pipeline.check_corpus env (Repro_lir.Blockexec.load binary)
+  in
+  checks := !checks + ran;
+  match verdict with
+  | Repro_capture.Verify.Passed _ -> None
+  | _ -> Some (ran + 1)
 
 let scimark_names =
   [ "FFT"; "SOR"; "MonteCarlo"; "Sparse matmult"; "LU" ]

@@ -6,6 +6,7 @@ module Cost = Repro_vm.Cost
 module Value = Repro_vm.Value
 module Binary = Repro_lir.Binary
 module Compile = Repro_lir.Compile
+module Blockexec = Repro_lir.Blockexec
 module Exec = Repro_lir.Exec
 module Capture = Repro_capture.Capture
 module Snapshot = Repro_capture.Snapshot
@@ -308,7 +309,7 @@ let region_binary_android env =
   Binary.create (List.filter_map (Binary.find b) env.region)
 
 let replay_cycles_of_binary dx snap vmap binary =
-  match Verify.check dx snap vmap binary with
+  match Verify.check dx snap vmap (Blockexec.load binary) with
   | Verify.Passed cycles -> Some cycles
   | Verify.Wrong_output | Verify.Crashed _ | Verify.Hung -> None
 
@@ -337,10 +338,9 @@ let make_eval_env ?(seed = 1234) ?(replays = 10) ?(corpus = [])
      same profile share stage-cache entries, and prewarmed over the region
      so search-time lookups are read-mostly. *)
   let frontend =
-    Compile.frontend ~profile:(Typeprof.lookup typeprof) ~prewarm:region
-      ~key:(Printf.sprintf "app=%s;typeprof=%s" app.App.name
-              (Typeprof.digest typeprof))
-      dx
+    Compile.frontend
+      ~profile:(Typeprof.digest typeprof, Typeprof.lookup typeprof)
+      ~prewarm:region dx
   in
   let env0 =
     { dx; app; capture; vmap; typeprof; region; frontend; corpus;
@@ -360,15 +360,14 @@ let make_eval_env ?(seed = 1234) ?(replays = 10) ?(corpus = [])
     ms_of_binary ~noise_index:android_noise_index (region_binary_android env0)
   in
   let o3 =
-    match Compile.llvm_binary_staged frontend Repro_lir.Pipelines.o3 region with
+    match Compile.llvm_binary frontend Repro_lir.Pipelines.o3 region with
     | b -> ms_of_binary ~noise_index:o3_noise_index b
     | exception (Compile.Compile_error _ | Compile.Compile_timeout) -> nan
   in
   { env0 with android_region_ms = android_ms; o3_region_ms = o3 }
 
-(* Delegates to the binary's memoized content digest: the same key now
-   identifies a binary in the Evalpool memo and in the block-plan cache, so
-   their hit counts can be cross-checked. *)
+(* The binary's content digest: the Evalpool binary memo's key, so an
+   identical binary is verified (and planned) once per pool. *)
 let binary_key = Binary.digest
 
 (* The deterministic part of one evaluation: everything except the
@@ -388,7 +387,7 @@ type eval_core = Checkpoint.core =
 
 let compile_core env genome =
   match
-    Compile.llvm_binary_staged env.frontend (Genome.to_spec genome) env.region
+    Compile.llvm_binary env.frontend (Genome.to_spec genome) env.region
   with
   | binary -> Ok binary
   | exception Compile.Compile_error msg -> Error (Core_compile_failed msg)
@@ -400,49 +399,23 @@ let reason_of_check = function
   | Verify.Crashed msg -> "crashed: " ^ msg
   | Verify.Hung -> "hung"
 
-(* One full verification pass: the primary capture first (its cycles are
-   the fitness measurement), then every corpus entry in corpus order with
-   a first-failure short-circuit.  [site] keys the fault scopes when
-   fault injection is armed: the primary keeps the historical key and
-   entry [i] gets [combine site i], so every corpus check's fault
-   decisions stay a pure function of (seed, binary, attempt, entry) —
-   independent of worker count and evaluation order. *)
-let check_corpus env ?site binary =
-  let fkey i =
-    match site with
-    | None -> None
-    | Some s -> Some (if i = 0 then s else Faults.combine s i)
-  in
-  match
-    Verify.check ?faults_key:(fkey 0) env.dx env.capture.snapshot env.vmap
-      binary
-  with
-  | Verify.Passed cycles ->
-    let rec loop i = function
-      | [] -> Verify.Passed cycles
-      | ce :: rest ->
-        Trace.incr "verify.corpus_checks";
-        (match
-           Verify.check_ref ?faults_key:(fkey i) env.dx ce.ce_snapshot
-             ce.ce_reference binary
-         with
-         | Verify.Passed _ -> loop (i + 1) rest
-         | bad ->
-           Trace.incr "verify.corpus_kills";
-           bad)
-    in
-    loop 1 env.corpus
-  | bad -> bad
+let check_corpus ?site env loaded =
+  Verify.check_corpus ?site env.dx env.capture.snapshot env.vmap
+    (List.map (fun ce -> (ce.ce_snapshot, ce.ce_reference)) env.corpus)
+    loaded
 
 let verify_core env binary =
   let measured cycles =
     Core_measured
       { cycles; size = binary.Binary.size; key = binary_key binary }
   in
+  (* one load per evaluation: every replay below, retry included, shares
+     the block plan the first fused replay builds *)
+  let loaded = Blockexec.load binary in
   if not (Faults.active ()) then
     (* Fault injection off (the normal pipeline): single attempt, and a
        failed verification keeps its precise verdict. *)
-    match check_corpus env binary with
+    match fst (check_corpus env loaded) with
     | Verify.Passed cycles -> measured cycles
     | Verify.Wrong_output -> Core_wrong_output
     | Verify.Crashed msg -> Core_crashed msg
@@ -457,11 +430,11 @@ let verify_core env binary =
        and the binary, so results stay byte-identical across -jN/cache. *)
     let key = binary_key binary in
     let site attempt = Faults.combine (Faults.hash_string key) attempt in
-    match check_corpus env ~site:(site 0) binary with
+    match fst (check_corpus ~site:(site 0) env loaded) with
     | Verify.Passed cycles -> measured cycles
     | first ->
       Trace.incr "verify.retried";
-      (match check_corpus env ~site:(site 1) binary with
+      (match fst (check_corpus ~site:(site 1) env loaded) with
        | Verify.Passed cycles -> measured cycles   (* transient fault *)
        | second ->
          let reason =
@@ -831,32 +804,16 @@ let start ?jobs ?cache ?pool ?quarantine ?abort_after r =
           ~corpus:co.co_entries ?quarantine ?checkpoint:r.r_checkpoint
           ?abort_after r.r_app co.co_primary )
 
-let overlay base overlay_binary =
-  let funcs =
-    List.filter_map (Binary.find base) (Binary.mids base)
-  in
-  let combined = Binary.create funcs in
-  List.iter
-    (fun mid ->
-       match Binary.find overlay_binary mid with
-       | Some f -> Hashtbl.replace combined.Binary.funcs mid f
-       | None -> ())
-    (Binary.mids overlay_binary);
-  Binary.recompute_size combined;
-  combined
-
 let final_binary opt =
   let base = android_binary_for opt.env.app in
   match opt.best_binary with
-  | Some b -> overlay base b
+  | Some b -> Binary.overlay base b
   | None -> base
 
 let o3_binary env =
   let base = android_binary_for env.app in
-  match
-    Compile.llvm_binary_staged env.frontend Repro_lir.Pipelines.o3 env.region
-  with
-  | b -> overlay base b
+  match Compile.llvm_binary env.frontend Repro_lir.Pipelines.o3 env.region with
+  | b -> Binary.overlay base b
   | exception (Compile.Compile_error _ | Compile.Compile_timeout) -> base
 
 type speedups = {

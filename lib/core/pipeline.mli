@@ -183,13 +183,20 @@ val compile_core :
 (** Compile the genome for the region; [Error] is an immediate failure
     core.  Pure per-call: safe to run on worker domains. *)
 
+val check_corpus :
+  ?site:int -> evaluation_env -> Repro_lir.Blockexec.loaded ->
+  Repro_capture.Verify.check_result * int
+(** {!Repro_capture.Verify.check_corpus} over the environment's primary
+    capture and corpus: the verdict and how many corpus entries ran. *)
+
 val verify_core : evaluation_env -> Repro_lir.Binary.t -> eval_core
 (** Verified replay of a compiled binary against the capture — and, when
     the environment carries a corpus, against {e every} corpus entry in
     corpus order with a first-failure short-circuit
     ([verify.corpus_checks] / [verify.corpus_kills] counters).  Fitness
-    cycles always come from the primary capture.  Pure per-call: safe to
-    run on worker domains.
+    cycles always come from the primary capture.  The binary is loaded
+    once, so all of the call's replays, fault retry included, share one
+    block plan.  Pure per-call: safe to run on worker domains.
 
     While [Repro_util.Faults] is armed, the candidate replay runs inside a
     fault scope keyed by [(binary, attempt)] and a failed verification is

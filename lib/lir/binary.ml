@@ -2,8 +2,8 @@ module Hir = Repro_hgraph.Hir
 
 type t = {
   funcs : (int, Hir.func) Hashtbl.t;
-  mutable size : int;
-  mutable dig : string option;
+  size : int;
+  dig : string;
 }
 
 let find t mid = Hashtbl.find_opt t.funcs mid
@@ -12,27 +12,14 @@ let mids t =
   |> List.sort Int.compare
 
 (* Content digest over the printed graphs in ascending-mid order — the memo
-   key Evalpool uses to deduplicate identical binaries, and the key of the
-   block-plan cache.  Absent methods contribute an empty part so the digest
-   stays byte-compatible with the historical [Pipeline.binary_key]. *)
-let compute_digest t =
-  let parts =
-    List.map
-      (fun mid ->
-         match find t mid with
-         | Some f -> Hir.to_string f
-         | None -> "")
-      (mids t)
-  in
-  Digest.to_hex (Digest.string (String.concat "\n" parts))
+   key Evalpool uses to deduplicate identical binaries. *)
+let compute_digest funcs =
+  Hashtbl.fold (fun mid f acc -> (mid, f) :: acc) funcs []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map (fun (_, f) -> Hir.to_string f)
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
 
-let digest t =
-  match t.dig with
-  | Some d -> d
-  | None ->
-    let d = compute_digest t in
-    t.dig <- Some d;
-    d
+let digest t = t.dig
 
 let create fs =
   let funcs = Hashtbl.create 16 in
@@ -45,18 +32,12 @@ let create fs =
          f.Hir.f_pressure <- Some (Repro_hgraph.Analysis.pressure f);
        Hashtbl.replace funcs f.Hir.f_mid f)
     fs;
-  let t =
-    { funcs; size = List.fold_left (fun acc f -> acc + Hir.size f) 0 fs;
-      dig = None }
-  in
-  (* Same single-domain discipline as [f_pressure]: fill the digest before
-     the binary can cross domains, so concurrent [digest] reads never race
-     a lazy fill.  The cost is already paid today — every candidate's memo
-     key performs exactly this walk. *)
-  t.dig <- Some (compute_digest t);
-  t
+  { funcs; size = List.fold_left (fun acc f -> acc + Hir.size f) 0 fs;
+    dig = compute_digest funcs }
 
-let recompute_size t =
-  t.size <- Hashtbl.fold (fun _ f acc -> acc + Hir.size f) t.funcs 0;
-  (* the function table changed (overlay): the cached digest is stale *)
-  t.dig <- None
+let overlay base top =
+  create
+    (List.filter_map
+       (fun mid -> if Hashtbl.mem top.funcs mid then None else find base mid)
+       (mids base)
+     @ List.filter_map (find top) (mids top))

@@ -3,19 +3,20 @@
 
 type t = {
   funcs : (int, Repro_hgraph.Hir.func) Hashtbl.t;  (** method id -> code *)
-  mutable size : int;                               (** total instructions *)
-  mutable dig : string option;
-  (** memoized content digest; filled by [create] before the binary can
-      cross domains, invalidated by [recompute_size] *)
+  size : int;                                       (** total instructions *)
+  dig : string;  (** content digest, computed by [create] *)
 }
 
 val create : Repro_hgraph.Hir.func list -> t
 val find : t -> int -> Repro_hgraph.Hir.func option
 val mids : t -> int list
-val recompute_size : t -> unit
+
+val overlay : t -> t -> t
+(** [overlay base top] is {!create} on [base]'s functions with [top]'s
+    replacing those of the same method id: installing a region binary over
+    the app's Android code. *)
 
 val digest : t -> string
 (** Hex digest of the printed method graphs in ascending-mid order — the
-    binary memo key ([Pipeline.binary_key] delegates here) and the key of
-    the block-plan cache.  Memoized; [create] fills it eagerly so
-    cross-domain reads never race a lazy fill. *)
+    binary memo key ([Pipeline.binary_key] delegates here).  Computed once
+    by [create], before the binary can cross domains. *)

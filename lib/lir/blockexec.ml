@@ -562,7 +562,7 @@ let run_plan (ctx : Ctx.t) (fp : Blockplan.fplan) args =
   done;
   !result
 
-let dispatcher plan binary =
+let dispatcher plan =
   fun (ctx : Ctx.t) mid args ->
     match Hashtbl.find_opt plan.Blockplan.pl_funcs mid with
     | Some fp ->
@@ -570,17 +570,30 @@ let dispatcher plan binary =
         (* profiling replay: the sampler inside [Ctx.charge] must observe
            every intermediate cycle value, which batched charging skips —
            take the reference per-instruction path for this call *)
-        (match Binary.find binary mid with
-         | Some g -> Exec.run_func ctx g args
-         | None -> Interp.interpret ctx mid args)
+        Exec.run_func ctx fp.Blockplan.fp_func args
       else run_plan ctx fp args
     | None -> Interp.interpret ctx mid args
 
-let install ctx binary =
-  let plan = Blockplan.plan_for ~cost:ctx.Ctx.cost binary in
-  Ctx.set_dispatch ctx (dispatcher plan binary)
+(* One evaluation's replays (primary, corpus, retry) share one loaded
+   value, so they share one plan build and nothing outlives the
+   evaluation. *)
+type loaded = {
+  binary : Binary.t;
+  mutable plan : Blockplan.t option;
+}
 
-let install_engine engine ctx binary =
+let load binary = { binary; plan = None }
+
+let install_engine engine ctx l =
   match engine with
-  | Ref -> Exec.install ctx binary
-  | Fused -> install ctx binary
+  | Ref -> Exec.install ctx l.binary
+  | Fused ->
+    let plan =
+      match l.plan with
+      | Some plan -> plan
+      | None ->
+        let plan = Blockplan.build ctx.Ctx.cost l.binary in
+        l.plan <- Some plan;
+        plan
+    in
+    Ctx.set_dispatch ctx (dispatcher plan)

@@ -26,14 +26,19 @@ val default_engine : unit -> engine
 val set_default_engine : engine -> unit
 
 val dispatcher :
-  Blockplan.t -> Binary.t ->
+  Blockplan.t ->
   (Repro_vm.Exec_ctx.t -> int -> Repro_vm.Value.t list ->
    Repro_vm.Value.t option)
 
-val install : Repro_vm.Exec_ctx.t -> Binary.t -> unit
-(** Plan the binary (through the digest-keyed cache) and install the fused
-    dispatcher. *)
+type loaded
+(** A binary loaded for replay.  Its {!Blockplan} is built on the first
+    fused install and reused by every later install of the same value;
+    the reference engine never builds one.  Mutable: use one value from
+    one domain at a time. *)
 
-val install_engine : engine -> Repro_vm.Exec_ctx.t -> Binary.t -> unit
-(** [install_engine Ref] is {!Exec.install}; [install_engine Fused] is
-    {!install}. *)
+val load : Binary.t -> loaded
+
+val install_engine : engine -> Repro_vm.Exec_ctx.t -> loaded -> unit
+(** [install_engine Ref] is {!Exec.install} on the loaded binary;
+    [install_engine Fused] installs the fused dispatcher, planning the
+    binary on its first fused install. *)

@@ -24,15 +24,14 @@
    The analysis is pure bookkeeping: the executor in [Blockexec] remains
    bit-identical to [Exec] on cycle accounting, observable memory, return
    values and crash/hang classification.  Plans are immutable after
-   construction and cached keyed by ([Binary.digest], cost model) in an
-   LRU of [max_cached] digests. *)
+   construction; [Blockexec.load] gives each one the lifetime of the loaded
+   binary it was built for. *)
 
 module B = Repro_dex.Bytecode
 module Ast = Repro_dex.Ast
 module Hir = Repro_hgraph.Hir
 module Cost = Repro_vm.Cost
 module Trace = Repro_util.Trace
-module Lru = Repro_util.Lru
 
 (* ------------------------------ micro-ops --------------------------- *)
 
@@ -110,10 +109,7 @@ type fplan = {
      path, whose checked accesses reproduce the reference failure. *)
 }
 
-type t = {
-  pl_cost : Cost.model;
-  pl_funcs : (int, fplan) Hashtbl.t;
-}
+type t = { pl_funcs : (int, fplan) Hashtbl.t }
 
 (* ------------------------- static cost bounds ----------------------- *)
 
@@ -350,7 +346,7 @@ let build_fplan c (f : Hir.func) ~blocks_formed ~fused ~hoisted =
   { fp_func = f; fp_fetch = fetch; fp_blocks = blocks;
     fp_regs_ok = regs_in_range f }
 
-(* ----------------------------- plan cache --------------------------- *)
+(* ------------------------------- build ------------------------------ *)
 
 let build cost binary =
   let blocks_formed = ref 0 and fused = ref 0 and hoisted = ref 0 in
@@ -367,39 +363,6 @@ let build cost binary =
   Trace.add "blockexec.blocks_formed" !blocks_formed;
   Trace.add "blockexec.ops_fused" !fused;
   Trace.add "blockexec.checks_hoisted" !hoisted;
-  { pl_cost = cost; pl_funcs }
+  { pl_funcs }
 
-(* Keyed by binary digest, then by cost model: [Replay.run ?cost] may
-   replay the same binary under different models, and segment bounds
-   depend on the model.  An entry-bounded LRU over digests (the GA's
-   working set is far below the bound).  Lookup and build both run under
-   the lock so the build/hit counters are deterministic for every -j
-   level: exactly one build per resident key, every other install is a
-   hit. *)
-let max_cached = 256
-let cache : (Cost.model * t) list ref Lru.t =
-  Lru.create ~budget:max_cached ~weight:(fun _ -> 1) ()
-let cache_lock = Mutex.create ()
-
-let plan_for ?(cost = Cost.default) binary =
-  let key = Binary.digest binary in
-  Mutex.protect cache_lock @@ fun () ->
-  let entries =
-    match Lru.find cache key with
-    | Some entries -> entries
-    | None ->
-      let entries = ref [] in
-      Lru.add cache key entries;
-      entries
-  in
-  match List.find_opt (fun (c0, _) -> Cost.equal c0 cost) !entries with
-  | Some (_, plan) ->
-    Trace.incr "blockexec.plan_cache_hits";
-    plan
-  | None ->
-    let plan = build cost binary in
-    entries := (cost, plan) :: !entries;
-    plan
-
-let reset_cache () =
-  Mutex.protect cache_lock @@ fun () -> Lru.reset cache
+let reset_cache () = ()

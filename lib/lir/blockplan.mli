@@ -13,8 +13,9 @@
     malformed graphs are given poison plans that reproduce the reference
     failure at the same point.  Counters (emitted at build when tracing is
     enabled): [blockexec.blocks_formed], [blockexec.ops_fused],
-    [blockexec.checks_hoisted], [blockexec.plan_builds],
-    [blockexec.plan_cache_hits]. *)
+    [blockexec.checks_hoisted], [blockexec.plan_builds].  There is no plan
+    cache: {!Blockexec.load} builds a binary's plan at its first fused
+    install and keeps it for the loaded value's lifetime. *)
 
 type mop =
   | Op of Repro_hgraph.Hir.instr
@@ -86,19 +87,13 @@ type fplan = {
       (malformed code), all segments run on the exact checked path. *)
 }
 
-type t = {
-  pl_cost : Repro_vm.Cost.model;
-  pl_funcs : (int, fplan) Hashtbl.t;
-}
+type t = { pl_funcs : (int, fplan) Hashtbl.t }
 
 val build : Repro_vm.Cost.model -> Binary.t -> t
-(** Analyze every function of the binary (no caching). *)
-
-val plan_for : ?cost:Repro_vm.Cost.model -> Binary.t -> t
-(** Cached {!build}, keyed by ([Binary.digest], cost model) with a typed
-    {!Repro_vm.Cost.equal} match — never polymorphic compare.  The cache is
-    a {!Repro_util.Lru} of at most 256 digests; the least recently used
-    digest's plans are dropped first.  Thread-safe; build/hit counters are
-    deterministic across [-j] levels. *)
+(** Analyze every function of the binary.  Segment bounds are computed
+    under the given cost model, which must be the one the executing
+    context charges. *)
 
 val reset_cache : unit -> unit
+(** A no-op: there is no plan cache to reset.  Kept because the benchmark
+    harness calls it between rounds. *)

@@ -58,10 +58,7 @@ type frontend = {
   fe_dx : B.dexfile;
   fe_profile : (Hir.site -> (int * int) list) option;
   fe_digest : string;
-  (** content key of (app, profile): namespaces the stage cache *)
-  fe_cacheable : bool;
-  (** anonymous frontends (the legacy [llvm_binary] entry point) carry a
-      nonce digest and never touch the stage cache *)
+  (** content key of (dexfile, profile): namespaces the stage cache *)
   fe_lock : Mutex.t;
   fe_funcs : (int, Hir.func option) Hashtbl.t;
 }
@@ -86,11 +83,20 @@ let fe_pass_env fe =
     get_func = (fun mid -> frontend_func fe mid);
     profile = fe.fe_profile }
 
-let frontend ?profile ?(prewarm = []) ~key dx =
+(* The namespace digest comes from content, never from names: dexfiles
+   that differ only in a constant (Figure 3's FFT sizes) must not share
+   stage-cache entries.  The dexfile is plain data, so its marshalled form
+   covers every field — class layouts and statics included. *)
+let frontend ?profile ?(prewarm = []) dx =
+  let profile_key, lookup =
+    match profile with
+    | Some (key, lookup) -> ("profile:" ^ key, Some lookup)
+    | None -> ("no-profile", None)
+  in
+  let dx_digest = Digest.string (Marshal.to_string dx [ Marshal.No_sharing ]) in
   let fe =
-    { fe_dx = dx; fe_profile = profile;
-      fe_digest = Digest.to_hex (Digest.string key);
-      fe_cacheable = true;
+    { fe_dx = dx; fe_profile = lookup;
+      fe_digest = Digest.to_hex (Digest.string (dx_digest ^ profile_key));
       fe_lock = Mutex.create ();
       fe_funcs = Hashtbl.create 64 }
   in
@@ -98,21 +104,6 @@ let frontend ?profile ?(prewarm = []) ~key dx =
   fe
 
 let frontend_digest fe = fe.fe_digest
-
-(* A one-shot front-end for the legacy entry point: still memoizes callee
-   translations within the call (the inliner asks for the same bodies
-   repeatedly), but its nonce digest keeps it out of the shared stage
-   cache — an arbitrary [?profile] closure has no content address. *)
-let fe_nonce = Atomic.make 0
-
-let anonymous_frontend ?profile dx =
-  { fe_dx = dx; fe_profile = profile;
-    fe_digest =
-      Printf.sprintf "anon-%d-%d" (Domain.self () :> int)
-        (Atomic.fetch_and_add fe_nonce 1);
-    fe_cacheable = false;
-    fe_lock = Mutex.create ();
-    fe_funcs = Hashtbl.create 16 }
 
 (* Site key for the [Miscompile] fault point: depends only on the method
    and the (raw) pass specification, so whether a given compile is
@@ -136,7 +127,7 @@ let spec_hash spec =
    recorded charges through the same counter and checks, so timeout
    classification cannot depend on the cache.  Entries are published
    after the checks pass, i.e. only states a real run survives. *)
-let llvm_binary_staged fe spec mids =
+let llvm_binary fe spec mids =
   Trace.span ~cat:"compile" "compile:llvm" @@ fun () ->
   let env = fe_pass_env fe in
   let resolved =
@@ -150,7 +141,7 @@ let llvm_binary_staged fe spec mids =
          spec)
   in
   let n = Array.length resolved in
-  let use_cache = fe.fe_cacheable && Stagecache.enabled () in
+  let use_cache = Stagecache.enabled () in
   let fps =
     if use_cache then Stagecache.fingerprints ~frontend:fe.fe_digest spec
     else [||]
@@ -223,6 +214,3 @@ let llvm_binary_staged fe spec mids =
       Some f
   in
   Binary.create (List.filter_map compile_one mids)
-
-let llvm_binary ?profile dx spec mids =
-  llvm_binary_staged (anonymous_frontend ?profile dx) spec mids

@@ -9,8 +9,8 @@
 
     The driver is {e staged}: the genome-independent front-end
     (bytecode→HGraph→translate, including the profile-specialized
-    variant) is hoisted into a shared {!frontend} built once per (app,
-    capture, profile), and per-pass-prefix IR states are memoized in
+    variant) is hoisted into a shared {!frontend} built once per
+    (dexfile, profile), and per-pass-prefix IR states are memoized in
     {!Stagecache} so compiling a genome resumes at its first gene that
     diverges from any previously compiled genome.  Both accelerators are
     result-transparent: outcomes, binaries and timeout classification are
@@ -41,35 +41,25 @@ type frontend
     table; safe to share across Evalpool worker domains. *)
 
 val frontend :
-  ?profile:(Repro_hgraph.Hir.site -> (int * int) list) ->
+  ?profile:string * (Repro_hgraph.Hir.site -> (int * int) list) ->
   ?prewarm:int list ->
-  key:string -> Repro_dex.Bytecode.dexfile -> frontend
-(** Build a front-end for a (dexfile, profile) pair.  [key] must
-    content-address the pair (e.g. app name + profile digest): equal keys
-    may share stage-cache entries, so unequal (dx, profile) contents must
-    get unequal keys.  [prewarm] eagerly translates the given methods
+  Repro_dex.Bytecode.dexfile -> frontend
+(** Build a front-end for a dexfile and an optional dispatch profile,
+    given as [(key, lookup)] where [key] content-addresses the profile
+    (e.g. [Typeprof.digest]).  The stage-cache namespace is a digest of
+    the dexfile's whole content and that key, so equal namespaces mean
+    equal inputs.  [prewarm] eagerly translates the given methods
     (typically the region) so search-time lookups are read-mostly. *)
 
 val frontend_digest : frontend -> string
 (** The digest namespacing this front-end's stage-cache entries. *)
 
-val llvm_binary_staged : frontend -> spec -> int list -> Binary.t
-(** The staged LLVM-backend path: apply the pass sequence to every
-    compilable method of the region, resuming each method from the
-    longest stage-cached pass prefix (and publishing every newly reached
-    prefix).  Results are byte-identical to {!llvm_binary} on the same
-    inputs, with or without the stage cache, at any worker count.
-    @raise Compile_error on unknown passes or invalid parameters.
-    @raise Compile_timeout when budgets are exceeded. *)
-
-val llvm_binary :
-  ?profile:(Repro_hgraph.Hir.site -> (int * int) list) ->
-  Repro_dex.Bytecode.dexfile -> spec -> int list -> Binary.t
-(** One-shot convenience wrapper: build a private front-end and compile.
-    Front-end work is re-done per call and the shared stage cache is
-    bypassed (an arbitrary [?profile] closure has no content address) —
-    searches should build a {!frontend} once and use
-    {!llvm_binary_staged}.
+val llvm_binary : frontend -> spec -> int list -> Binary.t
+(** The LLVM-backend path: apply the pass sequence to every compilable
+    method of the region, resuming each method from the longest
+    stage-cached pass prefix (and publishing every newly reached prefix).
+    Results are byte-identical with or without the stage cache, at any
+    worker count, and for a fresh or a reused front end.
     @raise Compile_error on unknown passes or invalid parameters.
     @raise Compile_timeout when budgets are exceeded. *)
 

@@ -1,5 +1,5 @@
 (** The staged-compilation cache: content-addressed memoization of
-    per-pass-prefix IR states for {!Compile.llvm_binary_staged}.
+    per-pass-prefix IR states for {!Compile.llvm_binary}.
 
     The GA mutates and recombines pass sequences a few genes at a time, so
     most of a generation's compile work re-runs prefixes that were already

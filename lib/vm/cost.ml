@@ -62,31 +62,6 @@ let default = {
   cycles_per_ms = 200_000;
 }
 
-(* Field-by-field equality (the record is all ints, so this is total and
-   deterministic); destructuring [a] makes adding a field a compile error
-   here rather than a silently incomplete comparison. *)
-let equal (a : model) (b : model) =
-  let { int_alu; int_mul; int_div; float_alu; float_mul; float_div;
-        float_conv; move; const; load; store; branch; branch_miss;
-        null_check; bounds_check; safepoint; alloc_base; alloc_per_word;
-        call_overhead; virtual_extra; intrinsic_call; jni_call; throw_cost;
-        interp_dispatch; gc_pause_base; gc_words_divisor; gc_threshold_words;
-        cycles_per_ms } = a
-  in
-  int_alu = b.int_alu && int_mul = b.int_mul && int_div = b.int_div
-  && float_alu = b.float_alu && float_mul = b.float_mul
-  && float_div = b.float_div && float_conv = b.float_conv && move = b.move
-  && const = b.const && load = b.load && store = b.store && branch = b.branch
-  && branch_miss = b.branch_miss && null_check = b.null_check
-  && bounds_check = b.bounds_check && safepoint = b.safepoint
-  && alloc_base = b.alloc_base && alloc_per_word = b.alloc_per_word
-  && call_overhead = b.call_overhead && virtual_extra = b.virtual_extra
-  && intrinsic_call = b.intrinsic_call && jni_call = b.jni_call
-  && throw_cost = b.throw_cost && interp_dispatch = b.interp_dispatch
-  && gc_pause_base = b.gc_pause_base && gc_words_divisor = b.gc_words_divisor
-  && gc_threshold_words = b.gc_threshold_words
-  && cycles_per_ms = b.cycles_per_ms
-
 let native_work = function
   | B.Nsqrt -> 18
   | B.Nsin | B.Ncos -> 40

@@ -39,10 +39,6 @@ type model = {
 
 val default : model
 
-val equal : model -> model -> bool
-(** Structural field-by-field equality — the typed comparator used by
-    cost-keyed caches (e.g. the block-plan cache). *)
-
 val native_work : Repro_dex.Bytecode.native -> int
 (** Cycles for the computational core of a native (excluding call overhead):
     e.g. sqrt ~ 20, sin/cos ~ 40. *)

@@ -41,10 +41,10 @@ type t = {
 
 let no_dispatch _ _ _ = failwith "Exec_ctx: no dispatcher installed"
 
-let create ?(cost = Cost.default) ?(seed = 0) ?(fuel = 2_000_000_000) dx mem heap
+let create ?(seed = 0) ?(fuel = 2_000_000_000) dx mem heap
     ~statics_base =
   {
-    dx; mem; heap; cost; statics_base;
+    dx; mem; heap; cost = Cost.default; statics_base;
     cycles = 0;
     fuel;
     rng = Repro_util.Rng.create seed;

@@ -28,7 +28,7 @@ type t = {
   dx : B.dexfile;
   mem : Repro_os.Mem.t;
   heap : Heap.t;
-  cost : Cost.model;
+  cost : Cost.model;                 (** always {!Cost.default} *)
   statics_base : int;
   mutable cycles : int;
   mutable fuel : int;
@@ -51,7 +51,7 @@ type t = {
 }
 
 val create :
-  ?cost:Cost.model -> ?seed:int -> ?fuel:int ->
+  ?seed:int -> ?fuel:int ->
   B.dexfile -> Repro_os.Mem.t -> Heap.t -> statics_base:int -> t
 (** Default fuel is 2e9 cycles.  The dispatcher defaults to a function that
     fails; install one with {!set_dispatch} (the interpreter provides

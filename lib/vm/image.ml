@@ -36,7 +36,7 @@ let materialize mem ~base ~npages =
     Mem.write_word mem addr (Int64.of_int (0x5EED + p))
   done
 
-let build ?(config = default_config) ?cost ?seed ?fuel (dx : B.dexfile) =
+let build ?(config = default_config) ?seed ?fuel (dx : B.dexfile) =
   let mem = Mem.create () in
   Mem.map mem ~base:runtime_base ~npages:config.runtime_pages ~kind:Mem.Rruntime
     ~name:"[anon:dalvik-runtime]";
@@ -83,4 +83,4 @@ let build ?(config = default_config) ?cost ?seed ?fuel (dx : B.dexfile) =
     done
   end;
   Mem.reset_stats mem;
-  Exec_ctx.create ?cost ?seed ?fuel dx mem heap ~statics_base
+  Exec_ctx.create ?seed ?fuel dx mem heap ~statics_base

@@ -23,7 +23,7 @@ val default_config : config
 val statics_base : int
 
 val build :
-  ?config:config -> ?cost:Cost.model -> ?seed:int -> ?fuel:int ->
+  ?config:config -> ?seed:int -> ?fuel:int ->
   Repro_dex.Bytecode.dexfile -> Exec_ctx.t
 (** Fresh address space with all regions mapped, runtime/stack/GC pages
     materialized, static initializers applied, and an execution context

@@ -97,8 +97,9 @@ let outcome_eq a b =
    outcome, post-replay cycle counter (exact also for crashes and
    timeouts), and the dirty heap/static words. *)
 let compare_replay ?fuel ?faults_key ~what dx snap binary =
+  let loaded = Blockexec.load binary in
   let replay engine () =
-    Replay.run ?fuel ?faults_key ~engine dx snap (Replay.Optimized binary)
+    Replay.run ?fuel ?faults_key ~engine dx snap (Replay.Optimized loaded)
   in
   let sref = ref [] and sfused = ref [] in
   let rref = ref None and rfused = ref None in
@@ -244,7 +245,7 @@ let host_dx () =
 
 let run_engine engine dx binary =
   let ctx = Vm.Image.build ~seed:7 dx in
-  Blockexec.install_engine engine ctx binary;
+  Blockexec.install_engine engine ctx (Blockexec.load binary);
   match Vm.Interp.run_main ctx with
   | r -> (`Ret r, ctx.Ctx.cycles, ctx)
   | exception Ctx.App_exception code -> (`Exc code, ctx.Ctx.cycles, ctx)
@@ -261,8 +262,7 @@ let agree ~what dx binary =
 let fused_count f =
   Trace.enable ();
   Trace.reset ();
-  Blockplan.reset_cache ();
-  ignore (Blockplan.plan_for (Binary.create [ f ]));
+  ignore (Blockplan.build Vm.Cost.default (Binary.create [ f ]));
   let n = Trace.counter_value "blockexec.ops_fused" in
   Trace.reset ();
   Trace.disable ();
@@ -334,9 +334,10 @@ let test_fuel_exhaustion_mid_block () =
     ignore (Vm.Interp.run_main ctx);
     ctx.Ctx.cycles
   in
+  let loaded = Blockexec.load binary in
   let run_with_fuel engine fuel =
     let ctx = Vm.Image.build ~seed:7 ~fuel dx in
-    Blockexec.install_engine engine ctx binary;
+    Blockexec.install_engine engine ctx loaded;
     match Vm.Interp.run_main ctx with
     | r -> (`Done r, ctx.Ctx.cycles)
     | exception Ctx.Timeout -> (`Timeout, ctx.Ctx.cycles)
@@ -381,15 +382,16 @@ let test_guard_stripped_killed_identically () =
   in
   let verdicts engine =
     with_engine engine @@ fun () ->
+    let loaded = Blockexec.load binary in
     let primary =
       Verify.check env.Pipeline.dx
-        co.Pipeline.co_primary.Pipeline.snapshot env.Pipeline.vmap binary
+        co.Pipeline.co_primary.Pipeline.snapshot env.Pipeline.vmap loaded
     in
     let corpus =
       List.map
         (fun ce ->
            Verify.check_ref env.Pipeline.dx ce.Pipeline.ce_snapshot
-             ce.Pipeline.ce_reference binary)
+             ce.Pipeline.ce_reference loaded)
         co.Pipeline.co_entries
     in
     primary :: corpus
@@ -454,39 +456,64 @@ let test_faults_through_both_engines () =
   compare_replay ~fuel:2_000_000 ~faults_key:1 ~what:"fault exec-hang"
     env.Pipeline.dx snap binary
 
-(* ---------------------- plan cache determinism ---------------------- *)
+(* --------------------------- plan lifetime -------------------------- *)
 
-let test_plan_cache_counters () =
-  let app, co, env = fixture "FFT" in
-  let _ = app and _ = co in
+(* A loaded binary is planned at its first fused install and reused after;
+   the reference engine never plans, and a new load of the same binary
+   plans afresh — no plan outlives its load. *)
+let test_plan_per_load () =
+  let _, co, env = fixture "FFT" in
   let binary = compiling_genome env 3 in
+  let snap = co.Pipeline.co_primary.Pipeline.snapshot in
+  let replay engine loaded =
+    ignore
+      (Replay.run ~engine env.Pipeline.dx snap (Replay.Optimized loaded))
+  in
   Trace.enable ();
   Trace.reset ();
-  Blockplan.reset_cache ();
-  let p1 = Blockplan.plan_for binary in
-  let p2 = Blockplan.plan_for binary in
-  let p3 = Blockplan.plan_for binary in
-  Alcotest.(check bool) "same plan object" true (p1 == p2 && p2 == p3);
-  Alcotest.(check int) "one build" 1 (Trace.counter_value "blockexec.plan_builds");
-  Alcotest.(check int) "two hits" 2
-    (Trace.counter_value "blockexec.plan_cache_hits");
-  Alcotest.(check bool) "plans report fusions" true
-    (Trace.counter_value "blockexec.ops_fused" > 0);
-  Alcotest.(check bool) "plans report hoisted checks" true
-    (Trace.counter_value "blockexec.checks_hoisted" > 0);
-  Alcotest.(check bool) "plans report blocks" true
-    (Trace.counter_value "blockexec.blocks_formed" > 0);
-  (* a different cost model is a different plan *)
-  let other = { Vm.Cost.default with Vm.Cost.int_alu = 2 } in
-  let p4 = Blockplan.plan_for ~cost:other binary in
-  Alcotest.(check bool) "cost model keys the cache" true (not (p4 == p1));
-  Alcotest.(check int) "second build" 2
-    (Trace.counter_value "blockexec.plan_builds");
-  (* the cache key is the Evalpool memo key *)
-  Alcotest.(check string) "digest = binary_key" (Binary.digest binary)
-    (Pipeline.binary_key binary);
+  Fun.protect ~finally:(fun () -> Trace.reset (); Trace.disable ())
+  @@ fun () ->
+  let counter = Trace.counter_value in
+  let loaded = Blockexec.load binary in
+  replay Blockexec.Ref loaded;
+  Alcotest.(check int) "ref builds no plan" 0 (counter "blockexec.plan_builds");
+  replay Blockexec.Fused loaded;
+  replay Blockexec.Fused loaded;
+  Alcotest.(check int) "one build per load" 1
+    (counter "blockexec.plan_builds");
+  replay Blockexec.Fused (Blockexec.load binary);
+  Alcotest.(check int) "a new load plans afresh" 2
+    (counter "blockexec.plan_builds");
   Trace.reset ();
-  Trace.disable ()
+  ignore (Blockplan.build Vm.Cost.default binary);
+  List.iter
+    (fun c -> Alcotest.(check bool) ("plans report " ^ c) true (counter c > 0))
+    [ "blockexec.ops_fused"; "blockexec.checks_hoisted";
+      "blockexec.blocks_formed" ]
+
+(* [Binary.overlay] installs a region binary over Android code through
+   [Binary.create], so the digest and size describe the overlay's own
+   functions, and a fused run of it counts the reference's cycles even
+   after the base binary ran fused. *)
+let test_overlay () =
+  let app, _, env = fixture "FFT" in
+  let base = Pipeline.android_binary_for app in
+  let top =
+    Lir.Compile.llvm_binary env.Pipeline.frontend Lir.Pipelines.o1
+      env.Pipeline.region
+  in
+  let over = Binary.overlay base top in
+  let created =
+    Binary.create (List.filter_map (Binary.find over) (Binary.mids over))
+  in
+  Alcotest.(check string) "digest = create's" (Binary.digest created)
+    (Binary.digest over);
+  Alcotest.(check int) "size = create's" created.Binary.size over.Binary.size;
+  let func b m = Option.get (Binary.find b m) in
+  Alcotest.(check bool) "top's functions win" true
+    (List.for_all (fun m -> func over m == func top m) (Binary.mids top));
+  ignore (run_engine Blockexec.Fused env.Pipeline.dx base);
+  agree ~what:"overlay" env.Pipeline.dx over
 
 (* ----------------------- sampling fallback -------------------------- *)
 
@@ -529,9 +556,10 @@ let () =
            test_guard_stripped_killed_identically;
          Alcotest.test_case "executor faults through both engines" `Quick
            test_faults_through_both_engines ]);
-      ("plan cache",
-       [ Alcotest.test_case "counters and keying" `Quick
-           test_plan_cache_counters ]);
+      ("plan",
+       [ Alcotest.test_case "one build per load" `Quick test_plan_per_load;
+         Alcotest.test_case "overlay replays like the reference" `Quick
+           test_overlay ]);
       ("profiler",
        [ Alcotest.test_case "sampling falls back to reference" `Quick
            test_sampling_fallback ]) ]

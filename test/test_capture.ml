@@ -75,7 +75,7 @@ let test_replay_code_versions_agree () =
   let cap = Lazy.force fft_capture in
   let app = fft () in
   let dx = App.dexfile app in
-  let android = Pipeline.android_binary_for app in
+  let android = Repro_lir.Blockexec.load (Pipeline.android_binary_for app) in
   let interp = Replay.run dx cap.Pipeline.snapshot Replay.Interpreter in
   let compiled =
     Replay.run dx cap.Pipeline.snapshot (Replay.Android_code android)
@@ -94,10 +94,11 @@ let test_verification_map_accepts_safe () =
   let cap = capture_app app in
   let env = Pipeline.make_eval_env app cap in
   let binary =
-    Repro_lir.Compile.llvm_binary (App.dexfile app) Repro_lir.Pipelines.o2
+    Repro_lir.Compile.llvm_binary env.Pipeline.frontend Repro_lir.Pipelines.o2
       env.Pipeline.region
   in
-  match Verify.check (App.dexfile app) cap.Pipeline.snapshot env.Pipeline.vmap binary with
+  match Verify.check (App.dexfile app) cap.Pipeline.snapshot env.Pipeline.vmap
+          (Repro_lir.Blockexec.load binary) with
   | Verify.Passed _ -> ()
   | _ -> Alcotest.fail "O2 should verify"
 
@@ -106,11 +107,12 @@ let test_verification_map_rejects_fast_math () =
   let cap = capture_app app in
   let env = Pipeline.make_eval_env app cap in
   let binary =
-    Repro_lir.Compile.llvm_binary (App.dexfile app)
+    Repro_lir.Compile.llvm_binary env.Pipeline.frontend
       (Repro_lir.Pipelines.o2 @ [ ("fast-math", [| 1; 1 |]) ])
       env.Pipeline.region
   in
-  match Verify.check (App.dexfile app) cap.Pipeline.snapshot env.Pipeline.vmap binary with
+  match Verify.check (App.dexfile app) cap.Pipeline.snapshot env.Pipeline.vmap
+          (Repro_lir.Blockexec.load binary) with
   | Verify.Wrong_output -> ()
   | Verify.Passed _ -> Alcotest.fail "fast-math should change LU's bits"
   | Verify.Crashed m -> Alcotest.fail ("crashed: " ^ m)
@@ -132,9 +134,10 @@ let stub_func ~mid ~nparams build =
   build f;
   f
 
-(* the android binary with the hot-region root method swapped for [f] *)
+(* the android binary with the hot-region root method swapped for [f],
+   loaded for replay *)
 let with_stub binary mid f =
-  Binary.create
+  Repro_lir.Blockexec.load @@ Binary.create
     (List.map
        (fun m -> if m = mid then f else Option.get (Binary.find binary m))
        (Binary.mids binary))
@@ -518,7 +521,7 @@ let test_corpus_maps_never_conflated () =
   let co = Lazy.force fft_corpus in
   let app = fft () in
   let dx = App.dexfile app in
-  let android = Pipeline.android_binary_for app in
+  let android = Repro_lir.Blockexec.load (Pipeline.android_binary_for app) in
   let primary_snap = co.Pipeline.co_primary.Pipeline.snapshot in
   let primary_map = Verify.collect dx primary_snap in
   let trap, nan_entry =

@@ -10,9 +10,6 @@ module Evalpool = Repro_search.Evalpool
 module Pipeline = Repro_core.Pipeline
 module App = Repro_apps.Registry
 module Blockexec = Repro_lir.Blockexec
-module Blockplan = Repro_lir.Blockplan
-module Binary = Repro_lir.Binary
-module Hir = Repro_hgraph.Hir
 module Trace = Repro_util.Trace
 
 (* ----------------------- end-to-end determinism --------------------- *)
@@ -70,56 +67,39 @@ let test_engine_determinism () =
          (run ~engine:Blockexec.Fused ~jobs ~cache = reference))
     [ (1, true); (4, true); (1, false); (4, false) ]
 
-(* The plan cache keys on the same {!Pipeline.binary_key} digest as the
-   pool's binary memo, so the two caches must stay consistent: a search
-   never builds more plans than it runs verified replays (the memo already
-   deduplicated identical binaries), and re-running the same search reuses
-   every plan from the process-global cache even though the fresh pool's
-   memo starts cold.  The cache itself is an LRU bounded at 256 binaries. *)
-let test_plan_cache_tracks_binary_memo () =
+(* [verify_core] loads each binary once, so a corpus search builds exactly
+   one plan per pool verification plus one per baseline replay of its
+   environment (Android and -O3), at any worker count.  Nothing outlives
+   the evaluation: the same search run again plans everything again.  The
+   reference engine never plans. *)
+let test_one_plan_per_evaluation () =
   let app = Option.get (App.find "FFT") in
-  let cap = Option.get (Pipeline.capture_once ~seed:5 app) in
+  let co = Option.get (Pipeline.capture_corpus ~seed:5 ~k:2 app) in
   Trace.enable ();
-  Trace.reset ();
-  Blockplan.reset_cache ();
   Fun.protect ~finally:(fun () -> Trace.reset (); Trace.disable ())
   @@ fun () ->
-  let run () =
-    with_engine Blockexec.Fused @@ fun () ->
-    Pipeline.optimize ~seed:3 ~cfg:tiny_cfg ~jobs:1 ~cache:true app cap
+  let search engine jobs =
+    Trace.reset ();
+    let o =
+      with_engine engine @@ fun () ->
+      Pipeline.optimize ~seed:3 ~cfg:tiny_cfg ~jobs ~cache:true
+        ~corpus:co.Pipeline.co_entries app co.Pipeline.co_primary
+    in
+    Alcotest.(check bool) "corpus checks ran" true
+      (Trace.counter_value "verify.corpus_checks" > 0);
+    (o.Pipeline.pool_stats.Evalpool.verifies + 2,
+     Trace.counter_value "blockexec.plan_builds")
   in
-  let o1 = run () in
-  let builds1 = Trace.counter_value "blockexec.plan_builds" in
-  Alcotest.(check bool) "plans built during the search" true (builds1 > 0);
-  (* unique digests planned <= verified replays run by the pool, plus the
-     handful of baseline android/-O3 replays the environment sets up *)
-  let verifies = o1.Pipeline.pool_stats.Evalpool.verifies in
-  Alcotest.(check bool) "at most one plan per verified replay" true
-    (builds1 <= verifies + 8);
-  let o2 = run () in
-  Alcotest.(check int) "repeat search builds no new plan"
-    builds1 (Trace.counter_value "blockexec.plan_builds");
-  Alcotest.(check bool) "repeat search hits the plan cache" true
-    (Trace.counter_value "blockexec.plan_cache_hits" > 0);
-  Alcotest.(check int) "fresh pool re-verified the same binaries"
-    verifies o2.Pipeline.pool_stats.Evalpool.verifies;
-  (* 257 distinct binaries (one function renumbered) through the
-     256-entry bound: exactly the least recently planned one is evicted *)
-  let best = Option.get o1.Pipeline.best_binary in
-  let f = Option.get (Binary.find best (List.hd (Binary.mids best))) in
-  let bins =
-    Array.init 257 (fun i ->
-        Binary.create [ { f with Hir.f_mid = 100_000 + i } ])
-  in
-  Blockplan.reset_cache ();
-  Array.iter (fun b -> ignore (Blockplan.plan_for b)) bins;
-  let builds = Trace.counter_value "blockexec.plan_builds" in
-  ignore (Blockplan.plan_for bins.(1));
-  Alcotest.(check int) "the 256 most recent plans stay cached" builds
-    (Trace.counter_value "blockexec.plan_builds");
-  ignore (Blockplan.plan_for bins.(0));
-  Alcotest.(check int) "the least recently used plan was evicted"
-    (builds + 1) (Trace.counter_value "blockexec.plan_builds")
+  let runs = List.map (search Blockexec.Fused) [ 1; 1; 4 ] in
+  List.iter2
+    (fun what (evaluations, plans) ->
+       Alcotest.(check int) (what ^ ": one plan per evaluation") evaluations
+         plans)
+    [ "-j1"; "-j1 again"; "-j4" ] runs;
+  Alcotest.(check int) "a fresh pool re-verifies the same binaries"
+    (fst (List.hd runs)) (fst (List.nth runs 1));
+  Alcotest.(check int) "ref engine builds no plan" 0
+    (snd (search Blockexec.Ref 1))
 
 (* ----------------------- synthetic pool fixtures --------------------- *)
 
@@ -282,8 +262,8 @@ let () =
       ("engine",
        [ Alcotest.test_case "ref = fused across jobs/cache" `Quick
            test_engine_determinism;
-         Alcotest.test_case "plan cache tracks binary memo" `Quick
-           test_plan_cache_tracks_binary_memo ]);
+         Alcotest.test_case "one plan per evaluation" `Quick
+           test_one_plan_per_evaluation ]);
       ("memoization",
        [ Alcotest.test_case "genome memo accounting" `Quick
            test_genome_memo_accounting;

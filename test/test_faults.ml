@@ -19,6 +19,7 @@
    small value; the acceptance campaign uses the default, >= 200 total). *)
 
 module Faults = Repro_util.Faults
+module Trace = Repro_util.Trace
 module Rng = Repro_util.Rng
 module Ga = Repro_search.Ga
 module Pipeline = Repro_core.Pipeline
@@ -174,7 +175,8 @@ type fixture = {
   dx : Repro_dex.Bytecode.dexfile;
   snap : Snapshot.t;
   vmap : Verify.t;
-  binary : Lir.Binary.t;        (* known-good region binary *)
+  binary : Lir.Binary.t;        (* known-good region binary... *)
+  loaded : Lir.Blockexec.loaded;  (* ...loaded for replay *)
   ref_ret : Vm.Value.t option;  (* reference interpreted replay... *)
   ref_writes : (int * int64) list;  (* ...and its full-scan write set *)
 }
@@ -187,8 +189,11 @@ let fixture =
      let snap = cap.Pipeline.snapshot in
      let vmap = Verify.collect dx snap in
      let region = Pipeline.region_methods app cap.Pipeline.hot_mid in
-     let binary = Lir.Compile.llvm_binary dx Lir.Pipelines.o2 region in
-     (match Verify.check dx snap vmap binary with
+     let binary =
+       Lir.Compile.(llvm_binary (frontend dx)) Lir.Pipelines.o2 region
+     in
+     let loaded = Lir.Blockexec.load binary in
+     (match Verify.check dx snap vmap loaded with
       | Verify.Passed _ -> ()
       | _ -> Alcotest.fail "fixture binary does not verify");
      let r = Replay.run dx snap Replay.Interpreter in
@@ -198,7 +203,7 @@ let fixture =
        | _ -> Alcotest.fail "reference replay failed"
      in
      let ref_writes = Verify.diff_against_snapshot_full r.Replay.ctx snap in
-     { dx; snap; vmap; binary; ref_ret; ref_writes })
+     { dx; snap; vmap; binary; loaded; ref_ret; ref_writes })
 
 (* Replace [mid]'s code in the fixture binary with [f']. *)
 let with_mutant fx mid f' =
@@ -231,7 +236,9 @@ let plant_mutant fx m rng =
 (* A mutant that slipped past Verify.check must be observationally equivalent
    to the interpreter: same return value, same full-scan write set. *)
 let provably_benign fx mutant =
-  let r = Replay.run fx.dx fx.snap (Replay.Optimized mutant) in
+  let r =
+    Replay.run fx.dx fx.snap (Replay.Optimized (Lir.Blockexec.load mutant))
+  in
   match r.Replay.outcome with
   | Replay.Finished (ret, _) ->
     let same_ret =
@@ -259,7 +266,9 @@ let prop_mutator_caught m =
       match plant_mutant fx m rng with
       | None -> QCheck.assume_fail ()   (* no applicable site: vacuous *)
       | Some (mid, mutant) ->
-        (match Verify.check fx.dx fx.snap fx.vmap mutant with
+        (match
+           Verify.check fx.dx fx.snap fx.vmap (Lir.Blockexec.load mutant)
+         with
          | Verify.Wrong_output | Verify.Crashed _ | Verify.Hung -> true
          | Verify.Passed _ ->
            provably_benign fx mutant
@@ -286,7 +295,7 @@ let check_point_caught point expected_verdict () =
   clean (fun () ->
     let fx = Lazy.force fixture in
     Faults.enable (cfg ~seed:3 ~rate:1.0 ~only:[ point ] ());
-    let verdict = Verify.check ~faults_key:11 fx.dx fx.snap fx.vmap fx.binary in
+    let verdict = Verify.check ~faults_key:11 fx.dx fx.snap fx.vmap fx.loaded in
     Alcotest.(check bool)
       (Printf.sprintf "%s fired at least once" (Faults.point_name point))
       true
@@ -332,7 +341,7 @@ let check_store_point_caught point () =
          Repro_os.Storage.flush storage;
          Snapshot.invalidate_templates ();
          Faults.enable (cfg ~seed:3 ~rate:1.0 ~only:[ point ] ());
-         (match Verify.check ~faults_key:11 fx.dx fx.snap fx.vmap fx.binary with
+         (match Verify.check ~faults_key:11 fx.dx fx.snap fx.vmap fx.loaded with
           | Verify.Crashed msg ->
             Alcotest.(check bool) "storage-prefixed reason" true
               (String.length msg >= 8 && String.sub msg 0 8 = "storage:")
@@ -344,7 +353,7 @@ let check_store_point_caught point () =
             path, so an unscoped replay still verifies *)
          Faults.disable ();
          Snapshot.invalidate_templates ();
-         match Verify.check fx.dx fx.snap fx.vmap fx.binary with
+         match Verify.check fx.dx fx.snap fx.vmap fx.loaded with
          | Verify.Passed _ -> ()
          | _ -> Alcotest.fail "store left damaged by read-path injection"))
     ()
@@ -354,7 +363,7 @@ let test_unscoped_replay_immune () =
     let fx = Lazy.force fixture in
     Faults.enable (cfg ~seed:3 ~rate:1.0 ());
     (* no faults_key: loader/executor points must stay dormant *)
-    match Verify.check fx.dx fx.snap fx.vmap fx.binary with
+    match Verify.check fx.dx fx.snap fx.vmap fx.loaded with
     | Verify.Passed _ -> ()
     | _ -> Alcotest.fail "unscoped replay was damaged by armed registry")
     ()
@@ -377,7 +386,7 @@ let test_retry_distinguishes_transient () =
         Faults.enable
           (cfg ~seed ~rate:0.5 ~only:[ Faults.Replay_collision ] ());
         let damaged k =
-          match Verify.check ~faults_key:k fx.dx fx.snap fx.vmap fx.binary with
+          match Verify.check ~faults_key:k fx.dx fx.snap fx.vmap fx.loaded with
           | Verify.Passed _ -> false
           | _ -> true
         in
@@ -413,7 +422,8 @@ let test_pipeline_quarantines_deterministic_miscompiles () =
         | Ok binary ->
           (match
              Verify.check env.Pipeline.dx
-               env.Pipeline.capture.Pipeline.snapshot env.Pipeline.vmap binary
+               env.Pipeline.capture.Pipeline.snapshot env.Pipeline.vmap
+               (Lir.Blockexec.load binary)
            with
            | Verify.Passed _ -> miscompiled (seed + 1)
            | _ -> binary)
@@ -421,11 +431,18 @@ let test_pipeline_quarantines_deterministic_miscompiles () =
     in
     let binary = miscompiled 0 in
     Pipeline.reset_quarantine ();
+    Trace.enable ();
+    Trace.reset ();
     (match Pipeline.verify_core env binary with
      | Pipeline.Core_quarantined _ -> ()
      | Pipeline.Core_measured _ ->
        Alcotest.fail "miscompiled binary was measured, not quarantined"
      | _ -> Alcotest.fail "unexpected verify_core outcome");
+    (* both attempts replayed one load of the binary *)
+    Alcotest.(check int) "one plan for both attempts" 1
+      (Trace.counter_value "blockexec.plan_builds");
+    Trace.reset ();
+    Trace.disable ();
     let q = Pipeline.quarantine_summary () in
     Alcotest.(check bool) "quarantine log records the binary" true
       (List.length q = 1 && (List.hd q).Pipeline.q_count >= 1))
@@ -465,7 +482,7 @@ let test_ga_under_faults () =
        (match
           Verify.check o1.Pipeline.env.Pipeline.dx
             o1.Pipeline.env.Pipeline.capture.Pipeline.snapshot
-            o1.Pipeline.env.Pipeline.vmap b
+            o1.Pipeline.env.Pipeline.vmap (Lir.Blockexec.load b)
         with
         | Verify.Passed _ -> ()
         | _ -> Alcotest.fail "winner does not verify without faults")))
@@ -528,11 +545,12 @@ let test_corpus_optimize_deterministic () =
     match o1.Pipeline.best_binary with
     | None -> Alcotest.fail "no verified winner with corpus"
     | Some b ->
+      let loaded = Lir.Blockexec.load b in
       List.iter
         (fun ce ->
            match
              Verify.check_ref o1.Pipeline.env.Pipeline.dx
-               ce.Pipeline.ce_snapshot ce.Pipeline.ce_reference b
+               ce.Pipeline.ce_snapshot ce.Pipeline.ce_reference loaded
            with
            | Verify.Passed _ -> ()
            | _ -> Alcotest.fail "winner fails a corpus entry")

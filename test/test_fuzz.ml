@@ -196,6 +196,10 @@ let show = function
 
 let all_mids dx = Array.to_list (Array.map (fun m -> m.B.cm_id) dx.B.dx_methods)
 
+(* Compile every method of [dx] under [spec] on a fresh front end. *)
+let compile_all dx spec =
+  Repro_lir.Compile.(llvm_binary (frontend dx)) spec (all_mids dx)
+
 let prop_android_matches_interp =
   QCheck.Test.make ~name:"fuzz: android pipeline preserves semantics"
     ~count:fuzz_count
@@ -221,9 +225,7 @@ let prop_o3_matches_interp =
        let ri = run_with dx Vm.Interp.install in
        let rb =
          run_with dx (fun ctx ->
-             Repro_lir.Exec.install ctx
-               (Repro_lir.Compile.llvm_binary dx Repro_lir.Pipelines.o3
-                  (all_mids dx)))
+             Repro_lir.Exec.install ctx (compile_all dx Repro_lir.Pipelines.o3))
        in
        if result_eq ri rb then true
        else
@@ -254,7 +256,7 @@ let prop_random_safe_passes_match =
              in
              (pass.Repro_lir.Passes.name, params))
        in
-       match Repro_lir.Compile.llvm_binary dx spec (all_mids dx) with
+       match compile_all dx spec with
        | exception Repro_lir.Compile.Compile_timeout -> true
        | binary ->
          let rb = run_with dx (fun ctx -> Repro_lir.Exec.install ctx binary) in
@@ -332,7 +334,7 @@ let prop_capture_verify_differential =
        | Some snap ->
          let vmap = Verify.collect dx snap in
          let binary = Repro_lir.Compile.android_binary dx (all_mids dx) in
-         (match Verify.check dx snap vmap binary with
+         (match Verify.check dx snap vmap (Repro_lir.Blockexec.load binary) with
           | Verify.Passed _ -> ()
           | Verify.Wrong_output | Verify.Crashed _ | Verify.Hung ->
             QCheck.Test.fail_reportf
@@ -340,7 +342,7 @@ let prop_capture_verify_differential =
          (match perturb_binary binary mid with
           | None -> true   (* region never returns a value: cannot perturb *)
           | Some bad ->
-            (match Verify.check dx snap vmap bad with
+            (match Verify.check dx snap vmap (Repro_lir.Blockexec.load bad) with
              | Verify.Wrong_output -> true
              | Verify.Passed _ ->
                QCheck.Test.fail_reportf
@@ -367,7 +369,8 @@ let replay_streamed engine dx snap binary =
   let r =
     Fun.protect
       ~finally:(fun () -> Exec.block_hook := None)
-      (fun () -> Replay.run ~engine dx snap (Replay.Optimized binary))
+      (fun () ->
+         Replay.run ~engine dx snap (Replay.Optimized (Blockexec.load binary)))
   in
   (r, List.rev !stream)
 
@@ -436,7 +439,7 @@ let prop_engines_agree =
                in
                (pass.Repro_lir.Passes.name, params))
          in
-         (match Repro_lir.Compile.llvm_binary dx spec (all_mids dx) with
+         (match compile_all dx spec with
           | exception Repro_lir.Compile.Compile_timeout -> true
           | exception Repro_lir.Compile.Compile_error _ -> true
           | binary ->
@@ -480,7 +483,7 @@ let prop_engines_agree =
                 Blockexec.set_default_engine engine;
                 Fun.protect
                   ~finally:(fun () -> Blockexec.set_default_engine prev)
-                  (fun () -> Verify.check dx snap vmap binary)
+                  (fun () -> Verify.check dx snap vmap (Blockexec.load binary))
               in
               let vr = verdict Blockexec.Ref
               and vf = verdict Blockexec.Fused in

@@ -16,6 +16,10 @@ let compile_src src = Repro_dex.Lower.compile src
 let all_mids dx =
   Array.to_list (Array.map (fun m -> m.B.cm_id) dx.B.dx_methods)
 
+(* Compile every method of [dx] under [spec] on a fresh front end. *)
+let compile_all dx spec =
+  Compile.(llvm_binary (frontend dx)) spec (all_mids dx)
+
 (* Run fully interpreted. *)
 let run_interp dx =
   let ctx = Vm.Image.build ~seed:7 dx in
@@ -290,11 +294,8 @@ let test_if_convert_forms_selects () =
   Alcotest.(check bool) "select formed" true (selects >= 1);
   (* and it must still compute the right answer, faster *)
   let ri, _, _ = run_interp dx in
-  let b_plain = Compile.llvm_binary dx Pipelines.o1 (all_mids dx) in
-  let b_ifc =
-    Compile.llvm_binary dx (Pipelines.o1 @ [ ("if-convert", [||]) ])
-      (all_mids dx)
-  in
+  let b_plain = compile_all dx Pipelines.o1 in
+  let b_ifc = compile_all dx (Pipelines.o1 @ [ ("if-convert", [||]) ]) in
   let r1, _, c1 = run_binary dx b_plain in
   let r2, _, c2 = run_binary dx b_ifc in
   Alcotest.check value_opt "plain correct" ri r1;
@@ -332,9 +333,7 @@ let test_sink_preserves_semantics () =
   let dx = compile_src big_src in
   let ri, io_i, _ = run_interp dx in
   let binary =
-    Compile.llvm_binary dx
-      [ ("constfold", [||]); ("sink", [||]); ("dce", [||]) ]
-      (all_mids dx)
+    compile_all dx [ ("constfold", [||]); ("sink", [||]); ("dce", [||]) ]
   in
   let rb, io_b, _ = run_binary dx binary in
   Alcotest.check value_opt "result" ri rb;
@@ -360,10 +359,10 @@ let test_bce_removes_guards () =
 
 (* --------------------- differential: compiled = interp -------------- *)
 
-let check_same_result ?profile src spec label =
+let check_same_result src spec label =
   let dx = compile_src src in
   let ri, io_i, cyc_i = run_interp dx in
-  let binary = Compile.llvm_binary ?profile dx spec (all_mids dx) in
+  let binary = compile_all dx spec in
   let rb, io_b, cyc_b = run_binary dx binary in
   Alcotest.check value_opt (label ^ ": result") ri rb;
   Alcotest.(check string) (label ^ ": io") io_i io_b;
@@ -384,8 +383,8 @@ let test_o3_matches_interp () = check_same_result big_src Pipelines.o3 "O3"
 
 let test_o2_not_slower_than_o0 () =
   let dx = compile_src big_src in
-  let b0 = Compile.llvm_binary dx Pipelines.o0 (all_mids dx) in
-  let b2 = Compile.llvm_binary dx Pipelines.o2 (all_mids dx) in
+  let b0 = compile_all dx Pipelines.o0 in
+  let b2 = compile_all dx Pipelines.o2 in
   let _, _, c0 = run_binary dx b0 in
   let _, _, c2 = run_binary dx b2 in
   Alcotest.(check bool) "O2 <= O0 cycles" true (c2 <= c0)
@@ -402,7 +401,7 @@ let test_each_safe_pass_preserves_semantics () =
              (List.map (fun pr -> pr.Passes.pdefault) pass.Passes.params)
          in
          let spec = [ (pass.Passes.name, defaults) ] in
-         let binary = Compile.llvm_binary dx spec (all_mids dx) in
+         let binary = compile_all dx spec in
          let rb, io_b, _ = run_binary dx binary in
          Alcotest.check value_opt (pass.Passes.name ^ ": result") ri rb;
          Alcotest.(check string) (pass.Passes.name ^ ": io") io_i io_b
@@ -428,7 +427,7 @@ let prop_random_safe_sequences =
               (pass.Passes.name, defaults))
            choices
        in
-       match Compile.llvm_binary dx spec (all_mids dx) with
+       match compile_all dx spec with
        | binary ->
          let rb, io_b, _ = run_binary dx binary in
          (match ri, rb with
@@ -448,7 +447,7 @@ let test_fast_math_changes_bits () =
   in
   let dx = compile_src src in
   let ri, _, _ = run_interp dx in
-  let binary = Compile.llvm_binary dx [ ("fast-math", [| 1; 1 |]) ] (all_mids dx) in
+  let binary = compile_all dx [ ("fast-math", [| 1; 1 |]) ] in
   let rb, _, _ = run_binary dx binary in
   match ri, rb with
   | Some (Vm.Value.Vfloat a), Some (Vm.Value.Vfloat b) ->
@@ -469,8 +468,8 @@ let test_unsafe_div_wrong_for_negatives () =
   (* constfold first would hide it; apply SR alone: needs the divisor as a
      known constant, so give it one through a static *)
   let binary =
-    Compile.llvm_binary dx [ ("constfold", [||]); ("copyprop", [||]);
-                             ("unsafe-div-lower", [||]) ] (all_mids dx)
+    compile_all dx [ ("constfold", [||]); ("copyprop", [||]);
+                     ("unsafe-div-lower", [||]) ]
   in
   let rb, _, _ = run_binary dx binary in
   Alcotest.(check bool) "results differ (or equal if pass missed)" true
@@ -494,7 +493,7 @@ let test_unsafe_bce_can_crash () =
   Alcotest.check value_opt "interp catches OOB"
     (Some (Vm.Value.Vint Vm.Exec_ctx.exc_out_of_bounds)) ri;
   (* compiled without bounds guards: wild read, segfault or garbage *)
-  let binary = Compile.llvm_binary dx [ ("unsafe-bce", [||]) ] (all_mids dx) in
+  let binary = compile_all dx [ ("unsafe-bce", [||]) ] in
   let ctx = Vm.Image.build ~seed:7 dx in
   Exec.install ctx binary;
   (match Vm.Interp.run_main ctx with
@@ -508,14 +507,14 @@ let test_compile_timeout_on_explosion () =
     @ [ ("inline", [| 400 |]) ]
   in
   (try
-     ignore (Compile.llvm_binary dx spec (all_mids dx));
+     ignore (compile_all dx spec);
      Alcotest.fail "expected Compile_timeout"
    with Compile.Compile_timeout -> ())
 
 let test_unknown_pass_is_compile_error () =
   let dx = compile_src big_src in
   (try
-     ignore (Compile.llvm_binary dx [ ("magic", [||]) ] (all_mids dx));
+     ignore (compile_all dx [ ("magic", [||]) ]);
      Alcotest.fail "expected Compile_error"
    with Compile.Compile_error _ -> ())
 
@@ -536,28 +535,22 @@ class Main {
   let ri, _, _ = run_interp dx in
   (* collect a dispatch profile through an interpreted run (as the
      interpreted replay would) *)
-  let profile_tbl = Hashtbl.create 8 in
+  let typeprof = Repro_capture.Typeprof.create () in
   let ctx = Vm.Image.build ~seed:7 dx in
-  ctx.Vm.Exec_ctx.record_vcall <-
-    Some (fun site cid ->
-        let key = (site, cid) in
-        Hashtbl.replace profile_tbl key
-          (1 + Option.value ~default:0 (Hashtbl.find_opt profile_tbl key)));
+  Repro_capture.Typeprof.install typeprof ctx;
   Vm.Interp.install ctx;
   ignore (Vm.Interp.run_main ctx);
-  let profile site =
-    Hashtbl.fold
-      (fun (s, cid) n acc -> if s = site then (cid, n) :: acc else acc)
-      profile_tbl []
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
+  let fe =
+    Compile.frontend
+      ~profile:Repro_capture.Typeprof.(digest typeprof, lookup typeprof) dx
   in
   let spec_plain = Pipelines.o2 in
   let spec_devirt =
     Pipelines.o2 @ [ ("devirtualize", [| 90 |]); ("inline", [| 60 |]);
                      ("dce", [||]) ]
   in
-  let b_plain = Compile.llvm_binary ~profile dx spec_plain (all_mids dx) in
-  let b_devirt = Compile.llvm_binary ~profile dx spec_devirt (all_mids dx) in
+  let b_plain = Compile.llvm_binary fe spec_plain (all_mids dx) in
+  let b_devirt = Compile.llvm_binary fe spec_devirt (all_mids dx) in
   let r1, _, c_plain = run_binary dx b_plain in
   let r2, _, c_devirt = run_binary dx b_devirt in
   Alcotest.check value_opt "plain correct" ri r1;
@@ -574,11 +567,8 @@ let test_jni_to_intrinsic_speeds_up () =
   in
   let dx = compile_src src in
   let ri, _, _ = run_interp dx in
-  let b1 = Compile.llvm_binary dx Pipelines.o2 (all_mids dx) in
-  let b2 =
-    Compile.llvm_binary dx (Pipelines.o2 @ [ ("jni-to-intrinsic", [||]) ])
-      (all_mids dx)
-  in
+  let b1 = compile_all dx Pipelines.o2 in
+  let b2 = compile_all dx (Pipelines.o2 @ [ ("jni-to-intrinsic", [||]) ]) in
   let r1, _, c1 = run_binary dx b1 in
   let r2, _, c2 = run_binary dx b2 in
   Alcotest.check value_opt "o2 correct" ri r1;
@@ -648,10 +638,9 @@ let test_pressure_safe_across_domains () =
    and then off.  Every outcome (binary digest and size, compile error or
    timeout) folds into one MD5 pinned as a literal: a rewrite of a pass
    or of an analysis that changes any binary, or the work charged before
-   a timeout, moves it.  The legacy per-genome path
-   ([Compile.llvm_binary]: front end rebuilt every compile, no stage
-   cache) must reach the same outcome genome by genome as the warm staged
-   path resuming from cached prefixes. *)
+   a timeout, moves it.  A fresh front end per genome with the stage
+   cache off must reach the same outcome genome by genome as the warm
+   staged path resuming from cached prefixes. *)
 let pinned_compile_md5 = "1276383105d9fb87f9e5e0a8f0151830"
 
 let test_pinned_compile_digest () =
@@ -675,14 +664,14 @@ let test_pinned_compile_digest () =
        let cls, meth = List.hd app.App.expect_hot in
        let hot = Option.get (B.find_method dx cls meth) in
        let region = Repro_core.Pipeline.region_methods app hot.B.cm_id in
-       let fe = Compile.frontend ~key:("pinned-compile:" ^ name) dx in
+       let fe = Compile.frontend dx in
        let rng = Repro_util.Rng.of_pair 15 k in
        let genomes = List.init 40 (fun _ -> Genome.random rng) in
        let staged stage =
          Stagecache.set_enabled stage;
          Stagecache.reset ();
          List.map
-           (outcome (fun spec -> Compile.llvm_binary_staged fe spec region))
+           (outcome (fun spec -> Compile.llvm_binary fe spec region))
            genomes
        in
        let cached = staged true in
@@ -693,9 +682,13 @@ let test_pinned_compile_digest () =
               (fun i o -> Printf.bprintf buf "%s %b %d %s\n" name stage i o)
               outcomes)
          [ (true, cached); (false, uncached) ];
-       Alcotest.(check (list string)) (name ^ ": legacy path = staged")
+       (* [staged false] left the stage cache off *)
+       Alcotest.(check (list string))
+         (name ^ ": fresh front end per genome, stage cache off = staged")
          cached
-         (List.map (outcome (fun spec -> Compile.llvm_binary dx spec region))
+         (List.map
+            (outcome (fun spec ->
+                 Compile.(llvm_binary (frontend dx)) spec region))
             genomes))
     [ "FFT"; "SOR"; "LU"; "MaterialLife" ];
   Alcotest.(check string) "pinned compile MD5" pinned_compile_md5

@@ -28,7 +28,7 @@ let with_stage enabled f =
   Fun.protect ~finally:(fun () -> Stagecache.set_enabled prev) f
 
 let classify fe region g =
-  match Compile.llvm_binary_staged fe (Genome.to_spec g) region with
+  match Compile.llvm_binary fe (Genome.to_spec g) region with
   | b -> "ok:" ^ Binary.digest b
   | exception Compile.Compile_error msg -> "error:" ^ msg
   | exception Compile.Compile_timeout -> "timeout"
@@ -110,7 +110,7 @@ let prop_outcomes_transparent =
 let test_work_limit_boundary () =
   let _, _, env = Lazy.force shared in
   let fe = env.Pipeline.frontend and region = env.Pipeline.region in
-  let compile () = Compile.llvm_binary_staged fe Pipelines.o2 region in
+  let compile () = Compile.llvm_binary fe Pipelines.o2 region in
   let was_enabled = Trace.enabled () in
   Trace.enable ();
   Fun.protect

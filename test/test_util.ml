@@ -271,9 +271,9 @@ let test_block_order_insertion_independent () =
   (* Two structurally identical functions whose blocks were inserted into
      the hashtable in different orders must print identically — blocks
      ascending by bid under Int.compare — and therefore share one
-     Binary.digest.  The digest keys both the Evalpool binary memo and
-     the block-plan cache, so a hash-order-dependent listing would split
-     (or worse, alias) cache entries across runs. *)
+     Binary.digest.  The digest keys the Evalpool binary memo, so a
+     hash-order-dependent listing would split (or worse, alias) memo
+     entries across runs. *)
   let make order =
     let f =
       { Hir.f_mid = 900; f_name = "order"; f_nparams = 0; f_nregs = 2;
