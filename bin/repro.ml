@@ -573,7 +573,6 @@ let serve_cmd =
       Serve.create ~jobs:fl.jobs ~cache:fl.cache ~queue_capacity
         ?abort_after:ckpt_abort ~max_active ()
     in
-    Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
     List.iter
       (fun app ->
          let checkpoint =

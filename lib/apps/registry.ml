@@ -192,7 +192,7 @@ let edge_inputs app =
 (* Fallback axis for seeded draws: reseed the app's explicit LCG when it
    has one (all data arrays change), else perturb a documented size-like
    static. Apps with neither only yield the curated edges. *)
-let seeded_input dx app ~draw =
+let seeded_input dx ~draw =
   let has name = List.mem_assoc name dx.B.dx_static_names in
   if has "Lcg.seed" then
     Some
@@ -210,10 +210,7 @@ let seeded_input dx app ~draw =
       { in_label = Printf.sprintf "rounds=%d" rounds;
         in_statics = [ int_static "Main.rounds" rounds ] }
   end
-  else begin
-    ignore app;
-    None
-  end
+  else None
 
 let input_variants app ~seed ~k =
   if k < 1 then invalid_arg "Registry.input_variants: k must be >= 1";
@@ -223,7 +220,7 @@ let input_variants app ~seed ~k =
     if n = 0 then List.rev acc
     else begin
       let d = 1 + Rng.int rng 0x3FFF_FFFE in
-      match seeded_input dx app ~draw:d with
+      match seeded_input dx ~draw:d with
       | Some i -> draws (n - 1) (i :: acc)
       | None -> List.rev acc
     end

@@ -54,13 +54,11 @@ let capture_region ~app ?(harvest_on_exn = false) (ctx : Ctx.t) ~mid ~args ~run 
   (* 3) parse mappings, read-protect the app's own data pages *)
   let maps = Mem.mappings mem in
   let n_map_entries = List.length maps in
-  let protectable kind = kind = Mem.Rheap || kind = Mem.Rstatics in
   let protected_pages =
     List.concat_map
       (fun kind -> Mem.touched_pages mem ~kind)
       [ Mem.Rheap; Mem.Rstatics ]
   in
-  ignore protectable;
   List.iter (fun page -> Mem.protect mem ~page) protected_pages;
   let n_protected = List.length protected_pages in
   let preparation_ms =

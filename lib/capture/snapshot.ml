@@ -41,26 +41,52 @@ let store_ref : Storage.t option Atomic.t = Atomic.make None
 let set_store s = Atomic.set store_ref s
 let current_store () = Atomic.get store_ref
 
+(* ----------------------- per-domain snapshot memos --------------------- *)
+
+(* Values derived from a snapshot (its template, its originals table),
+   memoized per (domain, snapshot): per domain, so template frames'
+   plain-int refcounts are never shared across domains.  Each domain keeps
+   a small MRU list rather than one entry — corpus verification cycles
+   through K snapshots per candidate — and the cap bounds its footprint.
+   Entries are ephemerons keyed on the snapshot, so a value dies with its
+   snapshot.  [invalidate_templates] bumps one process-wide generation;
+   a domain drops an older generation's list on its next access, so
+   invalidation reaches every pool worker. *)
+let max_memo_entries = 12
+
+type 'a memo = (int * (t, 'a) Ephemeron.K1.t list) Domain.DLS.key
+
+let generation = Atomic.make 0
+
+let invalidate_templates () = Atomic.incr generation
+
+let new_memo () = Domain.DLS.new_key (fun () -> (Atomic.get generation, []))
+
+(* the calling domain's entries, [] when they predate the generation *)
+let entries memo =
+  let gen = Atomic.get generation in
+  match Domain.DLS.get memo with
+  | g, es when g = gen -> (gen, es)
+  | _ -> (gen, [])
+
+let memoized memo build snap =
+  let gen, es = entries memo in
+  let e, v =
+    match
+      List.find_map
+        (fun e -> Option.map (fun v -> (e, v)) (Ephemeron.K1.query e snap))
+        es
+    with
+    | Some hit -> hit
+    | None ->
+      let v = build snap in
+      (Ephemeron.K1.make snap v, v)
+  in
+  let es = e :: List.filter (( != ) e) es in
+  Domain.DLS.set memo (gen, List.filteri (fun i _ -> i < max_memo_entries) es);
+  v
+
 (* ------------------------- snapshot templates ------------------------ *)
-
-(* One immutable address-space template per (domain, snapshot): mappings
-   recreated and every captured page installed once, after which each
-   replay takes an O(page-table) [Mem.clone] instead of re-copying every
-   page.  The cache is domain-local so template frames (plain-int
-   refcounts) are never shared across domains — each Evalpool worker
-   builds its own template, amortized over the replays it runs.
-
-   The cache holds a small MRU list rather than a single entry: corpus
-   verification cycles through K snapshots per candidate, and a
-   one-entry cache would rebuild every template K times per evaluation —
-   O(snapshot), not O(dirty pages).  The cap bounds the per-domain
-   footprint (a template pins every captured page of its snapshot). *)
-let max_cached_templates = 12
-
-let template_slot : (t * Mem.t) list Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> [])
-
-let invalidate_templates () = Domain.DLS.set template_slot []
 
 (* page images for the template: from the attached store when this
    snapshot's blobs are in it (checksum-validated read; failures raise
@@ -93,23 +119,9 @@ let build_template snap =
   List.iter (fun (page, data) -> Mem.install_page mem ~page data) pages;
   mem
 
-let template snap =
-  let entries = Domain.DLS.get template_slot in
-  match List.find_opt (fun (s, _) -> s == snap) entries with
-  | Some (_, mem) ->
-    (match entries with
-     | (s0, _) :: _ when s0 == snap -> ()   (* already most recent *)
-     | _ ->
-       Domain.DLS.set template_slot
-         ((snap, mem) :: List.filter (fun (s, _) -> s != snap) entries));
-    mem
-  | None ->
-    let mem = build_template snap in
-    let entries = (snap, mem) :: entries in
-    let entries = List.filteri (fun i _ -> i < max_cached_templates) entries in
-    Domain.DLS.set template_slot entries;
-    mem
+let templates : Mem.t memo = new_memo ()
+
+let template snap = memoized templates build_template snap
 
 let cached_template snap =
-  List.find_opt (fun (s, _) -> s == snap) (Domain.DLS.get template_slot)
-  |> Option.map snd
+  List.find_map (fun e -> Ephemeron.K1.query e snap) (snd (entries templates))

@@ -51,25 +51,39 @@ val set_store : Repro_os.Storage.t option -> unit
 (** Attach (or detach, with [None]) the process-wide device store.  While
     one is attached and holds a snapshot's blobs, {!template} materializes
     from the store — checksum-validating every page — instead of from the
-    in-memory page lists.  Set it on the main domain before worker domains
-    spawn. *)
+    in-memory page lists.  Every domain reads the attachment when it next
+    builds a template; templates built before a change stay memoized
+    until {!invalidate_templates}. *)
 
 val current_store : unit -> Repro_os.Storage.t option
 
 val invalidate_templates : unit -> unit
-(** Drop the calling domain's cached template so the next {!template}
-    call rebuilds from the (possibly mutated) store — used by the
-    corruption tests and fault campaigns. *)
+(** Drop every domain's memoized templates and originals tables, pool
+    workers included: each domain rebuilds on its next access, so the
+    next {!template} call reads the (possibly mutated) store — used by
+    the corruption tests and fault campaigns. *)
+
+type 'a memo
+(** Values derived from snapshots, memoized per (domain, snapshot): each
+    domain keeps its 12 most recently used entries, each an ephemeron
+    keyed on the snapshot, so an entry dies with its snapshot.
+    {!invalidate_templates} empties every domain's list. *)
+
+val new_memo : unit -> 'a memo
+
+val memoized : 'a memo -> (t -> 'a) -> t -> 'a
+(** [memoized m build snap] is the calling domain's entry for [snap]
+    (physical identity), built with [build snap] on a miss. *)
 
 val template : t -> Repro_os.Mem.t
 (** The snapshot's address-space template: mappings recreated and every
-    captured page installed, built once per (domain, snapshot) and cached
-    in domain-local storage.  Replays [Repro_os.Mem.clone] it instead of
+    captured page installed, built once per (domain, snapshot) and
+    memoized with {!memoized}.  Replays [Repro_os.Mem.clone] it instead of
     re-copying every page, making per-replay setup O(page table) and
     verification O(dirty pages).  The template must be treated as
     immutable; never write through it. *)
 
 val cached_template : t -> Repro_os.Mem.t option
-(** The calling domain's cached template for this exact snapshot, if one
-    exists — a cheap provenance check ([==] against
+(** The calling domain's memoized template for this exact snapshot, if
+    one exists — a cheap provenance check ([==] against
     {!Repro_os.Mem.cloned_from}) that never builds anything. *)

@@ -11,43 +11,22 @@ type t = {
 }
 
 (* address -> captured original page image (program pages shadow common).
-   Building the table walks the whole snapshot, so it is cached per domain
-   keyed by snapshot identity (snapshots are immutable, and the table only
-   holds references to their page images): repeat verifications against the
-   same snapshot — the GA loop — pay O(dirty pages), not O(snapshot).
-   A small MRU list rather than one entry, for the same reason as
-   [Snapshot.template_slot]: corpus verification cycles through K
-   snapshots per candidate, and a single slot would rebuild the table K
-   times per evaluation. *)
-let max_cached_originals = 12
+   Building the table walks the whole snapshot, so it is memoized per
+   (domain, snapshot) like the template (the table only holds references
+   to the snapshot's page images): repeat verifications against the same
+   snapshot — the GA loop — pay O(dirty pages), not O(snapshot). *)
+let build_originals (snap : Snapshot.t) =
+  let original = Hashtbl.create 64 in
+  List.iter
+    (fun { Snapshot.pg_index; pg_data } ->
+       Hashtbl.replace original pg_index pg_data)
+    (snap.Snapshot.snap_common @ snap.Snapshot.snap_pages);
+  original
 
-let original_slot : (Snapshot.t * (int, int64 array) Hashtbl.t) list Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> [])
+let originals : (int, int64 array) Hashtbl.t Snapshot.memo =
+  Snapshot.new_memo ()
 
-let original_of_snapshot (snap : Snapshot.t) =
-  let entries = Domain.DLS.get original_slot in
-  match List.find_opt (fun (s, _) -> s == snap) entries with
-  | Some (_, original) ->
-    (match entries with
-     | (s0, _) :: _ when s0 == snap -> ()
-     | _ ->
-       Domain.DLS.set original_slot
-         ((snap, original) :: List.filter (fun (s, _) -> s != snap) entries));
-    original
-  | None ->
-    let original = Hashtbl.create 64 in
-    List.iter
-      (fun { Snapshot.pg_index; pg_data } ->
-         Hashtbl.replace original pg_index pg_data)
-      snap.Snapshot.snap_common;
-    List.iter
-      (fun { Snapshot.pg_index; pg_data } ->
-         Hashtbl.replace original pg_index pg_data)
-      snap.Snapshot.snap_pages;
-    let entries = (snap, original) :: entries in
-    let entries = List.filteri (fun i _ -> i < max_cached_originals) entries in
-    Domain.DLS.set original_slot entries;
-    original
+let original_of_snapshot snap = Snapshot.memoized originals build_originals snap
 
 (* Pages a replay could have changed.  When [mem] is a clone of this very
    snapshot's template (the normal replay path), only the pages the clone

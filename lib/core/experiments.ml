@@ -77,15 +77,6 @@ let fig1_of_core = function
      only); for Figure 1 purposes that is a discarded wrong-output binary *)
   | Pipeline.Core_quarantined _ -> (F1_wrong_output, None)
 
-(* A pool whose outcome is the Figure 1 classification (plus the raw replay
-   cycle count, which Figure 2 turns into a noise-free speedup). *)
-let classify_pool ?jobs ?cache env =
-  Evalpool.create ?jobs ?cache ~canon:Genome.to_string
-    ~compile:(Pipeline.compile_core env) ~key_of:Pipeline.binary_key
-    ~verify:(Pipeline.verify_core env)
-    ~finish:(fun ~ev_index:_ core -> fig1_of_core core)
-    ()
-
 (* Draw [n] genomes in stream order ([List.init]'s evaluation order is
    unspecified, and each draw advances [rng]). *)
 let draw_genomes rng n =
@@ -94,15 +85,21 @@ let draw_genomes rng n =
   in
   go 0 []
 
+(* One batch through the search's core pool, classified for Figure 1 (plus
+   the raw replay cycle count, which Figure 2 turns into a noise-free
+   speedup). *)
+let classify pool tasks =
+  Array.map fig1_of_core (Evalpool.evaluate_batch pool tasks)
+
 let fig1 ?(sequences = 100) ?(seed = 7) ?jobs ?cache () =
   let env = fft_env ~seed () in
-  let pool = classify_pool ?jobs ?cache env in
+  let pool = Pipeline.make_core_pool ?jobs ?cache env in
   let rng = Rng.create (seed * 31 + 5) in
   let tasks =
     Array.of_list
       (List.mapi (fun i g -> (i + 1, g)) (draw_genomes rng sequences))
   in
-  let outcomes = Evalpool.evaluate_batch pool tasks in
+  let outcomes = classify pool tasks in
   let counts = Hashtbl.create 8 in
   Array.iter
     (fun (outcome, _) ->
@@ -139,7 +136,7 @@ type fig2 = {
 
 let fig2 ?(binaries = 50) ?(seed = 11) ?jobs ?cache () =
   let env = fft_env ~seed () in
-  let pool = classify_pool ?jobs ?cache env in
+  let pool = Pipeline.make_core_pool ?jobs ?cache env in
   let rng = Rng.create (seed * 77 + 3) in
   let cost = Cost.default in
   let speedups = ref [] in
@@ -155,7 +152,7 @@ let fig2 ?(binaries = 50) ?(seed = 11) ?jobs ?cache () =
       Array.of_list
         (List.mapi (fun i g -> (!attempts + i + 1, g)) (draw_genomes rng chunk))
     in
-    let outcomes = Evalpool.evaluate_batch pool tasks in
+    let outcomes = classify pool tasks in
     Array.iter
       (fun outcome ->
          if !found < binaries && !attempts < max_attempts then begin
@@ -279,17 +276,19 @@ let fig3 ?(max_evals = 10_000) ?(trajectories = 200) ?(seed = 3) () =
     in
     grow [] 1
   in
-  (* one online trajectory: estimate of speedup(O1 over O0) per checkpoint *)
-  let online_trajectory rng =
+  (* one estimator trajectory: speedup(O1 over O0) per checkpoint, from
+     alternating O0/O1 runs whose cycle counts [cycles rng] picks and
+     whose times carry lognormal noise of [sigma] *)
+  let trajectory ~cycles ~sigma rng =
     let sum0 = ref 0.0 and n0 = ref 0 in
     let sum1 = ref 0.0 and n1 = ref 0 in
     let results = ref [] in
     let next_cp = ref checkpoints in
     for i = 1 to max_evals do
-      let _, c0, c1 = Rng.pick rng arr in
+      let c0, c1 = cycles rng in
       let version_o0 = i mod 2 = 0 in
-      let cycles = if version_o0 then c0 else c1 in
-      let t = float_of_int cycles /. cpms *. Rng.lognormal rng ~mu:0.0 ~sigma:online_sigma in
+      let c = if version_o0 then c0 else c1 in
+      let t = float_of_int c /. cpms *. Rng.lognormal rng ~mu:0.0 ~sigma in
       if version_o0 then begin
         sum0 := !sum0 +. t;
         incr n0
@@ -310,35 +309,15 @@ let fig3 ?(max_evals = 10_000) ?(trajectories = 200) ?(seed = 3) () =
     done;
     Array.of_list (List.rev !results)
   in
-  let offline_trajectory rng =
-    (* fixed largest input, idle device, pinned frequency *)
-    let sum0 = ref 0.0 and n0 = ref 0 in
-    let sum1 = ref 0.0 and n1 = ref 0 in
-    let results = ref [] in
-    let next_cp = ref checkpoints in
-    for i = 1 to max_evals do
-      let version_o0 = i mod 2 = 0 in
-      let cycles = if version_o0 then c0_max else c1_max in
-      let t = float_of_int cycles /. cpms *. Rng.lognormal rng ~mu:0.0 ~sigma:0.012 in
-      if version_o0 then begin
-        sum0 := !sum0 +. t;
-        incr n0
-      end
-      else begin
-        sum1 := !sum1 +. t;
-        incr n1
-      end;
-      (match !next_cp with
-       | cp :: rest when cp = i ->
-         let est =
-           if !n0 = 0 || !n1 = 0 then nan
-           else (!sum0 /. float_of_int !n0) /. (!sum1 /. float_of_int !n1)
-         in
-         results := est :: !results;
-         next_cp := rest
-       | _ -> ())
-    done;
-    Array.of_list (List.rev !results)
+  (* online: a random input size per run, noisy device *)
+  let online_trajectory =
+    trajectory ~sigma:online_sigma ~cycles:(fun rng ->
+        let _, c0, c1 = Rng.pick rng arr in
+        (c0, c1))
+  in
+  (* offline: fixed largest input, idle device, pinned frequency *)
+  let offline_trajectory =
+    trajectory ~sigma:0.012 ~cycles:(fun _ -> (c0_max, c1_max))
   in
   let rng = Rng.create seed in
   let main_online = online_trajectory (Rng.split rng) in
@@ -346,7 +325,6 @@ let fig3 ?(max_evals = 10_000) ?(trajectories = 200) ?(seed = 3) () =
   let fleet =
     Array.init trajectories (fun _ -> online_trajectory (Rng.split rng))
   in
-  let ncp = List.length checkpoints in
   let rows =
     List.mapi
       (fun idx cp ->
@@ -367,7 +345,6 @@ let fig3 ?(max_evals = 10_000) ?(trajectories = 200) ?(seed = 3) () =
            f3_offline = (if idx < Array.length main_offline then main_offline.(idx) else nan) })
       checkpoints
   in
-  ignore ncp;
   let settle series =
     (* first checkpoint from which the estimate stays within 10% of truth *)
     let ok v = (not (Float.is_nan v)) && abs_float (v -. truth) /. truth <= 0.1 in
@@ -450,8 +427,7 @@ type fig8_row = {
   f8_fractions : (string * float) list;
 }
 
-let fig8 ?cfg ?(seed = 7) ?apps () =
-  ignore cfg;
+let fig8 ?(seed = 7) ?apps () =
   List.filter_map
     (fun app ->
        let online = Pipeline.online_run ~seed app in

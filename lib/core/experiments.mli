@@ -27,8 +27,9 @@ val fig1 : ?sequences:int -> ?seed:int -> ?jobs:int -> ?cache:bool -> unit -> fi
 (** Random optimization sequences applied to the FFT kernel, classified by
     compilation/replay outcome (paper: ~60% correct, ~15% compiler
     error/timeout, ~25% runtime-visible misbehaviour).  The sweep runs on
-    an {!Repro_search.Evalpool}: [jobs] worker domains, [cache] memoizing
-    duplicate genomes/binaries; counts are identical for any setting. *)
+    the search's core pool ({!Pipeline.make_core_pool}): [jobs] worker
+    domains, [cache] memoizing duplicate genomes/binaries; counts are
+    identical for any setting. *)
 
 val print_fig1 : fig1 -> unit
 
@@ -89,7 +90,7 @@ type fig8_row = {
   f8_fractions : (string * float) list;   (** category name -> share *)
 }
 
-val fig8 : ?cfg:Ga.config -> ?seed:int -> ?apps:string list -> unit -> fig8_row list
+val fig8 : ?seed:int -> ?apps:string list -> unit -> fig8_row list
 val print_fig8 : fig8_row list -> unit
 
 type fig9_point = {

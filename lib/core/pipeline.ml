@@ -459,10 +459,9 @@ let outcome_of_core env ~ev_index core =
 (* The pool yields the raw deterministic core, not a noised GA outcome:
    the session journals cores and turns them into outcomes with its
    per-batch finish policy. *)
-let make_core_pool ?jobs ?cache ?pool env =
-  Evalpool.create ?jobs ?cache ?pool ~canon:Genome.canon
+let make_core_pool ?jobs ?cache env =
+  Evalpool.create ?jobs ?cache ~canon:Genome.canon
     ~compile:(compile_core env) ~key_of:binary_key ~verify:(verify_core env)
-    ~finish:(fun ~ev_index:_ core -> core)
     ()
 
 let evaluate_genome ?(ev_index = 0) env genome =
@@ -530,11 +529,15 @@ let default_finish env ~batch:_ tasks =
   Array.map (fun (ev_index, core) -> outcome_of_core env ~ev_index core) tasks
 
 (* Identity of a run configuration.  Everything the recorded evaluation
-   sequence depends on is covered; [jobs]/[cache] are deliberately
-   {e not} — the determinism contract makes them
+   sequence depends on is covered, the armed fault spec included (it
+   decides which binaries are quarantined); [jobs]/[cache] are
+   deliberately {e not} — the determinism contract makes them
    result-invariant, so a checkpoint taken at [-j4] resumes fine at
    [-j1 --no-cache] and vice versa. *)
 let run_fingerprint ~app ~seed ~cfg ~corpus ~seed_genomes ~replays =
+  let faults_txt =
+    Option.fold ~none:"off" ~some:Faults.spec_string (Faults.armed ())
+  in
   let corpus_txt =
     String.concat ","
       (List.map (fun ce -> ce.ce_input.App.in_label) corpus)
@@ -544,16 +547,18 @@ let run_fingerprint ~app ~seed ~cfg ~corpus ~seed_genomes ~replays =
       (Digest.string
          (String.concat "\n" (List.map Genome.to_text seed_genomes)))
   in
-  Printf.sprintf "ckpt-v1;app=%s;seed=%d;replays=%d;%s;corpus=%s;seeds=%s"
+  Printf.sprintf
+    "ckpt-v1;app=%s;seed=%d;replays=%d;%s;corpus=%s;seeds=%s;faults=%s"
     app.App.name seed replays (Ga.config_fingerprint cfg) corpus_txt seeds_txt
+    faults_txt
 
 type search_session = {
   ss_env : evaluation_env;
   ss_file : string option;
   ss_fingerprint : string;
   ss_abort_after : int option;
-  ss_mk_pool : unit -> (Binary.t, eval_core, eval_core) Evalpool.t;
-  ss_pool : (Binary.t, eval_core, eval_core) Evalpool.t ref;
+  ss_mk_pool : unit -> (Binary.t, eval_core) Evalpool.t;
+  ss_pool : (Binary.t, eval_core) Evalpool.t ref;
   ss_mk_search : unit -> Rng.t * optimized Ga.step;
   ss_finish : finish;
   mutable ss_rng : Rng.t;
@@ -592,17 +597,18 @@ let seed_pool_from_journal pool batches =
     batches;
   Evalpool.seed_caches pool ~genomes:!genomes ~keys:!keys
 
-let start_search ?(seed = 99) ?(cfg = Ga.quick_config) ?jobs ?cache ?pool
+let start_search ?(seed = 99) ?(cfg = Ga.quick_config) ?jobs ?cache
     ?(corpus = []) ?(seed_genomes = []) ?quarantine ?checkpoint ?abort_after
     ?(finish = default_finish) app capture =
   let qlog =
     match quarantine with Some q -> q | None -> global_quarantine
   in
   let env = make_eval_env ~seed:(seed + 1) ~corpus ~quarantine:qlog app capture in
-  let mk_pool () = make_core_pool ?jobs ?cache ?pool env in
+  let mk_pool () = make_core_pool ?jobs ?cache env in
   let the_pool = ref (mk_pool ()) in
   let fingerprint =
-    run_fingerprint ~app ~seed ~cfg ~corpus ~seed_genomes ~replays:10
+    run_fingerprint ~app ~seed ~cfg ~corpus ~seed_genomes
+      ~replays:env.replays_per_eval
   in
   let mk_search () =
     let rng = Rng.create seed in
@@ -770,12 +776,12 @@ let rec run_session s =
   | `Finished r -> r
   | `Live | `Replayed -> run_session s
 
-let optimize ?seed ?cfg ?jobs ?cache ?pool ?(corpus = []) ?seed_genomes
+let optimize ?seed ?cfg ?jobs ?cache ?(corpus = []) ?seed_genomes
     ?quarantine ?checkpoint ?abort_after app capture =
   Trace.span ~cat:"pipeline" ~args:[ ("app", app.App.name) ] "optimize"
   @@ fun () ->
   run_session
-    (start_search ?seed ?cfg ?jobs ?cache ?pool ~corpus
+    (start_search ?seed ?cfg ?jobs ?cache ~corpus
        ?seed_genomes ?quarantine ?checkpoint ?abort_after app capture)
 
 type request = {
@@ -794,13 +800,13 @@ let request ?(seed = 7) ?(cfg = Ga.quick_config) ?(corpus_k = 1) ?checkpoint
 (* The one capture->search seed rule: capture at [seed], search at
    [seed + 13].  Every front end (CLI, serve, studies) goes through here,
    so their digests are comparable 1:1. *)
-let start ?jobs ?cache ?pool ?quarantine ?abort_after r =
+let start ?jobs ?cache ?quarantine ?abort_after r =
   match capture_corpus ~seed:r.r_seed ~k:r.r_corpus_k r.r_app with
   | None -> None
   | Some co ->
     Some
       ( co,
-        start_search ~seed:(r.r_seed + 13) ~cfg:r.r_cfg ?jobs ?cache ?pool
+        start_search ~seed:(r.r_seed + 13) ~cfg:r.r_cfg ?jobs ?cache
           ~corpus:co.co_entries ?quarantine ?checkpoint:r.r_checkpoint
           ?abort_after r.r_app co.co_primary )
 

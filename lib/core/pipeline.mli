@@ -225,16 +225,15 @@ type finish =
     applies it to live and journal-replayed batches alike. *)
 
 val make_core_pool :
-  ?jobs:int -> ?cache:bool -> ?pool:Repro_search.Domainpool.t ->
-  evaluation_env ->
-  (Repro_lir.Binary.t, eval_core, eval_core) Repro_search.Evalpool.t
+  ?jobs:int -> ?cache:bool -> evaluation_env ->
+  (Repro_lir.Binary.t, eval_core) Repro_search.Evalpool.t
 (** A parallel memoizing evaluator over [compile_core]/[verify_core] for
     this environment, yielding the raw {!eval_core} (no noise applied):
     the search session turns cores into outcomes with its {!finish}
-    policy.  The genome/binary memos are LRU tables at the Evalpool
-    default budget; [pool] runs batches on a shared persistent domain
-    pool instead of spawning [jobs] domains per batch (the serve
-    scheduler's mode). *)
+    policy, and the figures classify them.  The genome memo keys on
+    {!Repro_search.Genome.canon}; both memos are LRU tables at the
+    Evalpool default budget.  [jobs] workers per stage run on the
+    process-wide domain pool. *)
 
 val evaluate_genome :
   ?ev_index:int ->
@@ -267,7 +266,6 @@ val search_digest : optimized -> string
 
 val optimize :
   ?seed:int -> ?cfg:Repro_search.Ga.config -> ?jobs:int -> ?cache:bool ->
-  ?pool:Repro_search.Domainpool.t ->
   ?corpus:corpus_entry list -> ?seed_genomes:Repro_search.Genome.t list ->
   ?quarantine:quarantine_log -> ?checkpoint:string -> ?abort_after:int ->
   App.t -> captured -> optimized
@@ -307,7 +305,6 @@ type step_outcome = [ `Live | `Replayed | `Finished of optimized ]
 
 val start_search :
   ?seed:int -> ?cfg:Repro_search.Ga.config -> ?jobs:int -> ?cache:bool ->
-  ?pool:Repro_search.Domainpool.t ->
   ?corpus:corpus_entry list -> ?seed_genomes:Repro_search.Genome.t list ->
   ?quarantine:quarantine_log -> ?checkpoint:string -> ?abort_after:int ->
   ?finish:finish -> App.t -> captured -> search_session
@@ -321,8 +318,10 @@ val start_search :
     this configuration is quarantined (key ["checkpoint:FILE"]), warned
     about ({!session_warnings}) and ignored; a valid journal seeds the
     eval pool's memos and will be replayed batch-for-batch.  The
-    fingerprint covers app, seed, GA config, corpus and warm-start seeds
-    — but deliberately {e not} [jobs]/[cache], which are
+    fingerprint covers app, seed, replays per evaluation, GA config,
+    corpus, warm-start seeds and the armed [--faults] spec (which decides
+    what gets quarantined) — but deliberately {e not} [jobs]/[cache],
+    which are
     result-invariant: a checkpoint taken at [-j4] resumes at
     [-j1 --no-cache] and vice versa. *)
 
@@ -375,7 +374,7 @@ val request :
     checkpoint — matching the [repro optimize] CLI. *)
 
 val start :
-  ?jobs:int -> ?cache:bool -> ?pool:Repro_search.Domainpool.t ->
+  ?jobs:int -> ?cache:bool ->
   ?quarantine:quarantine_log -> ?abort_after:int -> request ->
   (corpus * search_session) option
 (** Capture the request's corpus ({!capture_corpus} at [r_seed]) and

@@ -1,11 +1,10 @@
-(* Round-robin multi-app scheduler over one shared evaluation pool.  See
-   the interface for the model.  Scheduling lives on the calling domain;
-   only batch compile/verify work is parallel (the shared Domainpool), so
-   per-job state needs no locking. *)
+(* Round-robin multi-app scheduler.  See the interface for the model.
+   Scheduling lives on the calling domain; only batch compile/verify work
+   is parallel (Evalpool's process-wide domain pool), so per-job state
+   needs no locking. *)
 
 module App = Repro_apps.Registry
 module Ga = Repro_search.Ga
-module Domainpool = Repro_search.Domainpool
 module Trace = Repro_util.Trace
 
 type request = Pipeline.request
@@ -22,7 +21,6 @@ type job = {
 }
 
 type t = {
-  pool : Domainpool.t option;
   jobs : int;
   cache : bool;
   max_active : int;
@@ -41,8 +39,7 @@ type t = {
 let create ?(jobs = 1) ?(cache = true) ?(queue_capacity = 16) ?abort_after
     ~max_active () =
   if max_active < 1 then invalid_arg "Serve.create: max_active < 1";
-  { pool = (if jobs > 1 then Some (Domainpool.create ~workers:jobs) else None);
-    jobs; cache; max_active; queue_capacity; abort_after;
+  { jobs; cache; max_active; queue_capacity; abort_after;
     queue = Queue.create (); active = []; all_rev = []; rounds = 0;
     concurrent_rounds = 0; peak_active = 0; live_batches = 0; rejected = 0 }
 
@@ -53,8 +50,7 @@ let create ?(jobs = 1) ?(cache = true) ?(queue_capacity = 16) ?abort_after
 let start_job t job =
   Trace.incr "serve.admitted";
   match
-    Pipeline.start ~jobs:t.jobs ~cache:t.cache ?pool:t.pool
-      ~quarantine:job.j_quarantine job.j_request
+    Pipeline.start ~jobs:t.jobs ~cache:t.cache ~quarantine:job.j_quarantine job.j_request
   with
   | None -> job.j_outcome <- `Failed "no replayable hot region"
   | Some (_, s) ->
@@ -133,8 +129,7 @@ let drive t =
     admit_from_queue t
   done
 
-let shutdown t =
-  match t.pool with None -> () | Some p -> Domainpool.shutdown p
+let shutdown (_ : t) = ()
 
 let jobs_in_order t = List.rev t.all_rev
 

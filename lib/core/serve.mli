@@ -1,5 +1,5 @@
 (** Multi-app optimization service: N concurrent searches multiplexed
-    over one shared evaluation domain pool.
+    over the process's one evaluation domain pool.
 
     The paper's deployment is a long-lived service: many applications'
     searches in flight at once, sharing the device's compile/verify
@@ -12,10 +12,11 @@
     reported as a spread you can gate on).
 
     Concurrency model: jobs take turns on the {e calling} domain; what is
-    parallel is each batch's compile/verify work, fanned out over one
-    shared {!Repro_search.Domainpool} instead of per-search domain
-    spawns.  Admission control bounds the working set ([max_active]) and
-    a bounded submission queue provides backpressure ([`Rejected]).
+    parallel is each batch's compile/verify work, fanned out over
+    {!Repro_search.Evalpool}'s process-wide domain pool, which every
+    tenant shares and no scheduler owns.  Admission control bounds the
+    working set ([max_active]) and a bounded submission queue provides
+    backpressure ([`Rejected]).
 
     Determinism: each job's search is exactly {!Pipeline.optimize} with
     the same app/seed/config — same draws, same evaluation indices, same
@@ -36,8 +37,8 @@ type t
 val create :
   ?jobs:int -> ?cache:bool -> ?queue_capacity:int ->
   ?abort_after:int -> max_active:int -> unit -> t
-(** A scheduler whose shared domain pool runs [jobs] workers (default 1:
-    everything on the calling domain).  At most [max_active] jobs run
+(** A scheduler whose tenants' batches run on [jobs] workers each
+    (default 1: everything on the calling domain).  At most [max_active] jobs run
     concurrently; further submissions queue up to [queue_capacity]
     (default 16) and are admitted as active jobs finish.  [abort_after]
     is the simulated-crash hook: {!drive} raises
@@ -56,13 +57,13 @@ val drive : t -> unit
 (** Run rounds until every admitted and queued job has finished or
     failed.  Each round gives every active job one turn: replayed
     (checkpointed) batches are drained for free, then exactly one live
-    batch is evaluated on the shared pool.  A job whose search raises
+    batch is evaluated on the process pool.  A job whose search raises
     is marked failed; the scheduler keeps going.
     {!Checkpoint.Injected_abort} propagates (the simulated kill). *)
 
 val shutdown : t -> unit
-(** Join the shared pool's worker domains.  Call exactly once, also
-    after an [Injected_abort] (use [Fun.protect]). *)
+(** A no-op: the scheduler owns no domains.  Kept because the benchmark
+    harness still calls it. *)
 
 (** Final state of one job, in submission order. *)
 type report = {

@@ -1,15 +1,15 @@
 (** A persistent pool of worker domains shared across evaluation batches.
 
-    The legacy [Evalpool] path spawns fresh domains for every parallel
-    stage, which is fine for a one-shot search but wasteful for a
-    long-lived service multiplexing many searches: domain spawn/join costs
-    would be paid per batch per tenant.  A [Domainpool] spawns its worker
-    domains once; each {!run} call hands the same job closure to every
-    worker (the calling domain participates as worker 0) and returns when
-    all of them have finished.  One job runs at a time — the serve
-    scheduler interleaves tenants at batch granularity, so a single pool
-    bounds the whole process's parallelism no matter how many searches are
-    active.
+    [Evalpool] runs every parallel stage on one process-wide pool, so
+    domain spawn/join costs are paid once per process rather than per
+    batch, and a worker's domain-local caches (snapshot templates,
+    originals tables) survive from one batch to the next.  A [Domainpool]
+    spawns its worker domains once; each {!run} call hands the same job
+    closure to every worker (the calling domain participates as worker 0)
+    and returns when all of them have finished.  One job runs at a time —
+    the serve scheduler interleaves tenants at batch granularity, so the
+    one pool bounds the whole process's parallelism no matter how many
+    searches are active.
 
     Memory publication: a worker's writes made during a job are visible to
     the caller when {!run} returns (the completion handshake goes through
@@ -35,5 +35,6 @@ val run : t -> (int -> unit) -> unit
 
 val shutdown : t -> unit
 (** Join the pool domains.  Idempotent; the pool must not be used after.
-    Always shut a pool down before process exit ([Fun.protect] around the
-    serving loop), or the blocked workers keep the process alive. *)
+    Needed only to release a pool's domains while the process goes on
+    running: workers blocked between jobs do not keep the process alive,
+    which exits when its main domain does. *)

@@ -9,10 +9,11 @@
    synchronization beyond the work-queue index is needed and results are
    reproducible by construction.
 
-   Parallel stages either spawn fresh domains per batch (the legacy
-   one-shot path) or borrow a caller-supplied persistent [Domainpool] —
-   the serve scheduler shares one pool across every tenant's Evalpool so
-   process parallelism stays bounded.
+   Every parallel stage runs on one process-wide [Domainpool], created by
+   the first stage that needs a second worker and widened when a later
+   stage asks for more.  Its workers outlive a batch, so their
+   domain-local snapshot templates and originals tables are built once
+   and reused by every later batch.
 
    The memos are entry-budgeted {!Repro_util.Lru} tables, owned by the
    calling domain.  Eviction can only cause re-computation of a
@@ -97,15 +98,13 @@ let record_worker c (id, tasks, busy) =
   let t, b = !r in
   r := (t + tasks, b +. busy)
 
-type ('bin, 'core, 'out) t = {
+type ('bin, 'core) t = {
   jobs : int;
   cache : bool;
-  pool : Domainpool.t option;
   canon : Genome.t -> string;
   compile : Genome.t -> ('bin, 'core) result;
   key_of : 'bin -> string;
   verify : 'bin -> 'core;
-  finish : ev_index:int -> 'core -> 'out;
   genome_cache : 'core Lru.t;
   key_cache : 'core Lru.t;
   ctr : counters;
@@ -116,11 +115,10 @@ type ('bin, 'core, 'out) t = {
 let default_memo_budget = 65536
 
 let create ?(jobs = 1) ?(cache = true) ?(memo_budget = default_memo_budget)
-    ?pool ~canon ~compile ~key_of ~verify ~finish () =
+    ~canon ~compile ~key_of ~verify () =
   if jobs < 1 then invalid_arg "Evalpool.create: jobs must be >= 1";
   if memo_budget < 1 then
     invalid_arg "Evalpool.create: memo_budget must be >= 1";
-  let jobs = match pool with Some p -> Domainpool.size p | None -> jobs in
   let ctr = fresh_counters () in
   let memo () =
     Lru.create ~budget:memo_budget ~weight:(fun _ -> 1)
@@ -130,10 +128,9 @@ let create ?(jobs = 1) ?(cache = true) ?(memo_budget = default_memo_budget)
           Trace.incr "evalpool.memo_evictions")
       ()
   in
-  { jobs; cache; pool; canon; compile; key_of; verify; finish;
+  { jobs; cache; canon; compile; key_of; verify;
     genome_cache = memo (); key_cache = memo (); ctr }
 
-let jobs t = t.jobs
 let stats t = snapshot t.ctr
 let cumulative_stats () = snapshot cumulative
 
@@ -143,10 +140,25 @@ let seed_caches t ~genomes ~keys =
     List.iter (fun (k, core) -> Lru.add t.key_cache k core) keys
   end
 
-(* Run [f] over [arr] on up to [t.jobs] domains (the calling domain acts as
-   worker 0).  Work-stealing via a shared atomic index; each output slot is
-   written by exactly one domain and published by [Domain.join] (legacy
-   path) or the pool's completion handshake (shared-pool path). *)
+(* The process-wide worker pool: batches are driven from one domain at a
+   time, so only that domain reads or replaces it.  A stage that asks for
+   more workers than the pool has gets a wider one; the old pool's
+   domains are joined first. *)
+let process_pool = ref None
+
+let pool_of_width n =
+  match !process_pool with
+  | Some p when Domainpool.size p >= n -> p
+  | old ->
+    Option.iter Domainpool.shutdown old;
+    let p = Domainpool.create ~workers:n in
+    process_pool := Some p;
+    p
+
+(* Run [f] over [arr] on up to [t.jobs] workers (the calling domain acts
+   as worker 0).  Work-stealing via a shared atomic index; each output slot
+   is written by exactly one domain and published by the pool's completion
+   handshake.  Pool workers at or above this stage's width sit it out. *)
 let parallel_map t f arr =
   let n = Array.length arr in
   if n = 0 then [||]
@@ -172,40 +184,20 @@ let parallel_map t f arr =
       loop ();
       (wid, !count, Clock.elapsed t0)
     in
-    let finish_workers ws =
-      List.iter
-        (function
-          | Ok w ->
-            record_worker t.ctr w;
-            record_worker cumulative w
-          | Error _ -> ())
-        ws;
-      match List.find_opt Result.is_error ws with
-      | Some (Error e) -> raise e
-      | Some (Ok _) | None -> ()
-    in
-    (match t.pool with
-     | _ when nworkers = 1 ->
-       let w = worker 0 in
-       record_worker t.ctr w;
-       record_worker cumulative w
-     | Some pool ->
-       let nw = Domainpool.size pool in
-       let slots = Array.make nw None in
-       Domainpool.run pool (fun wid ->
-           slots.(wid) <- Some (try Ok (worker wid) with e -> Error e));
-       finish_workers
-         (List.filter_map Fun.id (Array.to_list slots))
-     | None ->
-       let spawned =
-         Array.init (nworkers - 1) (fun k ->
-             Domain.spawn (fun () -> worker (k + 1)))
-       in
-       let w0 = try Ok (worker 0) with e -> Error e in
-       let joined =
-         Array.map (fun d -> try Ok (Domain.join d) with e -> Error e) spawned
-       in
-       finish_workers (Array.to_list (Array.append [| w0 |] joined)));
+    let slots = Array.make nworkers None in
+    if nworkers = 1 then slots.(0) <- Some (Ok (worker 0))
+    else
+      Domainpool.run (pool_of_width nworkers) (fun wid ->
+          if wid < nworkers then
+            slots.(wid) <- Some (try Ok (worker wid) with e -> Error e));
+    Array.iter
+      (function
+        | Some (Ok w) ->
+          record_worker t.ctr w;
+          record_worker cumulative w
+        | Some (Error _) | None -> ())
+      slots;
+    Array.iter (function Some (Error e) -> raise e | _ -> ()) slots;
     Array.map (function Some v -> v | None -> assert false) out
   end
 
@@ -335,16 +327,13 @@ let evaluate_batch t tasks =
        if t.cache then Lru.add t.genome_cache canons.(i) core)
     reps;
   Array.mapi
-    (fun i (ev_index, _) ->
-       let core =
-         match cores.(i) with
-         | Some c -> c
-         | None ->
-           (* duplicate of an earlier representative in this batch *)
-           Hashtbl.find batch_results canons.(i)
-       in
-       t.finish ~ev_index core)
-    tasks
+    (fun i core ->
+       match core with
+       | Some c -> c
+       | None ->
+         (* duplicate of an earlier representative in this batch *)
+         Hashtbl.find batch_results canons.(i))
+    cores
 
 let print_stats ?(label = "evalpool") s =
   Printf.printf

@@ -7,20 +7,30 @@
     each evaluation so duplicate genomes — and distinct genomes that
     compile to the same binary — are paid for once.
 
-    The engine is built around a three-stage evaluator supplied by the
+    The engine is built around a two-stage evaluator supplied by the
     caller:
 
     - [compile]: genome -> binary (or an immediate failure result).
       Expensive, deterministic, thread-safe.
     - [verify]: binary -> core result (verified replay measurement).
       Expensive, deterministic, thread-safe.
-    - [finish]: core result + evaluation index -> final outcome.  Cheap;
-      runs on the calling domain.  Anything stochastic (the replay noise
-      model) belongs here, seeded from the evaluation index so results are
-      independent of worker count, scheduling and cache state.
+
+    A batch returns one core result per task.  Anything stochastic (the
+    replay noise model) is the caller's to apply afterwards, seeded from
+    the evaluation index so results are independent of worker count,
+    scheduling and cache state.
+
+    Parallel stages run on one process-wide {!Domainpool}, created by the
+    first stage that needs a second worker and replaced by a wider one
+    when a later stage asks for more.  No caller owns it and it is never
+    shut down: its workers idle between batches and keep their
+    domain-local state (snapshot templates, originals tables) from one
+    batch to the next.  Batches must therefore be driven from one domain
+    at a time — the search session and the serve scheduler both step
+    their batches on the calling domain.
 
     Determinism contract: for a fixed batch of [(ev_index, genome)] tasks,
-    [evaluate_batch] returns the same outcomes for any [jobs] value,
+    [evaluate_batch] returns the same results for any [jobs] value,
     whether or not the cache is enabled, and for any memo budget.  Two
     caches are maintained when enabled: a genome-level memo (canonicalized
     genome -> core result) and a binary-level memo ([key_of] the compiled
@@ -48,38 +58,35 @@ type stats = {
   workers : worker list;  (** sorted by id; busy time is cumulative *)
 }
 
-type ('bin, 'core, 'out) t
+type ('bin, 'core) t
 
 val create :
   ?jobs:int ->
   ?cache:bool ->
   ?memo_budget:int ->
-  ?pool:Domainpool.t ->
   canon:(Genome.t -> string) ->
   compile:(Genome.t -> ('bin, 'core) result) ->
   key_of:('bin -> string) ->
   verify:('bin -> 'core) ->
-  finish:(ev_index:int -> 'core -> 'out) ->
-  unit -> ('bin, 'core, 'out) t
-(** [jobs] (default 1) is the number of worker domains; [jobs = 1] runs
-    everything on the calling domain.  [cache] (default true) enables the
+  unit -> ('bin, 'core) t
+(** [jobs] (default 1) is the number of worker domains this pool's
+    stages use, counting the calling domain; [jobs = 1] runs everything
+    on the calling domain.  [cache] (default true) enables the
     genome and binary memos; when disabled every task is evaluated
     honestly, which is what the differential tests rely on.
     [memo_budget] caps each memo table's entry count (65536
     by default; smaller budgets are a test seam for eviction); the
-    least-recently-used entry is evicted when full.
-    [pool], when given, makes parallel stages run on the supplied
-    persistent {!Domainpool} instead of spawning fresh domains per batch
-    (and overrides [jobs] with the pool's size) — this is how the serve
-    scheduler shares one domain pool across concurrent searches. *)
+    least-recently-used entry is evicted when full. *)
 
-val evaluate_batch : ('bin, 'core, 'out) t -> (int * Genome.t) array -> 'out array
+val evaluate_batch : ('bin, 'core) t -> (int * Genome.t) array -> 'core array
 (** Evaluate one generation.  Tasks are [(ev_index, genome)] pairs; the
-    result array is index-aligned with the input.  Only the calling domain
-    touches the caches; workers run pure [compile]/[verify] stages. *)
+    result array holds each task's core result, index-aligned with the
+    input; a result depends only on the genome, and [ev_index] is there
+    for the caller's noise model.  Only the calling domain touches the
+    caches; workers run pure [compile]/[verify] stages. *)
 
 val seed_caches :
-  ('bin, 'core, 'out) t ->
+  ('bin, 'core) t ->
   genomes:(string * 'core) list ->
   keys:(string * 'core) list ->
   unit
@@ -88,9 +95,6 @@ val seed_caches :
     as produced by this pool's own [compile]/[verify] stages in an earlier
     process — checkpoint resume feeds its journal through this).  No-op
     when the cache is disabled; entries respect the LRU budget. *)
-
-val jobs : _ t -> int
-(** The pool's worker-domain count, as resolved at {!create} time. *)
 
 val stats : _ t -> stats
 (** Snapshot of this pool's counters. *)

@@ -122,6 +122,8 @@ let disable () = Atomic.set state None
 
 let active () = Atomic.get state <> None
 
+let armed () = Atomic.get state
+
 (* ------------------------------------------------------------------ *)
 (* Deterministic firing                                                *)
 (* ------------------------------------------------------------------ *)

@@ -63,6 +63,9 @@ val disable : unit -> unit
 
 val active : unit -> bool
 
+val armed : unit -> config option
+(** The configuration the registry is armed with, if any. *)
+
 val fire : point -> key:int -> bool
 (** [fire p ~key] decides — purely from [(seed, p, key)] — whether the
     fault at point [p], site [key], fires under the current configuration.

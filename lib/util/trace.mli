@@ -13,8 +13,9 @@
     exported [tid] is the OCaml domain id, so a parallel [Evalpool] run
     shows its worker domains as separate tracks.  Counters and gauges are
     shared and mutex-protected.  Export/reset are meant to run on the main
-    domain while no worker domains are live (the pool joins its workers
-    before returning, which also publishes their buffers).
+    domain while no worker domain is recording: between evaluation
+    batches, when the pool's workers sit idle and the pool's completion
+    handshake has published their buffers.
 
     {b Cost.}  When tracing is disabled — the default — every probe is a
     single [Atomic.get] and nothing is allocated, so instrumented hot paths
@@ -45,7 +46,8 @@ val disable : unit -> unit
 
 val reset : unit -> unit
 (** Drop all recorded events, counters and gauges and restart the clock
-    epoch.  Call from the main domain with no tracing workers live. *)
+    epoch.  Call from the main domain while no worker is recording (between
+    batches). *)
 
 val set_clock : (unit -> float) -> unit
 (** Replace the time source (default: the monotonic {!Clock.now}, so span

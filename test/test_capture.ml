@@ -7,6 +7,8 @@ module Mem = Repro_os.Mem
 module Vm = Repro_vm
 module Pipeline = Repro_core.Pipeline
 module App = Repro_apps.Registry
+module Evalpool = Repro_search.Evalpool
+module Genome = Repro_search.Genome
 
 let fft () = Option.get (App.find "FFT")
 let lu () = Option.get (App.find "LU")
@@ -315,6 +317,85 @@ let test_store_corruption_quarantines_not_crashes () =
       match (Replay.run dx snap Replay.Interpreter).Replay.outcome with
       | Replay.Finished _ -> ()
       | _ -> Alcotest.fail "fallback to in-memory pages failed")
+
+(* Pool workers outlive a batch, so their memoized templates must hear
+   about invalidation too.  Verify binaries at -j2 with a store attached
+   (workers build templates from it), corrupt a stored program page and
+   invalidate, then verify the same binaries at -j2 on a fresh pool: every
+   verdict is a storage crash — a worker still holding its pre-corruption
+   template would pass. *)
+let test_invalidation_reaches_pool_workers () =
+  let cap = Lazy.force fft_capture in
+  let snap = cap.Pipeline.snapshot in
+  with_attached_store snap (fun storage ->
+      let env = Pipeline.make_eval_env (fft ()) cap in
+      let verify tasks =
+        Evalpool.evaluate_batch
+          (Pipeline.make_core_pool ~jobs:2 ~cache:false env) tasks
+      in
+      let rng = Repro_util.Rng.create 17 in
+      let drawn = Array.init 12 (fun i -> (i, Genome.random rng)) in
+      let first = verify drawn in
+      let tasks =
+        Array.of_list
+          (List.filteri
+             (fun i _ ->
+                match first.(i) with
+                | Pipeline.Core_measured _ -> true
+                | _ -> false)
+             (Array.to_list drawn))
+      in
+      Alcotest.(check bool) "several binaries verified" true
+        (Array.length tasks >= 4);
+      let hash =
+        match Storage.manifest storage ~label:(Snapshot.program_label snap) with
+        | Some ((_, h) :: _) -> h
+        | _ -> Alcotest.fail "program blob empty"
+      in
+      Storage.corrupt storage ~hash ~byte:123;
+      Snapshot.invalidate_templates ();
+      Array.iter
+        (function
+          | Pipeline.Core_crashed msg ->
+            Alcotest.(check bool) "storage-prefixed verdict" true
+              (String.starts_with ~prefix:"storage:" msg)
+          | _ -> Alcotest.fail "a worker verified against a stale template")
+        (verify tasks))
+
+(* Memo entries are ephemerons keyed on their snapshot: once nothing else
+   holds the snapshot, its templates and originals tables — on the calling
+   domain and on a pool worker alike — are garbage. *)
+let test_dead_snapshot_frees_memo () =
+  let snap0 = (Lazy.force fft_capture).Pipeline.snapshot in
+  let templates = Weak.create 2 and originals = Weak.create 2 in
+  let pool = Repro_search.Domainpool.create ~workers:2 in
+  Fun.protect ~finally:(fun () -> Repro_search.Domainpool.shutdown pool)
+  @@ fun () ->
+  (* a fresh snapshot record is a memo key nothing else holds *)
+  let[@inline never] fill () =
+    let snap = { snap0 with Snapshot.snap_mid = snap0.Snapshot.snap_mid } in
+    Repro_search.Domainpool.run pool (fun wid ->
+        Weak.set templates wid (Some (Snapshot.template snap));
+        Weak.set originals wid (Some (Verify.original_of_snapshot snap)));
+    let built =
+      List.for_all
+        (fun wid -> Weak.check templates wid && Weak.check originals wid)
+        [ 0; 1 ]
+    in
+    ignore (Sys.opaque_identity snap);
+    built
+  in
+  Alcotest.(check bool) "memo entries built on both domains" true (fill ());
+  Gc.full_major ();
+  List.iter
+    (fun wid ->
+       Alcotest.(check bool)
+         (Printf.sprintf "worker %d template freed" wid) false
+         (Weak.check templates wid);
+       Alcotest.(check bool)
+         (Printf.sprintf "worker %d originals freed" wid) false
+         (Weak.check originals wid))
+    [ 0; 1 ]
 
 let test_eager_mode_costs_more () =
   let app = fft () in
@@ -664,4 +745,9 @@ let () =
          Alcotest.test_case "store-backed template" `Quick
            test_store_backed_template_equivalent;
          Alcotest.test_case "corruption quarantines" `Quick
-           test_store_corruption_quarantines_not_crashes ]) ]
+           test_store_corruption_quarantines_not_crashes;
+         Alcotest.test_case "invalidation reaches pool workers" `Quick
+           test_invalidation_reaches_pool_workers ]);
+      ("memo",
+       [ Alcotest.test_case "a dead snapshot frees its memo entries" `Quick
+           test_dead_snapshot_frees_memo ]) ]

@@ -10,6 +10,7 @@ module Pipeline = Repro_core.Pipeline
 module Checkpoint = Repro_core.Checkpoint
 module Ga = Repro_search.Ga
 module App = Repro_apps.Registry
+module Faults = Repro_util.Faults
 
 let tiny_cfg =
   { Ga.quick_config with population = 8; generations = 4; max_identical = 30 }
@@ -152,11 +153,14 @@ let start_with ~quarantine file =
   Pipeline.start_search ~seed:3 ~cfg:tiny_cfg ~quarantine ~checkpoint:file
     (fft ()) (Lazy.force capture)
 
-let check_cold_start ~name file =
+let check_cold_start ?warning ~name file =
   let q = Pipeline.create_quarantine_log () in
   let s = start_with ~quarantine:q file in
+  let warnings = Pipeline.session_warnings s in
   Alcotest.(check bool) (name ^ ": warned") true
-    (Pipeline.session_warnings s <> []);
+    (match warning with
+     | None -> warnings <> []
+     | Some affix -> List.exists (Astring.String.is_infix ~affix) warnings);
   Alcotest.(check (list string)) (name ^ ": quarantined")
     [ "checkpoint:" ^ file ] (quarantine_keys q);
   let r = Pipeline.run_session s in
@@ -193,20 +197,34 @@ let test_corrupt_checkpoint () =
       Out_channel.output_bytes oc bytes);
   check_cold_start ~name:"corrupt" file
 
+let checkpoint_aborted ~seed file =
+  let q = Pipeline.create_quarantine_log () in
+  match
+    Pipeline.optimize ~seed ~cfg:tiny_cfg ~quarantine:q ~checkpoint:file
+      ~abort_after:2 (fft ()) (Lazy.force capture)
+  with
+  | _ -> Alcotest.fail "checkpointed run should have aborted"
+  | exception Checkpoint.Injected_abort -> ()
+
 (* A journal from a different run configuration must be refused by the
    fingerprint check, not replayed into a wrong search. *)
 let test_fingerprint_mismatch () =
   let file = temp_ckpt () in
   Fun.protect ~finally:(fun () -> rm file) @@ fun () ->
-  let q = Pipeline.create_quarantine_log () in
-  (match
-     Pipeline.optimize ~seed:4 ~cfg:tiny_cfg ~quarantine:q ~checkpoint:file
-       ~abort_after:2 (fft ()) (Lazy.force capture)
-   with
-   | _ -> Alcotest.fail "seed-4 run should have aborted"
-   | exception Checkpoint.Injected_abort -> ());
+  checkpoint_aborted ~seed:4 file;
   (* now resume it under seed 3: configuration mismatch, cold start *)
-  check_cold_start ~name:"mismatch" file
+  check_cold_start ~warning:"run configuration mismatch" ~name:"mismatch"
+    file;
+  (* the armed fault spec decides what is quarantined: a journal written
+     under --faults must not resume unarmed *)
+  rm file;
+  (match Faults.parse_spec "seed=11,rate=0.05" with
+   | Ok cfg -> Faults.enable cfg
+   | Error e -> Alcotest.fail e);
+  Fun.protect ~finally:Faults.disable (fun () ->
+      checkpoint_aborted ~seed:3 file);
+  check_cold_start ~warning:"run configuration mismatch"
+    ~name:"faults mismatch" file
 
 (* ----------------------- quarantine log scoping ----------------------- *)
 

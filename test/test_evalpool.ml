@@ -101,6 +101,38 @@ let test_one_plan_per_evaluation () =
   Alcotest.(check int) "ref engine builds no plan" 0
     (snd (search Blockexec.Ref 1))
 
+(* Every parallel stage runs on the one process-wide domain pool, whose
+   workers outlive a batch: the worker spans of a traced -j2 search come
+   from exactly two domains (the caller and one pool worker) however many
+   parallel stages ran.  Spawning per stage would add a domain id per
+   stage. *)
+let test_workers_persist_across_batches () =
+  let app = Option.get (App.find "FFT") in
+  let cap = Option.get (Pipeline.capture_once ~seed:5 app) in
+  Trace.reset ();
+  Trace.enable ();
+  Fun.protect ~finally:(fun () -> Trace.reset (); Trace.disable ())
+  @@ fun () ->
+  ignore (Pipeline.optimize ~seed:3 ~cfg:tiny_cfg ~jobs:2 app cap);
+  let worker_begins =
+    List.filter
+      (fun ev ->
+         ev.Trace.ev_name = "evalpool:worker" && ev.Trace.ev_ph = Trace.B)
+      (Trace.events ())
+  in
+  let parallel_stages =
+    List.length
+      (List.filter
+         (fun ev -> List.assoc_opt "worker" ev.Trace.ev_args = Some "1")
+         worker_begins)
+  in
+  Alcotest.(check bool) "several parallel stages ran" true
+    (parallel_stages >= 4);
+  Alcotest.(check int) "all from two domains" 2
+    (List.length
+       (List.sort_uniq Int.compare
+          (List.map (fun ev -> ev.Trace.ev_tid) worker_begins)))
+
 (* ----------------------- synthetic pool fixtures --------------------- *)
 
 (* Synthetic stages over toy "binaries" (the genome itself): compile and
@@ -113,10 +145,14 @@ let counting_pool ?(jobs = 1) ?(cache = true) ?memo_budget ?key_of () =
       ~compile:(fun g -> incr compiles; Ok g)
       ~key_of:key
       ~verify:(fun g -> incr verifies; String.length (Genome.to_string g))
-      ~finish:(fun ~ev_index core -> (ev_index, core))
       ()
   in
   (pool, compiles, verifies)
+
+(* a batch's results paired with their tasks' evaluation indices *)
+let evaluate pool tasks =
+  Array.map2 (fun (ev_index, _) core -> (ev_index, core)) tasks
+    (Evalpool.evaluate_batch pool tasks)
 
 let gene p = { Genome.g_pass = p; g_params = [| 0 |] }
 let ga = [ gene "alpha" ]
@@ -124,14 +160,14 @@ let gb = [ gene "beta"; gene "gamma" ]
 
 let test_genome_memo_accounting () =
   let pool, compiles, verifies = counting_pool () in
-  let out = Evalpool.evaluate_batch pool [| (1, ga); (2, ga); (3, gb) |] in
+  let out = evaluate pool [| (1, ga); (2, ga); (3, gb) |] in
   Alcotest.(check int) "aligned ev_index 1" 1 (fst out.(0));
   Alcotest.(check bool) "duplicate genome, same core" true
     (snd out.(0) = snd out.(1));
   Alcotest.(check int) "two unique compiles" 2 !compiles;
   Alcotest.(check int) "two unique verifies" 2 !verifies;
   (* a later batch is served entirely from the memo *)
-  let again = Evalpool.evaluate_batch pool [| (9, ga) |] in
+  let again = evaluate pool [| (9, ga) |] in
   Alcotest.(check int) "cache hit keeps ev_index" 9 (fst again.(0));
   Alcotest.(check int) "no new compile" 2 !compiles;
   let s = Evalpool.stats pool in
@@ -146,7 +182,7 @@ let test_key_memo_reuses_verification () =
   let pool, compiles, verifies =
     counting_pool ~key_of:(fun _ -> "same-binary") ()
   in
-  let out = Evalpool.evaluate_batch pool [| (1, ga); (2, gb) |] in
+  let out = evaluate pool [| (1, ga); (2, gb) |] in
   Alcotest.(check int) "both compiled" 2 !compiles;
   Alcotest.(check int) "verified once" 1 !verifies;
   Alcotest.(check bool) "sibling gets the owner's core" true
@@ -156,7 +192,7 @@ let test_key_memo_reuses_verification () =
 
 let test_cache_disabled_is_honest () =
   let pool, compiles, verifies = counting_pool ~cache:false () in
-  let out = Evalpool.evaluate_batch pool [| (1, ga); (2, ga); (3, gb) |] in
+  let out = evaluate pool [| (1, ga); (2, ga); (3, gb) |] in
   Alcotest.(check int) "every task compiled" 3 !compiles;
   Alcotest.(check int) "every task verified" 3 !verifies;
   Alcotest.(check bool) "results still agree" true
@@ -200,14 +236,14 @@ let test_memo_budget_digest_invariant () =
       Evalpool.create ?memo_budget ~canon:Genome.canon
         ~compile:(Pipeline.compile_core env) ~key_of:Pipeline.binary_key
         ~verify:(Pipeline.verify_core env)
-        ~finish:(fun ~ev_index core ->
-            Pipeline.outcome_of_core env ~ev_index core)
         ()
     in
-    let ga =
-      Ga.run (Repro_util.Rng.create 3) tiny_cfg
-        ~evaluate_batch:(Evalpool.evaluate_batch pool) ()
+    let evaluate_batch tasks =
+      Array.map2
+        (fun (ev_index, _) core -> Pipeline.outcome_of_core env ~ev_index core)
+        tasks (Evalpool.evaluate_batch pool tasks)
     in
+    let ga = Ga.run (Repro_util.Rng.create 3) tiny_cfg ~evaluate_batch () in
     (Ga.history_digest ga, Evalpool.stats pool)
   in
   let reference, _ = search () in
@@ -225,15 +261,14 @@ let test_parallel_matches_sequential () =
           else Ok g)
       ~key_of:Genome.to_string
       ~verify:(fun g -> Hashtbl.hash (Genome.to_string g))
-      ~finish:(fun ~ev_index core -> (ev_index, core))
       ()
   in
   let rng = Repro_util.Rng.create 42 in
   let tasks =
     Array.init 40 (fun i -> (i + 1, Genome.random rng))
   in
-  let seq = Evalpool.evaluate_batch (make 1) tasks in
-  let par = Evalpool.evaluate_batch (make 4) tasks in
+  let seq = evaluate (make 1) tasks in
+  let par = evaluate (make 4) tasks in
   Alcotest.(check bool) "4 domains, same outputs" true (seq = par);
   Alcotest.(check int) "aligned with input" 40 (fst seq.(39))
 
@@ -243,7 +278,6 @@ let test_worker_errors_propagate () =
       ~compile:(fun _ -> failwith "compile stage exploded")
       ~key_of:Genome.to_string
       ~verify:(fun g -> String.length (Genome.to_string g))
-      ~finish:(fun ~ev_index core -> (ev_index, core))
       ()
   in
   Alcotest.check_raises "stage failure surfaces"
@@ -279,4 +313,6 @@ let () =
        [ Alcotest.test_case "parallel = sequential" `Quick
            test_parallel_matches_sequential;
          Alcotest.test_case "errors propagate" `Quick
-           test_worker_errors_propagate ]) ]
+           test_worker_errors_propagate;
+         Alcotest.test_case "worker domains persist across batches" `Quick
+           test_workers_persist_across_batches ]) ]

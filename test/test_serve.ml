@@ -33,8 +33,7 @@ let requests () =
     Serve.request ~seed:7 ~cfg:tiny_cfg (app "BubbleSort") ]
 
 let with_serve ?jobs ?queue_capacity ?abort_after ~max_active f =
-  let t = Serve.create ?jobs ?queue_capacity ?abort_after ~max_active () in
-  Fun.protect ~finally:(fun () -> Serve.shutdown t) (fun () -> f t)
+  f (Serve.create ?jobs ?queue_capacity ?abort_after ~max_active ())
 
 let digests_of t =
   List.map

@@ -331,7 +331,6 @@ let test_evalpool_trace_parses () =
         ~compile:(fun g -> Ok g)
         ~key_of:Genome.to_string
         ~verify:(fun g -> String.length (Genome.to_string g))
-        ~finish:(fun ~ev_index core -> (ev_index, core))
         ()
     in
     let tasks =
