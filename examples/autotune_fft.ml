@@ -25,7 +25,7 @@ let () =
     Printf.printf "captured hot region with %.1f ms online overhead\n%!"
       (Repro_capture.Capture.total_ms cap.Pipeline.overhead);
     let cfg = { Ga.quick_config with Ga.population = 20; generations = 8 } in
-    let opt = Pipeline.optimize ~seed:23 ~cfg app cap in
+    let opt = Pipeline.(run_session (start_search ~seed:23 ~cfg app cap)) in
     Printf.printf "replay fitness: Android %.3f ms, -O3 %.3f ms\n"
       opt.Pipeline.env.Pipeline.android_region_ms
       opt.Pipeline.env.Pipeline.o3_region_ms;

@@ -53,12 +53,14 @@ let () =
     Compile.frontend
       ~profile:(Typeprof.digest typeprof, Typeprof.lookup typeprof) dx
   in
+  let reference = Verify.Ref_map vmap in
   let check label spec =
     let outcome =
       match Compile.llvm_binary fe spec region with
       | binary ->
         (match
-           Verify.check dx cap.Pipeline.snapshot vmap (Blockexec.load binary)
+           Verify.check dx cap.Pipeline.snapshot reference
+             (Blockexec.load binary)
          with
          | Verify.Passed cycles -> Printf.sprintf "verified, %d cycles" cycles
          | Verify.Wrong_output -> "REJECTED: wrong output"

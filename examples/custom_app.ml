@@ -83,7 +83,7 @@ let () =
   match Pipeline.capture_once ~seed:3 app with
   | None -> print_endline "nothing captured"
   | Some cap ->
-    let opt = Pipeline.optimize ~seed:5 app cap in
+    let opt = Pipeline.(run_session (start_search ~seed:5 app cap)) in
     (match opt.Pipeline.best_genome with
      | Some g ->
        Printf.printf "best genome: %s\n" (Repro_search.Genome.to_string g)

@@ -80,14 +80,16 @@ let all = [
 let names = List.map (fun a -> a.name) all
 let find name = List.find_opt (fun a -> a.name = name) all
 
+(* Keyed on the source text, not the name: an app that reuses a registry
+   name with other code gets its own dexfile. *)
 let cache : (string, Repro_dex.Bytecode.dexfile) Hashtbl.t = Hashtbl.create 32
 
 let dexfile app =
-  match Hashtbl.find_opt cache app.name with
+  match Hashtbl.find_opt cache app.source with
   | Some dx -> dx
   | None ->
     let dx = Repro_dex.Lower.compile app.source in
-    Hashtbl.add cache app.name dx;
+    Hashtbl.add cache app.source dx;
     dx
 
 (* ------------------------------ inputs ------------------------------ *)

@@ -20,7 +20,8 @@ val names : string list
 val class_name : app_class -> string
 
 val dexfile : t -> Repro_dex.Bytecode.dexfile
-(** Compile (memoized) the app's source. *)
+(** Compile the app's source, memoized on the source text: apps with equal
+    sources share one dexfile, whatever their names. *)
 
 (** One online input: named static fields poked with raw words after the
     image is built (sizes, shapes, adversarial edge values).  The encoding

@@ -116,13 +116,16 @@ let diff_matches (ctx : Ctx.t) (snap : Snapshot.t) reference_writes =
     !rest = []
   with Mismatch -> false
 
-let collect dx snap =
-  let r = Replay.run dx snap Replay.Interpreter in
+type reference =
+  | Ref_map of t
+  | Ref_crash of string
+
+let collect ?record_vcall dx snap =
+  let r = Replay.run ?record_vcall dx snap Replay.Interpreter in
   match r.Replay.outcome with
   | Replay.Finished (ret, _) ->
-    { writes = diff_against_snapshot r.Replay.ctx snap; ret }
-  | Replay.Crashed msg ->
-    failwith ("Verify.collect: interpreted replay crashed: " ^ msg)
+    Ref_map { writes = diff_against_snapshot r.Replay.ctx snap; ret }
+  | Replay.Crashed msg -> Ref_crash msg
   | Replay.Hung -> failwith "Verify.collect: interpreted replay hung"
 
 type check_result =
@@ -142,76 +145,53 @@ let count_result result =
   | Passed _ -> Trace.incr "verify.passed"
   | Wrong_output | Crashed _ | Hung -> Trace.incr "verify.rejected"
 
+(* One span per check, named after the reference kind, so the two kinds
+   of check time apart and never nest. *)
 let check ?fuel ?faults_key dx snap reference loaded =
-  Trace.span ~cat:"verify" "verify" @@ fun () ->
+  let name =
+    match reference with
+    | Ref_map _ -> "verify"
+    | Ref_crash _ -> "verify:crash-ref"
+  in
+  Trace.span ~cat:"verify" name @@ fun () ->
   let r = Replay.run ?fuel ?faults_key dx snap (Replay.Optimized loaded) in
   let result =
-    match r.Replay.outcome with
-    | Replay.Crashed msg -> Crashed msg
-    | Replay.Hung -> Hung
-    | Replay.Finished (ret, cycles) ->
-      if
-        ret_equal ret reference.ret
-        && diff_matches r.Replay.ctx snap reference.writes
-      then Passed cycles
+    match reference, r.Replay.outcome with
+    | Ref_map m, Replay.Finished (ret, cycles) ->
+      if ret_equal ret m.ret && diff_matches r.Replay.ctx snap m.writes then
+        Passed cycles
       else Wrong_output
-  in
-  count_result result;
-  result
-
-(* ------------------------ corpus references ------------------------- *)
-
-type reference =
-  | Ref_map of t
-  | Ref_crash of string
-
-let collect_ref ?record_vcall dx snap =
-  let r = Replay.run ?record_vcall dx snap Replay.Interpreter in
-  match r.Replay.outcome with
-  | Replay.Finished (ret, _) ->
-    Ref_map { writes = diff_against_snapshot r.Replay.ctx snap; ret }
-  | Replay.Crashed msg -> Ref_crash msg
-  | Replay.Hung -> failwith "Verify.collect_ref: interpreted replay hung"
-
-let check_ref ?fuel ?faults_key dx snap reference loaded =
-  match reference with
-  | Ref_map m -> check ?fuel ?faults_key dx snap m loaded
-  | Ref_crash msg ->
     (* The reference itself traps on this input.  A correct binary must
        reproduce the exact trap; one that silently finishes read or wrote
        past where the reference stopped — the guard-stripping signature —
        and is Wrong_output.  Partial write sets at the trap are *not*
        compared: legal optimizations may reorder stores ahead of the
        faulting access, and killing those would be a false positive. *)
-    Trace.span ~cat:"verify" "verify:crash-ref" @@ fun () ->
-    let r = Replay.run ?fuel ?faults_key dx snap (Replay.Optimized loaded) in
-    let result =
-      match r.Replay.outcome with
-      | Replay.Crashed m when String.equal m msg ->
-        Passed r.Replay.ctx.Ctx.cycles
-      | Replay.Crashed m -> Crashed m
-      | Replay.Finished _ -> Wrong_output
-      | Replay.Hung -> Hung
-    in
-    count_result result;
-    result
+    | Ref_crash msg, Replay.Crashed m when String.equal m msg ->
+      Passed r.Replay.ctx.Ctx.cycles
+    | Ref_crash _, Replay.Finished _ -> Wrong_output
+    | _, Replay.Crashed m -> Crashed m
+    | _, Replay.Hung -> Hung
+  in
+  count_result result;
+  result
 
 (* The primary first (its cycles are the fitness measurement), then every
    corpus entry in order, stopping at the first failure.  Entry [i] runs
    under fault key [combine site i], so each check's fault decisions are a
    pure function of (seed, binary, attempt, entry) — independent of worker
    count and evaluation order. *)
-let check_corpus ?site dx snap vmap corpus loaded =
+let check_corpus ?site dx snap primary corpus loaded =
   let fkey i =
     Option.map (fun s -> if i = 0 then s else Faults.combine s i) site
   in
-  match check ?faults_key:(fkey 0) dx snap vmap loaded with
+  match check ?faults_key:(fkey 0) dx snap primary loaded with
   | Passed cycles ->
     let rec loop i = function
       | [] -> (Passed cycles, i - 1)
       | (snap, reference) :: rest ->
         Trace.incr "verify.corpus_checks";
-        (match check_ref ?faults_key:(fkey i) dx snap reference loaded with
+        (match check ?faults_key:(fkey i) dx snap reference loaded with
          | Passed _ -> loop (i + 1) rest
          | bad ->
            Trace.incr "verify.corpus_kills";

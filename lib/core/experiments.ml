@@ -678,7 +678,8 @@ let killed_at env checks binary =
 let scimark_names =
   [ "FFT"; "SOR"; "MonteCarlo"; "Sparse matmult"; "LU" ]
 
-let survival ?(seed = 7) ?(kmax = 8) ?(apps = scimark_names) () =
+let survival ?(seed = 7) ?(apps = scimark_names) () =
+  let kmax = 8 in
   let checks = ref 0 in
   let entries = ref 0 in
   let capture_ms = ref [] in

@@ -166,11 +166,11 @@ val pinned_unsafe_genome : unit -> Repro_search.Genome.t
     verification on FFT (guards never fire on the captured input) and is
     rejected by the corpus. *)
 
-val survival : ?seed:int -> ?kmax:int -> ?apps:string list -> unit -> survival
-(** Capture a [kmax]-input corpus per app (default: the five Scimark
-    kernels) and find, for a fixed family of unsafe genomes, the smallest
-    K at which each binary is rejected.  Deterministic in [(seed, kmax,
-    apps)]: the only timings involved are the capture model's simulated
+val survival : ?seed:int -> ?apps:string list -> unit -> survival
+(** Capture an 8-input corpus per app (default: the five Scimark kernels)
+    and find, for a fixed family of unsafe genomes, the smallest K at
+    which each binary is rejected.  Deterministic in [(seed, apps)]: the
+    only timings involved are the capture model's simulated
     milliseconds. *)
 
 val print_survival : survival -> unit

@@ -10,7 +10,6 @@ module Blockexec = Repro_lir.Blockexec
 module Exec = Repro_lir.Exec
 module Capture = Repro_capture.Capture
 module Snapshot = Repro_capture.Snapshot
-module Replay = Repro_capture.Replay
 module Verify = Repro_capture.Verify
 module Typeprof = Repro_capture.Typeprof
 module Profile = Repro_profiler.Profile
@@ -33,15 +32,17 @@ type online = {
 
 let all_mids dx = Array.to_list (Array.map (fun m -> m.B.cm_id) dx.B.dx_methods)
 
+(* Keyed on the source text, like [App.dexfile]: an app that reuses a
+   registry name with other code gets its own binary. *)
 let android_cache : (string, Binary.t) Hashtbl.t = Hashtbl.create 32
 
 let android_binary_for app =
-  match Hashtbl.find_opt android_cache app.App.name with
+  match Hashtbl.find_opt android_cache app.App.source with
   | Some b -> b
   | None ->
     let dx = App.dexfile app in
     let b = Compile.android_binary dx (all_mids dx) in
-    Hashtbl.add android_cache app.App.name b;
+    Hashtbl.add android_cache app.App.source b;
     b
 
 let online_run ?(seed = 42) ?binary ?(sample_period = 20_000) app =
@@ -68,7 +69,9 @@ type captured = {
   online_with_capture : online;
 }
 
-let capture_once ?(seed = 42) ?(capture_at = 2) app =
+(* The capture targets the second entry into the hot region: warm state,
+   after first-call initialization. *)
+let capture_once ?(seed = 42) app =
   Trace.span ~cat:"pipeline" ~args:[ ("app", app.App.name) ] "capture_once"
   @@ fun () ->
   (* a first run finds the hot region; the capture run targets it *)
@@ -85,7 +88,7 @@ let capture_once ?(seed = 42) ?(capture_at = 2) app =
     let entries = ref 0 in
     let dispatch ctx' mid args =
       if mid = hot_mid then incr entries;
-      if mid = hot_mid && !entries = capture_at && !result = None then begin
+      if mid = hot_mid && !entries = 2 && !result = None then begin
         let r =
           Capture.capture_region ~app:app.App.name ctx' ~mid ~args
             ~run:(fun () -> base ctx' mid args)
@@ -119,13 +122,11 @@ type corpus_entry = {
   ce_input : App.input;
   ce_snapshot : Snapshot.t;
   ce_reference : Verify.reference;
-  ce_typeprof : Typeprof.t;
   ce_overhead : Capture.overhead;
 }
 
 type corpus = {
   co_app : App.t;
-  co_seed : int;
   co_primary : captured;
   co_entries : corpus_entry list;
 }
@@ -171,19 +172,13 @@ let capture_variant app ~seed ~hot_mid input =
     (match Snapshot.current_store () with
      | Some storage -> Snapshot.store storage r.Capture.snapshot
      | None -> ());
-    let typeprof = Typeprof.create () in
-    (match
-       Verify.collect_ref
-         ~record_vcall:(fun site cid -> Typeprof.record typeprof site cid)
-         (App.dexfile app) r.Capture.snapshot
-     with
+    (match Verify.collect (App.dexfile app) r.Capture.snapshot with
      | reference ->
        Trace.incr "corpus.captures";
        Some
          { ce_input = input;
            ce_snapshot = r.Capture.snapshot;
            ce_reference = reference;
-           ce_typeprof = typeprof;
            ce_overhead = r.Capture.overhead }
      | exception Failure _ -> None)
 
@@ -206,8 +201,7 @@ let capture_corpus ?(seed = 42) ~k app =
         (capture_variant app ~seed ~hot_mid:primary.hot_mid)
         variants
     in
-    Some { co_app = app; co_seed = seed; co_primary = primary;
-           co_entries = entries }
+    Some { co_app = app; co_primary = primary; co_entries = entries }
 
 (* ----------------------- quarantine accounting ---------------------- *)
 
@@ -270,26 +264,22 @@ type evaluation_env = {
   dx : B.dexfile;
   app : App.t;
   capture : captured;
-  vmap : Verify.t;
+  vmap : Verify.reference;
   typeprof : Typeprof.t;
   region : int list;
   frontend : Compile.frontend;
   corpus : corpus_entry list;
   android_region_ms : float;
   o3_region_ms : float;
-  replays_per_eval : int;
-  noise_sigma : float;
   measure_seed : int;
   quarantine : quarantine_log;
 }
 
+let replays_per_eval = 10
+
 (* Offline replays run on an idle device with pinned frequency (§4): the
    remaining noise is small and multiplicative. *)
-let default_noise_sigma = 0.012
-
-let synth_times rng ~replays ~sigma cycles cost =
-  let ms = float_of_int cycles /. float_of_int cost.Cost.cycles_per_ms in
-  Array.init replays (fun _ -> ms *. Rng.lognormal rng ~mu:0.0 ~sigma)
+let noise_sigma = 0.012
 
 (* Every measurement draws its noise from a stream derived from
    [(measure_seed, ev_index)] alone, so measured times depend only on the
@@ -301,36 +291,48 @@ let replay_ms_noise_index = -3
 
 let noise_times env ~ev_index cycles =
   let rng = Rng.of_pair env.measure_seed ev_index in
-  synth_times rng ~replays:env.replays_per_eval ~sigma:env.noise_sigma cycles
-    Cost.default
+  let ms =
+    float_of_int cycles /. float_of_int Cost.default.Cost.cycles_per_ms
+  in
+  Array.init replays_per_eval (fun _ ->
+      ms *. Rng.lognormal rng ~mu:0.0 ~sigma:noise_sigma)
+
+(* Mean verified replay time of [binary] on the primary capture, MAD
+   filtered, its noise drawn at [noise_index]; [None] when the binary
+   fails verification. *)
+let mean_replay_ms env ~noise_index binary =
+  match
+    Verify.check env.dx env.capture.snapshot env.vmap (Blockexec.load binary)
+  with
+  | Verify.Passed cycles ->
+    Some
+      (Stats.mean
+         (Stats.remove_outliers_mad
+            (noise_times env ~ev_index:noise_index cycles)))
+  | Verify.Wrong_output | Verify.Crashed _ | Verify.Hung -> None
+
+let replay_ms env binary =
+  mean_replay_ms env ~noise_index:replay_ms_noise_index binary
 
 let region_binary_android env =
   let b = android_binary_for env.app in
   Binary.create (List.filter_map (Binary.find b) env.region)
 
-let replay_cycles_of_binary dx snap vmap binary =
-  match Verify.check dx snap vmap (Blockexec.load binary) with
-  | Verify.Passed cycles -> Some cycles
-  | Verify.Wrong_output | Verify.Crashed _ | Verify.Hung -> None
-
-let make_eval_env ?(seed = 1234) ?(replays = 10) ?(corpus = [])
+let make_eval_env ?(seed = 1234) ?(corpus = [])
     ?(quarantine = global_quarantine) app capture =
   Trace.span ~cat:"pipeline" ~args:[ ("app", app.App.name) ] "make_eval_env"
   @@ fun () ->
   let dx = App.dexfile app in
   let typeprof = Typeprof.create () in
-  let snap = capture.snapshot in
   (* interpreted replay: verification map + dispatch-type profile (§3.4) *)
-  let r =
-    Replay.run dx snap Replay.Interpreter
-      ~record_vcall:(fun site cid -> Typeprof.record typeprof site cid)
-  in
   let vmap =
-    match r.Replay.outcome with
-    | Replay.Finished (ret, _) ->
-      { Verify.writes = Verify.diff_against_snapshot r.Replay.ctx snap; ret }
-    | Replay.Crashed msg -> failwith ("interpreted replay crashed: " ^ msg)
-    | Replay.Hung -> failwith "interpreted replay hung"
+    match
+      Verify.collect
+        ~record_vcall:(fun site cid -> Typeprof.record typeprof site cid)
+        dx capture.snapshot
+    with
+    | Verify.Ref_map _ as vmap -> vmap
+    | Verify.Ref_crash msg -> failwith ("interpreted replay crashed: " ^ msg)
   in
   let region = Regions.compilable_region dx capture.hot_mid in
   (* The genome-independent front-end, hoisted: one template per (app,
@@ -344,17 +346,11 @@ let make_eval_env ?(seed = 1234) ?(replays = 10) ?(corpus = [])
   in
   let env0 =
     { dx; app; capture; vmap; typeprof; region; frontend; corpus;
-      android_region_ms = nan; o3_region_ms = nan;
-      replays_per_eval = replays; noise_sigma = default_noise_sigma;
-      measure_seed = seed; quarantine }
+      android_region_ms = nan; o3_region_ms = nan; measure_seed = seed;
+      quarantine }
   in
   let ms_of_binary ~noise_index binary =
-    match replay_cycles_of_binary dx snap vmap binary with
-    | Some cycles ->
-      Stats.mean
-        (Stats.remove_outliers_mad
-           (noise_times env0 ~ev_index:noise_index cycles))
-    | None -> nan
+    Option.value ~default:nan (mean_replay_ms env0 ~noise_index binary)
   in
   let android_ms =
     ms_of_binary ~noise_index:android_noise_index (region_binary_android env0)
@@ -464,23 +460,6 @@ let make_core_pool ?jobs ?cache env =
     ~compile:(compile_core env) ~key_of:binary_key ~verify:(verify_core env)
     ()
 
-let evaluate_genome ?(ev_index = 0) env genome =
-  let core =
-    match compile_core env genome with
-    | Ok binary -> verify_core env binary
-    | Error core -> core
-  in
-  outcome_of_core env ~ev_index core
-
-let replay_ms env binary =
-  match replay_cycles_of_binary env.dx env.capture.snapshot env.vmap binary with
-  | Some cycles ->
-    Some
-      (Stats.mean
-         (Stats.remove_outliers_mad
-            (noise_times env ~ev_index:replay_ms_noise_index cycles)))
-  | None -> None
-
 type optimized = {
   env : evaluation_env;
   ga : Ga.result;
@@ -529,18 +508,19 @@ let default_finish env ~batch:_ tasks =
   Array.map (fun (ev_index, core) -> outcome_of_core env ~ev_index core) tasks
 
 (* Identity of a run configuration.  Everything the recorded evaluation
-   sequence depends on is covered, the armed fault spec included (it
-   decides which binaries are quarantined); [jobs]/[cache] are
-   deliberately {e not} — the determinism contract makes them
-   result-invariant, so a checkpoint taken at [-j4] resumes fine at
-   [-j1 --no-cache] and vice versa. *)
-let run_fingerprint ~app ~seed ~cfg ~corpus ~seed_genomes ~replays =
+   sequence depends on is covered: the app's content (its front end's
+   digest: dexfile and dispatch profile, so a same-named app with other
+   code is refused) and the armed fault spec (it decides which binaries
+   are quarantined) included; [jobs]/[cache] are deliberately {e not} —
+   the determinism contract makes them result-invariant, so a checkpoint
+   taken at [-j4] resumes fine at [-j1 --no-cache] and vice versa. *)
+let run_fingerprint env ~seed ~cfg ~seed_genomes =
   let faults_txt =
     Option.fold ~none:"off" ~some:Faults.spec_string (Faults.armed ())
   in
   let corpus_txt =
     String.concat ","
-      (List.map (fun ce -> ce.ce_input.App.in_label) corpus)
+      (List.map (fun ce -> ce.ce_input.App.in_label) env.corpus)
   in
   let seeds_txt =
     Digest.to_hex
@@ -548,8 +528,10 @@ let run_fingerprint ~app ~seed ~cfg ~corpus ~seed_genomes ~replays =
          (String.concat "\n" (List.map Genome.to_text seed_genomes)))
   in
   Printf.sprintf
-    "ckpt-v1;app=%s;seed=%d;replays=%d;%s;corpus=%s;seeds=%s;faults=%s"
-    app.App.name seed replays (Ga.config_fingerprint cfg) corpus_txt seeds_txt
+    "ckpt-v1;app=%s;frontend=%s;seed=%d;replays=%d;%s;corpus=%s;seeds=%s;\
+     faults=%s"
+    env.app.App.name (Compile.frontend_digest env.frontend) seed
+    replays_per_eval (Ga.config_fingerprint cfg) corpus_txt seeds_txt
     faults_txt
 
 type search_session = {
@@ -606,10 +588,7 @@ let start_search ?(seed = 99) ?(cfg = Ga.quick_config) ?jobs ?cache
   let env = make_eval_env ~seed:(seed + 1) ~corpus ~quarantine:qlog app capture in
   let mk_pool () = make_core_pool ?jobs ?cache env in
   let the_pool = ref (mk_pool ()) in
-  let fingerprint =
-    run_fingerprint ~app ~seed ~cfg ~corpus ~seed_genomes
-      ~replays:env.replays_per_eval
-  in
+  let fingerprint = run_fingerprint env ~seed ~cfg ~seed_genomes in
   let mk_search () =
     let rng = Rng.create seed in
     let body ~evaluate_batch =
@@ -628,7 +607,7 @@ let start_search ?(seed = 99) ?(cfg = Ga.quick_config) ?jobs ?cache
         | None -> None
         | Some (genome, fit) ->
           Some
-            (Ga.hill_climb_batch ~ev_base:ga.Ga.evaluations rng
+            (Ga.hill_climb ~ev_base:ga.Ga.evaluations rng
                ~evaluate_batch (genome, fit)
                ~rounds:2)
       in
@@ -775,14 +754,6 @@ let rec run_session s =
   match search_step s with
   | `Finished r -> r
   | `Live | `Replayed -> run_session s
-
-let optimize ?seed ?cfg ?jobs ?cache ?(corpus = []) ?seed_genomes
-    ?quarantine ?checkpoint ?abort_after app capture =
-  Trace.span ~cat:"pipeline" ~args:[ ("app", app.App.name) ] "optimize"
-  @@ fun () ->
-  run_session
-    (start_search ?seed ?cfg ?jobs ?cache ~corpus
-       ?seed_genomes ?quarantine ?checkpoint ?abort_after app capture)
 
 type request = {
   r_app : App.t;

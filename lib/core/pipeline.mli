@@ -15,7 +15,8 @@ type online = {
 }
 
 val android_binary_for : App.t -> Repro_lir.Binary.t
-(** The device's default code: every compilable method, Android pipeline. *)
+(** The device's default code: every compilable method, Android pipeline.
+    Memoized on the app's source text, like {!App.dexfile}. *)
 
 val online_run :
   ?seed:int -> ?binary:Repro_lir.Binary.t -> ?sample_period:int -> App.t ->
@@ -32,24 +33,21 @@ type captured = {
   online_with_capture : online;
 }
 
-val capture_once : ?seed:int -> ?capture_at:int -> App.t -> captured option
+val capture_once : ?seed:int -> App.t -> captured option
 (** Run online under the Android binary with a capture scheduled for the
-    [capture_at]-th entry into the hot region (default 2: captures warm
-    state, after first-call initialization); [None] when no replayable hot
-    region exists.  When a device store is attached
-    ({!Repro_capture.Snapshot.set_store}), the captured pages are enqueued
-    to it — content hashing and dedup happen later, at the idle-priority
-    drains between GA evaluation batches. *)
+    second entry into the hot region (warm state, after first-call
+    initialization); [None] when no replayable hot region exists.  When a
+    device store is attached ({!Repro_capture.Snapshot.set_store}), the
+    captured pages are enqueued to it — content hashing and dedup happen
+    later, at the idle-priority drains between GA evaluation batches. *)
 
 (** One secondary corpus capture: a distinct input's snapshot, its
     cross-input verification reference (a map, or the reference's own
-    trap), the dispatch-type profile its interpreted replay recorded, and
-    what the capture cost online. *)
+    trap), and what the capture cost online. *)
 type corpus_entry = {
   ce_input : App.input;
   ce_snapshot : Repro_capture.Snapshot.t;
   ce_reference : Repro_capture.Verify.reference;
-  ce_typeprof : Repro_capture.Typeprof.t;
   ce_overhead : Repro_capture.Capture.overhead;
 }
 
@@ -58,7 +56,6 @@ type corpus_entry = {
     entries for the app's other inputs. *)
 type corpus = {
   co_app : App.t;
-  co_seed : int;
   co_primary : captured;
   co_entries : corpus_entry list;   (** in corpus (verification) order *)
 }
@@ -132,7 +129,9 @@ type evaluation_env = {
   dx : Repro_dex.Bytecode.dexfile;
   app : App.t;
   capture : captured;
-  vmap : Repro_capture.Verify.t;
+  vmap : Repro_capture.Verify.reference;
+  (** the primary capture's verification reference, collected once; always
+      a map ({!make_eval_env} fails when the interpreted replay traps) *)
   typeprof : Repro_capture.Typeprof.t;
   region : int list;
   frontend : Repro_lir.Compile.frontend;
@@ -145,8 +144,6 @@ type evaluation_env = {
       single-input behaviour *)
   android_region_ms : float;     (** replay fitness of the Android code *)
   o3_region_ms : float;
-  replays_per_eval : int;
-  noise_sigma : float;
   measure_seed : int;
   (** noise streams are [Rng.of_pair measure_seed ev_index]: measured
       times depend only on the evaluation's identity, never on worker
@@ -155,9 +152,15 @@ type evaluation_env = {
   (** where this run's verify/artifact quarantines are recorded *)
 }
 
+val replays_per_eval : int
+(** Measured replays per evaluation: 10. *)
+
+val noise_sigma : float
+(** Log-normal sigma of the offline replay noise model (an idle,
+    frequency-pinned device: §4). *)
+
 val make_eval_env :
-  ?seed:int -> ?replays:int -> ?corpus:corpus_entry list ->
-  ?quarantine:quarantine_log ->
+  ?seed:int -> ?corpus:corpus_entry list -> ?quarantine:quarantine_log ->
   App.t -> captured -> evaluation_env
 (** Interpreted replay for the verification map and type profile, plus
     baseline replay measurements.  [corpus] (default none) adds secondary
@@ -211,7 +214,7 @@ val verify_core : evaluation_env -> Repro_lir.Binary.t -> eval_core
 
 val outcome_of_core :
   evaluation_env -> ev_index:int -> eval_core -> Repro_search.Ga.outcome
-(** Expand the deterministic replay cycle count into [replays_per_eval]
+(** Expand the deterministic replay cycle count into {!replays_per_eval}
     measurements through the offline noise model (replays run on an idle,
     frequency-pinned device: §4), seeded from [(measure_seed, ev_index)]. *)
 
@@ -234,12 +237,6 @@ val make_core_pool :
     {!Repro_search.Genome.canon}; both memos are LRU tables at the
     Evalpool default budget.  [jobs] workers per stage run on the
     process-wide domain pool. *)
-
-val evaluate_genome :
-  ?ev_index:int ->
-  evaluation_env -> Repro_search.Genome.t -> Repro_search.Ga.outcome
-(** One sequential compile + verify + measure, equivalent to a pool
-    evaluation of [(ev_index, genome)] (default index 0). *)
 
 val replay_ms : evaluation_env -> Repro_lir.Binary.t -> float option
 (** Mean verified replay time of an arbitrary binary, [None] on failure. *)
@@ -264,40 +261,13 @@ val search_digest : optimized -> string
     [--no-cache], scheduler interleavings and — via checkpoints —
     process restarts. *)
 
-val optimize :
-  ?seed:int -> ?cfg:Repro_search.Ga.config -> ?jobs:int -> ?cache:bool ->
-  ?corpus:corpus_entry list -> ?seed_genomes:Repro_search.Genome.t list ->
-  ?quarantine:quarantine_log -> ?checkpoint:string -> ?abort_after:int ->
-  App.t -> captured -> optimized
-(** The full search, including the final hill-climbing step.  [jobs]
-    (default 1) evaluates each generation on that many domains; [cache]
-    (default true) memoizes repeated genomes and binaries in bounded LRU
-    memos.  [corpus] makes every candidate verify against the
-    secondary inputs too (the corpus verdict folds into the same
-    retry/quarantine policy under fault injection).  Results are
-    identical for every [jobs]/[cache] combination, and independent of
-    corpus evaluation order.
+(** {1 Searches}
 
-    [checkpoint] arms crash-safe resume: after every live evaluation
-    batch the search journal is atomically rewritten to that file, and a
-    restarted run with the same configuration replays the journal before
-    going live — the final {!search_digest} is byte-identical to an
-    uninterrupted run's.  [abort_after] is the simulated-kill hook: raise
-    {!Checkpoint.Injected_abort} immediately after the [n]-th live
-    batch's checkpoint write.  See {!start_search} for the stepping
-    interface this wraps.
-
-    When a device store is attached, a bounded chunk of the spool queue is
-    drained between evaluation batches — the paper's idle-priority flash
-    writer.  Stored contents are a pure function of what was captured, so
-    spool timing cannot affect search results. *)
-
-(** {1 Stepped (checkpointed) searches}
-
-    {!optimize} in resumable, schedulable form: {!start_search} builds a
-    suspended search, {!search_step} advances it by exactly one
-    evaluation batch.  The serve scheduler round-robins [search_step]
-    across tenants; the checkpoint machinery journals each live batch. *)
+    A search is a suspended session: {!start_search} (or {!start}, for a
+    {!request}) builds it, {!search_step} advances it by exactly one
+    evaluation batch, and {!run_session} steps it to the end.  The serve
+    scheduler round-robins [search_step] across tenants; the checkpoint
+    machinery journals each live batch. *)
 
 type search_session
 
@@ -308,22 +278,37 @@ val start_search :
   ?corpus:corpus_entry list -> ?seed_genomes:Repro_search.Genome.t list ->
   ?quarantine:quarantine_log -> ?checkpoint:string -> ?abort_after:int ->
   ?finish:finish -> App.t -> captured -> search_session
-(** Build the environment and a suspended search.  [finish] (default:
-    {!outcome_of_core} per task, the single-device noise model) turns each
-    batch's cores into outcomes — the fleet passes its per-device sampling
-    here; it is not fingerprinted, so a resumed run must pass the same
-    policy.  With [checkpoint], an
-    existing journal is loaded and validated here: a missing file starts
-    cold silently; a damaged file or one whose fingerprint doesn't match
-    this configuration is quarantined (key ["checkpoint:FILE"]), warned
-    about ({!session_warnings}) and ignored; a valid journal seeds the
-    eval pool's memos and will be replayed batch-for-batch.  The
-    fingerprint covers app, seed, replays per evaluation, GA config,
-    corpus, warm-start seeds and the armed [--faults] spec (which decides
-    what gets quarantined) — but deliberately {e not} [jobs]/[cache],
-    which are
-    result-invariant: a checkpoint taken at [-j4] resumes at
-    [-j1 --no-cache] and vice versa. *)
+(** Build the environment and a suspended search: the GA, then the final
+    hill-climbing step around its winner.  [jobs] (default 1) evaluates
+    each batch on that many domains; [cache] (default true) memoizes
+    repeated genomes and binaries in bounded LRU memos.  Results are
+    identical for every [jobs]/[cache] combination.  [corpus] makes every
+    candidate verify against the secondary inputs too (the corpus verdict
+    folds into the same retry/quarantine policy under fault injection);
+    results are independent of corpus evaluation order.  [finish]
+    (default: {!outcome_of_core} per task, the single-device noise model)
+    turns each batch's cores into outcomes — the fleet passes its
+    per-device sampling here; it is not fingerprinted, so a resumed run
+    must pass the same policy.
+
+    [checkpoint] arms crash-safe resume: after every live evaluation
+    batch the search journal is atomically rewritten to that file, and a
+    restarted run with the same configuration replays the journal before
+    going live — the final {!search_digest} is byte-identical to an
+    uninterrupted run's.  An existing journal is loaded and validated
+    here: a missing file starts cold silently; a damaged file or one
+    whose fingerprint doesn't match this configuration is quarantined
+    (key ["checkpoint:FILE"]), warned about ({!session_warnings}) and
+    ignored; a valid journal seeds the eval pool's memos and will be
+    replayed batch-for-batch.  The fingerprint covers the app's name and
+    content (its front end's digest: dexfile and dispatch profile), seed,
+    replays per evaluation, GA config, corpus, warm-start seeds and the
+    armed [--faults] spec (which decides what gets quarantined) — but
+    deliberately {e not} [jobs]/[cache], which are result-invariant: a
+    checkpoint taken at [-j4] resumes at [-j1 --no-cache] and vice versa.
+    [abort_after] is the simulated-kill hook: {!search_step} raises
+    {!Checkpoint.Injected_abort} immediately after the [n]-th live
+    batch's checkpoint write. *)
 
 val search_step : search_session -> step_outcome
 (** Advance by one batch.  [`Replayed]: the journal's next batch matched
@@ -331,7 +316,11 @@ val search_step : search_session -> step_outcome
     genomes) and was served without evaluating anything.  [`Live]: the
     batch was evaluated on the pool and the checkpoint file (if any)
     atomically rewritten; raises {!Checkpoint.Injected_abort} right after
-    the write once [abort_after] live batches have run.  A journal batch
+    the write once [abort_after] live batches have run.  After each live
+    batch, when a device store is attached, a bounded chunk of its spool
+    queue is drained — the paper's idle-priority flash writer.  Stored
+    contents are a pure function of what was captured, so spool timing
+    cannot affect search results.  A journal batch
     that {e doesn't} match falls back to a full cold restart (fresh pool,
     fresh RNG, empty journal) with a warning and a quarantine entry —
     recorded state that diverges from the configured search cannot be
@@ -340,8 +329,8 @@ val search_step : search_session -> step_outcome
 
 val run_session : search_session -> optimized
 (** Step the session to the end and return its result: the one
-    drive-to-completion loop behind {!optimize}, [repro optimize] and
-    the fleet. *)
+    drive-to-completion loop behind [repro optimize], the studies, the
+    fleet and the examples. *)
 
 val session_result : search_session -> optimized option
 

@@ -18,8 +18,9 @@
     working set ([max_active]) and a bounded submission queue provides
     backpressure ([`Rejected]).
 
-    Determinism: each job's search is exactly {!Pipeline.optimize} with
-    the same app/seed/config — same draws, same evaluation indices, same
+    Determinism: each job's search is exactly a standalone
+    {!Pipeline.run_session} of {!Pipeline.start} with the same
+    app/seed/config — same draws, same evaluation indices, same
     {!Pipeline.search_digest} — no matter how many other tenants run
     beside it, in what order they were submitted, or whether the job was
     killed and resumed from its checkpoint. *)

@@ -12,7 +12,8 @@ val run :
   ?seed:int -> ?cfg:Repro_search.Ga.config -> ?jobs:int -> ?cache:bool ->
   Repro_apps.Registry.t -> t option
 (** [None] if the app exposes no replayable hot region.  Results are
-    memoized per (app, GA config, seed), so figure drivers share work.
+    memoized per (app name and source, GA config, seed, armed fault
+    spec), so figure drivers share work.
     [jobs]/[cache] control the evaluation pool only; they cannot change
     results, so they are not part of the memo key. *)
 

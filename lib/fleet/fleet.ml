@@ -39,12 +39,12 @@ type result = {
    whose sigma is widened by the device's DVFS multiplier.  The mean stays
    anchored to the deterministic replay cycles (lognormal with mu = 0), so
    heterogeneous devices vote on the same underlying quantity. *)
-let device_samples env cfg (d : Device.t) ~ev_index cycles =
+let device_samples cfg (d : Device.t) ~ev_index cycles =
   let rng = Rng.of_pair d.Device.noise_seed ev_index in
   let ms =
     float_of_int cycles /. float_of_int Cost.default.Cost.cycles_per_ms
   in
-  let sigma = env.Pipeline.noise_sigma *. d.Device.dvfs in
+  let sigma = Pipeline.noise_sigma *. d.Device.dvfs in
   Array.init cfg.samples_per_device (fun _ ->
       ms *. Rng.lognormal rng ~mu:0.0 ~sigma)
 
@@ -108,7 +108,7 @@ let run ?jobs ?cache ?(sched_seed = 0) ?bank ?(cfg = default_config) ~seed
            Array.iter
              (fun d ->
                 Hashtbl.replace by_id d.Device.id
-                  (device_samples env cfg d ~ev_index cycles))
+                  (device_samples cfg d ~ev_index cycles))
              order;
            (* Aggregate in device-id order: the pooled sample vector is
               independent of scheduling. *)

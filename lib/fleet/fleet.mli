@@ -46,7 +46,7 @@ type config = {
 val default_config : config
 (** {!Repro_search.Ga.quick_config}, 5 replicas, 3 samples per device:
     a pooled sample set comparable to the single-device pipeline's
-    [replays_per_eval]. *)
+    {!Pipeline.replays_per_eval}. *)
 
 (** Rounds, samples and the winner cover the whole session: the GA
     batches and the final hill climb's. *)

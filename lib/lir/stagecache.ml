@@ -140,13 +140,13 @@ let reset () =
       c_inserts := 0;
       c_frontend_funcs := 0)
 
-let print_stats ?(label = "stage cache") s =
+let print_stats s =
   let total = s.prefix_hits + s.prefix_misses in
   let pct a b = if b = 0 then 0.0 else 100.0 *. float_of_int a /. float_of_int b in
   Printf.printf
-    "%s: %d/%d prefix hits (%.0f%%), %d/%d genes reused (%.0f%%), longest \
-     reused prefix %d\n"
-    label s.prefix_hits total
+    "stage cache: %d/%d prefix hits (%.0f%%), %d/%d genes reused (%.0f%%), \
+     longest reused prefix %d\n"
+    s.prefix_hits total
     (pct s.prefix_hits total)
     s.genes_reused
     (s.genes_reused + s.genes_run)

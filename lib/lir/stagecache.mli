@@ -90,6 +90,6 @@ val reset : unit -> unit
 (** Drop all entries and zero the counters (between independent runs and
     tests). *)
 
-val print_stats : ?label:string -> stats -> unit
+val print_stats : stats -> unit
 (** Human-readable end-of-run report, printed alongside the Evalpool cache
     report. *)

@@ -335,12 +335,12 @@ let evaluate_batch t tasks =
          Hashtbl.find batch_results canons.(i))
     cores
 
-let print_stats ?(label = "evalpool") s =
+let print_stats s =
   Printf.printf
-    "%s: %d evaluations in %d batches | genome cache %d hits / %d misses | \
-     binary-key reuse %d | %d compiles, %d verified replays | %d memo \
-     evictions\n"
-    label s.tasks s.batches s.genome_hits s.genome_misses s.key_hits
+    "evalpool: %d evaluations in %d batches | genome cache %d hits / %d \
+     misses | binary-key reuse %d | %d compiles, %d verified replays | %d \
+     memo evictions\n"
+    s.tasks s.batches s.genome_hits s.genome_misses s.key_hits
     s.compiles s.verifies s.evictions;
   List.iter
     (fun w ->

@@ -103,5 +103,5 @@ val cumulative_stats : unit -> stats
 (** Process-wide totals across every pool created so far (for end-of-run
     reports in the CLI and benchmark harness). *)
 
-val print_stats : ?label:string -> stats -> unit
+val print_stats : stats -> unit
 (** Human-readable cache and per-worker timing report on stdout. *)

@@ -320,20 +320,7 @@ let run ?(seed_genomes = []) rng cfg ~evaluate_batch ?baseline_ms ?o3_ms () =
     evaluations = !eval_index;
     halted_early = !halted }
 
-let sequential_batch evaluate tasks =
-  let n = Array.length tasks in
-  let out = Array.make n Runtime_hung in
-  for i = 0 to n - 1 do
-    out.(i) <- evaluate (snd tasks.(i))
-  done;
-  out
-
-let search ?seed_genomes rng cfg ~evaluate ?baseline_ms ?o3_ms () =
-  run ?seed_genomes rng cfg ~evaluate_batch:(sequential_batch evaluate)
-    ?baseline_ms ?o3_ms ()
-
-let hill_climb_batch ?(ev_base = 0) rng ~evaluate_batch (genome0, fit0)
-    ~rounds =
+let hill_climb ?(ev_base = 0) rng ~evaluate_batch (genome0, fit0) ~rounds =
   let next_index = ref ev_base in
   let best = ref (genome0, fit0) in
   for _ = 1 to rounds do
@@ -364,10 +351,6 @@ let hill_climb_batch ?(ev_base = 0) rng ~evaluate_batch (genome0, fit0)
     done
   done;
   !best
-
-let hill_climb rng ~evaluate pair ~rounds =
-  hill_climb_batch rng ~evaluate_batch:(sequential_batch evaluate) pair
-    ~rounds
 
 (* ----------------------- cooperative stepping ----------------------- *)
 

@@ -1,8 +1,9 @@
 (** The genetic search over the compiler optimization space (paper §3.6,
     parameters from §4).
 
-    The GA is decoupled from replay: callers supply an evaluator mapping a
-    genome to measured replay times (or a failure outcome).  Fitness is the
+    The GA is decoupled from replay: callers supply a batch evaluator
+    mapping indexed genomes to measured replay times (or failure
+    outcomes).  Fitness is the
     mean replay time after MAD outlier removal; when two genomes are not
     significantly different under a two-sided t-test, the smaller binary
     wins.  Evaluation history is recorded for the Figure 9 evolution
@@ -92,16 +93,7 @@ val run :
     slower than both baselines are redrawn (as whole-population rounds) up
     to [seed_retries] times. *)
 
-val search :
-  ?seed_genomes:Genome.t list ->
-  Repro_util.Rng.t -> config ->
-  evaluate:(Genome.t -> outcome) ->
-  ?baseline_ms:float ->
-  ?o3_ms:float ->
-  unit -> result
-(** {!run} with a sequential one-genome evaluator. *)
-
-val hill_climb_batch :
+val hill_climb :
   ?ev_base:int ->
   Repro_util.Rng.t ->
   evaluate_batch:((int * Genome.t) array -> outcome array) ->
@@ -110,11 +102,6 @@ val hill_climb_batch :
     accepting improvements.  Each round's neighbourhood is evaluated as
     one batch; evaluation indices start above [ev_base] (pass the GA's
     [evaluations] count so noise streams stay distinct). *)
-
-val hill_climb :
-  Repro_util.Rng.t -> evaluate:(Genome.t -> outcome) ->
-  Genome.t * float -> rounds:int -> Genome.t * float
-(** {!hill_climb_batch} with a sequential one-genome evaluator. *)
 
 val history_digest : result -> string
 (** Hex digest of the canonically rendered history.  Two searches with
@@ -135,7 +122,7 @@ val coop :
   (evaluate_batch:((int * Genome.t) array -> outcome array) -> 'r) ->
   'r step
 (** [coop body] runs [body] (typically {!run} followed by
-    {!hill_climb_batch}) under an effect handler in which
+    {!hill_climb}) under an effect handler in which
     [evaluate_batch] suspends the search instead of evaluating.  The
     search logic is unchanged — same draws, same indices, same halting
     rules — but the caller now controls how each batch is satisfied:

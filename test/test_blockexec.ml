@@ -390,7 +390,7 @@ let test_guard_stripped_killed_identically () =
     let corpus =
       List.map
         (fun ce ->
-           Verify.check_ref env.Pipeline.dx ce.Pipeline.ce_snapshot
+           Verify.check env.Pipeline.dx ce.Pipeline.ce_snapshot
              ce.Pipeline.ce_reference loaded)
         co.Pipeline.co_entries
     in

@@ -614,7 +614,7 @@ let test_corpus_maps_never_conflated () =
   List.iter
     (fun ce ->
        match
-         Verify.check_ref dx ce.Pipeline.ce_snapshot ce.Pipeline.ce_reference
+         Verify.check dx ce.Pipeline.ce_snapshot ce.Pipeline.ce_reference
            android
        with
        | Verify.Passed _ -> ()
@@ -624,22 +624,21 @@ let test_corpus_maps_never_conflated () =
      binary finishes where the reference crashed -> Wrong_output *)
   Alcotest.(check bool) "crash reference on wrong input fails loudly" true
     (match
-       Verify.check_ref dx primary_snap trap.Pipeline.ce_reference android
+       Verify.check dx primary_snap trap.Pipeline.ce_reference android
      with
      | Verify.Wrong_output -> true
      | _ -> false);
   (* primary map paired with the nan-bias snapshot: different writes *)
   Alcotest.(check bool) "primary map on nan input fails loudly" true
     (match
-       Verify.check_ref dx nan_entry.Pipeline.ce_snapshot
-         (Verify.Ref_map primary_map) android
+       Verify.check dx nan_entry.Pipeline.ce_snapshot primary_map android
      with
      | Verify.Wrong_output -> true
      | _ -> false);
   (* finishing map paired with the trapping snapshot: the binary crashes *)
   Alcotest.(check bool) "finishing map on trap input fails loudly" true
     (match
-       Verify.check_ref dx trap.Pipeline.ce_snapshot
+       Verify.check dx trap.Pipeline.ce_snapshot
          nan_entry.Pipeline.ce_reference android
      with
      | Verify.Crashed _ -> true
@@ -691,9 +690,7 @@ let test_corpus_distinct_references_per_scimark_app () =
        let app = Option.get (App.find name) in
        let co = Option.get (Pipeline.capture_corpus ~seed:7 ~k:4 app) in
        let dx = App.dexfile app in
-       let primary =
-         Verify.Ref_map (Verify.collect dx co.Pipeline.co_primary.Pipeline.snapshot)
-       in
+       let primary = Verify.collect dx co.Pipeline.co_primary.Pipeline.snapshot in
        let all =
          primary
          :: List.map (fun ce -> ce.Pipeline.ce_reference) co.Pipeline.co_entries

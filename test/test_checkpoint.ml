@@ -28,16 +28,19 @@ let temp_ckpt () =
 
 let rm file = if Sys.file_exists file then Sys.remove file
 
-(* An uninterrupted run's digest: the reference every scenario must hit. *)
-let reference = lazy (
+let uninterrupted app cap =
   Pipeline.search_digest
-    (Pipeline.optimize ~seed:3 ~cfg:tiny_cfg (fft ()) (Lazy.force capture)))
+    Pipeline.(run_session (start_search ~seed:3 ~cfg:tiny_cfg app cap))
+
+(* An uninterrupted run's digest: the reference every scenario must hit. *)
+let reference = lazy (uninterrupted (fft ()) (Lazy.force capture))
 
 let run_with_ckpt ?jobs ?cache ?abort_after file =
   let q = Pipeline.create_quarantine_log () in
   match
-    Pipeline.optimize ~seed:3 ~cfg:tiny_cfg ?jobs ?cache ~quarantine:q
-      ~checkpoint:file ?abort_after (fft ()) (Lazy.force capture)
+    Pipeline.run_session
+      (Pipeline.start_search ~seed:3 ~cfg:tiny_cfg ?jobs ?cache ~quarantine:q
+         ~checkpoint:file ?abort_after (fft ()) (Lazy.force capture))
   with
   | opt -> Some (Pipeline.search_digest opt)
   | exception Checkpoint.Injected_abort -> None
@@ -149,13 +152,34 @@ let test_checkpoint_bytes_deterministic () =
 let quarantine_keys q =
   List.map (fun e -> e.Pipeline.q_binary) (Pipeline.quarantine_summary ~log:q ())
 
-let start_with ~quarantine file =
-  Pipeline.start_search ~seed:3 ~cfg:tiny_cfg ~quarantine ~checkpoint:file
-    (fft ()) (Lazy.force capture)
+(* The search a resume is attempted for: app, capture and the digest of
+   its uninterrupted run. *)
+let fft_target =
+  lazy (fft (), Lazy.force capture, Lazy.force reference)
 
-let check_cold_start ?warning ~name file =
+(* FFT under its registry name with a smaller signal: same name, other
+   content. *)
+let fft_128_target =
+  lazy
+    (let app = fft () in
+     let variant =
+       match
+         Astring.String.cut ~sep:"static int size = 256;" app.App.source
+       with
+       | Some (before, after) ->
+         { app with App.source = before ^ "static int size = 128;" ^ after }
+       | None -> Alcotest.fail "FFT source changed: variant anchor not found"
+     in
+     let cap = Option.get (Pipeline.capture_once ~seed:5 variant) in
+     (variant, cap, uninterrupted variant cap))
+
+let check_cold_start ?warning ?(target = fft_target) ~name file =
+  let app, cap, expected = Lazy.force target in
   let q = Pipeline.create_quarantine_log () in
-  let s = start_with ~quarantine:q file in
+  let s =
+    Pipeline.start_search ~seed:3 ~cfg:tiny_cfg ~quarantine:q
+      ~checkpoint:file app cap
+  in
   let warnings = Pipeline.session_warnings s in
   Alcotest.(check bool) (name ^ ": warned") true
     (match warning with
@@ -167,7 +191,7 @@ let check_cold_start ?warning ~name file =
   Alcotest.(check int) (name ^ ": nothing replayed") 0
     (Pipeline.session_replayed_batches s);
   Alcotest.(check string) (name ^ ": cold digest still right")
-    (Lazy.force reference) (Pipeline.search_digest r)
+    expected (Pipeline.search_digest r)
 
 let test_garbage_checkpoint () =
   let file = temp_ckpt () in
@@ -200,8 +224,9 @@ let test_corrupt_checkpoint () =
 let checkpoint_aborted ~seed file =
   let q = Pipeline.create_quarantine_log () in
   match
-    Pipeline.optimize ~seed ~cfg:tiny_cfg ~quarantine:q ~checkpoint:file
-      ~abort_after:2 (fft ()) (Lazy.force capture)
+    Pipeline.run_session
+      (Pipeline.start_search ~seed ~cfg:tiny_cfg ~quarantine:q
+         ~checkpoint:file ~abort_after:2 (fft ()) (Lazy.force capture))
   with
   | _ -> Alcotest.fail "checkpointed run should have aborted"
   | exception Checkpoint.Injected_abort -> ()
@@ -224,7 +249,13 @@ let test_fingerprint_mismatch () =
   Fun.protect ~finally:Faults.disable (fun () ->
       checkpoint_aborted ~seed:3 file);
   check_cold_start ~warning:"run configuration mismatch"
-    ~name:"faults mismatch" file
+    ~name:"faults mismatch" file;
+  (* the fingerprint names the app by content, not only by name: FFT's
+     journal must not resume for a same-named app with other code *)
+  rm file;
+  checkpoint_aborted ~seed:3 file;
+  check_cold_start ~warning:"run configuration mismatch"
+    ~target:fft_128_target ~name:"content mismatch" file
 
 (* ----------------------- quarantine log scoping ----------------------- *)
 

@@ -6,8 +6,19 @@ module Study = Repro_core.Study
 module E = Repro_core.Experiments
 module Ga = Repro_search.Ga
 module Genome = Repro_search.Genome
+module Evalpool = Repro_search.Evalpool
+module Faults = Repro_util.Faults
 
 let fft () = Option.get (App.find "FFT")
+
+(* FFT under its registry name with other code: [run]'s checksum sums
+   the imaginary parts instead of the real ones. *)
+let fft_variant () =
+  let app = fft () in
+  match Astring.String.cut ~sep:"s = s + re[i];" app.App.source with
+  | Some (before, after) ->
+    { app with App.source = before ^ "s = s + im[i];" ^ after }
+  | None -> Alcotest.fail "FFT source changed: variant anchor not found"
 
 let tiny_cfg =
   { Ga.quick_config with Ga.population = 8; generations = 4; max_identical = 30 }
@@ -25,30 +36,49 @@ let test_eval_env_baselines () =
   Alcotest.(check bool) "o3 beats android on FFT region replay" true
     (env.Pipeline.o3_region_ms < env.Pipeline.android_region_ms)
 
-let test_evaluate_genome_outcomes () =
+let test_genome_outcomes () =
   let _, env = env_for (fft ()) in
   let genome_of spec =
     List.map (fun (name, ps) -> { Genome.g_pass = name; g_params = ps }) spec
   in
-  (match Pipeline.evaluate_genome env (genome_of Repro_lir.Pipelines.o2) with
+  let tasks =
+    Array.of_list
+      (List.mapi
+         (fun i spec -> (i, genome_of spec))
+         [ Repro_lir.Pipelines.o2; [ ("fast-math", [| 1; 1 |]) ];
+           [ ("unroll", [| 999; 4; 0 |]) ] ])
+  in
+  let cores = Evalpool.evaluate_batch (Pipeline.make_core_pool env) tasks in
+  let outcome i = Pipeline.outcome_of_core env ~ev_index:i cores.(i) in
+  (match outcome 0 with
    | Ga.Measured { times; size; _ } ->
      Alcotest.(check int) "10 replays" 10 (Array.length times);
      Alcotest.(check bool) "size > 0" true (size > 0)
    | _ -> Alcotest.fail "O2 should measure");
-  (match
-     Pipeline.evaluate_genome env
-       (genome_of [ ("fast-math", [| 1; 1 |]) ])
-   with
+  (match outcome 1 with
    | Ga.Wrong_output -> ()
    | _ -> Alcotest.fail "fast-math should be rejected on FFT");
-  (match Pipeline.evaluate_genome env (genome_of [ ("unroll", [| 999; 4; 0 |]) ]) with
+  (match outcome 2 with
    | Ga.Compile_failed _ -> ()
    | _ -> Alcotest.fail "invalid parameter should fail compilation")
+
+(* The dexfile and Android binary memos key on the source, not the name:
+   an app reusing a registry name with other code gets its own code. *)
+let test_same_name_other_source () =
+  let app = fft () and variant = fft_variant () in
+  Alcotest.(check string) "same name" app.App.name variant.App.name;
+  Alcotest.(check bool) "own dexfile" false
+    (App.dexfile variant == App.dexfile app);
+  Alcotest.(check bool) "own Android binary" true
+    (Repro_lir.Binary.digest (Pipeline.android_binary_for variant)
+     <> Repro_lir.Binary.digest (Pipeline.android_binary_for app))
 
 let test_optimize_beats_android () =
   let app = fft () in
   let cap, _ = env_for app in
-  let opt = Pipeline.optimize ~seed:3 ~cfg:tiny_cfg app cap in
+  let opt =
+    Pipeline.(run_session (start_search ~seed:3 ~cfg:tiny_cfg app cap))
+  in
   match opt.Pipeline.ga.Ga.best with
   | None -> Alcotest.fail "GA found nothing"
   | Some (_, fit) ->
@@ -60,7 +90,9 @@ let test_optimize_beats_android () =
 let test_final_binary_overlays_region () =
   let app = fft () in
   let cap, _ = env_for app in
-  let opt = Pipeline.optimize ~seed:3 ~cfg:tiny_cfg app cap in
+  let opt =
+    Pipeline.(run_session (start_search ~seed:3 ~cfg:tiny_cfg app cap))
+  in
   let final = Pipeline.final_binary opt in
   let android = Pipeline.android_binary_for app in
   Alcotest.(check bool) "covers at least the android methods" true
@@ -79,14 +111,26 @@ let test_study_memoized () =
     (match a, b with Some a, Some b -> a == b | _ -> false)
 
 (* Regression: the memo key once hashed only population, generations and
-   max_identical, so configs differing in any other field shared a study. *)
+   max_identical, so configs differing in any other field shared a study;
+   later it named the app only by name and ignored the armed fault spec. *)
 let test_study_key_covers_config () =
   Study.clear_cache ();
   let app = fft () in
   let a = Study.run ~cfg:tiny_cfg app in
-  let b = Study.run ~cfg:{ tiny_cfg with Ga.tournament_p = 0.5 } app in
-  Alcotest.(check bool) "tournament_p gets its own study" true
-    (match a, b with Some a, Some b -> a != b | _ -> false)
+  let distinct what b =
+    Alcotest.(check bool) (what ^ " gets its own study") true
+      (match a, b with Some a, Some b -> a != b | _ -> false)
+  in
+  distinct "tournament_p"
+    (Study.run ~cfg:{ tiny_cfg with Ga.tournament_p = 0.5 } app);
+  distinct "a same-named app with other code"
+    (Study.run ~cfg:tiny_cfg (fft_variant ()));
+  (match Faults.parse_spec "seed=11,rate=0.05" with
+   | Ok cfg -> Faults.enable cfg
+   | Error e -> Alcotest.fail e);
+  distinct "an armed fault spec"
+    (Fun.protect ~finally:Faults.disable (fun () ->
+         Study.run ~cfg:tiny_cfg app))
 
 let test_fig1_classifies () =
   let f = E.fig1 ~sequences:20 ~seed:5 () in
@@ -184,7 +228,9 @@ let () =
   Alcotest.run "core"
     [ ("pipeline",
        [ Alcotest.test_case "baselines" `Quick test_eval_env_baselines;
-         Alcotest.test_case "genome outcomes" `Quick test_evaluate_genome_outcomes;
+         Alcotest.test_case "genome outcomes" `Quick test_genome_outcomes;
+         Alcotest.test_case "same name, other source" `Quick
+           test_same_name_other_source;
          Alcotest.test_case "optimize beats android" `Slow test_optimize_beats_android;
          Alcotest.test_case "final binary" `Slow test_final_binary_overlays_region;
          Alcotest.test_case "study memoized" `Slow test_study_memoized;

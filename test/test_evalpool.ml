@@ -17,27 +17,21 @@ module Trace = Repro_util.Trace
 let tiny_cfg =
   { Ga.quick_config with population = 8; generations = 4; max_identical = 30 }
 
-(* everything observable about a finished search *)
-let fingerprint (o : Pipeline.optimized) =
-  (o.Pipeline.ga.Ga.best,
-   o.Pipeline.ga.Ga.history,
-   o.Pipeline.ga.Ga.evaluations,
-   o.Pipeline.ga.Ga.halted_early,
-   o.Pipeline.best_genome)
-
 let test_search_determinism app_name seed () =
   let app = Option.get (App.find app_name) in
   let cap = Option.get (Pipeline.capture_once ~seed:5 app) in
   let run ~jobs ~cache =
-    fingerprint (Pipeline.optimize ~seed ~cfg:tiny_cfg ~jobs ~cache app cap)
+    Pipeline.(
+      search_digest
+        (run_session (start_search ~seed ~cfg:tiny_cfg ~jobs ~cache app cap)))
   in
   let reference = run ~jobs:1 ~cache:true in
-  Alcotest.(check bool) "-j 4 identical to -j 1" true
-    (run ~jobs:4 ~cache:true = reference);
-  Alcotest.(check bool) "--no-cache identical to cached" true
-    (run ~jobs:1 ~cache:false = reference);
-  Alcotest.(check bool) "-j 4 --no-cache identical too" true
-    (run ~jobs:4 ~cache:false = reference)
+  Alcotest.(check string) "-j 4 identical to -j 1" reference
+    (run ~jobs:4 ~cache:true);
+  Alcotest.(check string) "--no-cache identical to cached" reference
+    (run ~jobs:1 ~cache:false);
+  Alcotest.(check string) "-j 4 --no-cache identical too" reference
+    (run ~jobs:4 ~cache:false)
 
 (* ------------------- engine transparency of the search ---------------- *)
 
@@ -56,15 +50,18 @@ let test_engine_determinism () =
   let cap = Option.get (Pipeline.capture_once ~seed:5 app) in
   let run ~engine ~jobs ~cache =
     with_engine engine @@ fun () ->
-    fingerprint (Pipeline.optimize ~seed:3 ~cfg:tiny_cfg ~jobs ~cache app cap)
+    Pipeline.(
+      search_digest
+        (run_session
+           (start_search ~seed:3 ~cfg:tiny_cfg ~jobs ~cache app cap)))
   in
   let reference = run ~engine:Blockexec.Ref ~jobs:1 ~cache:true in
   List.iter
     (fun (jobs, cache) ->
-       Alcotest.(check bool)
+       Alcotest.(check string)
          (Printf.sprintf "fused -j%d cache=%b = ref" jobs cache)
-         true
-         (run ~engine:Blockexec.Fused ~jobs ~cache = reference))
+         reference
+         (run ~engine:Blockexec.Fused ~jobs ~cache))
     [ (1, true); (4, true); (1, false); (4, false) ]
 
 (* [verify_core] loads each binary once, so a corpus search builds exactly
@@ -82,8 +79,10 @@ let test_one_plan_per_evaluation () =
     Trace.reset ();
     let o =
       with_engine engine @@ fun () ->
-      Pipeline.optimize ~seed:3 ~cfg:tiny_cfg ~jobs ~cache:true
-        ~corpus:co.Pipeline.co_entries app co.Pipeline.co_primary
+      Pipeline.(
+        run_session
+          (start_search ~seed:3 ~cfg:tiny_cfg ~jobs ~cache:true
+             ~corpus:co.co_entries app co.co_primary))
     in
     Alcotest.(check bool) "corpus checks ran" true
       (Trace.counter_value "verify.corpus_checks" > 0);
@@ -113,7 +112,8 @@ let test_workers_persist_across_batches () =
   Trace.enable ();
   Fun.protect ~finally:(fun () -> Trace.reset (); Trace.disable ())
   @@ fun () ->
-  ignore (Pipeline.optimize ~seed:3 ~cfg:tiny_cfg ~jobs:2 app cap);
+  ignore
+    Pipeline.(run_session (start_search ~seed:3 ~cfg:tiny_cfg ~jobs:2 app cap));
   let worker_begins =
     List.filter
       (fun ev ->

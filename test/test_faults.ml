@@ -174,7 +174,7 @@ let test_injection_counts () =
 type fixture = {
   dx : Repro_dex.Bytecode.dexfile;
   snap : Snapshot.t;
-  vmap : Verify.t;
+  vmap : Verify.reference;
   binary : Lir.Binary.t;        (* known-good region binary... *)
   loaded : Lir.Blockexec.loaded;  (* ...loaded for replay *)
   ref_ret : Vm.Value.t option;  (* reference interpreted replay... *)
@@ -453,13 +453,6 @@ let test_pipeline_quarantines_deterministic_miscompiles () =
 let tiny_cfg =
   { Ga.quick_config with population = 8; generations = 4; max_identical = 30 }
 
-let fingerprint (o : Pipeline.optimized) =
-  ( o.Pipeline.ga.Ga.best,
-    o.Pipeline.ga.Ga.history,
-    o.Pipeline.ga.Ga.evaluations,
-    o.Pipeline.ga.Ga.halted_early,
-    o.Pipeline.best_genome )
-
 let test_ga_under_faults () =
   clean (fun () ->
     let app = Option.get (App.find "FFT") in
@@ -467,12 +460,14 @@ let test_ga_under_faults () =
     Faults.enable { Faults.fseed = 42; frate = 0.10; fonly = None };
     Pipeline.reset_quarantine ();
     let run ~jobs =
-      Pipeline.optimize ~seed:21 ~cfg:tiny_cfg ~jobs ~cache:true app cap
+      Pipeline.(
+        run_session
+          (start_search ~seed:21 ~cfg:tiny_cfg ~jobs ~cache:true app cap))
     in
     let o1 = run ~jobs:1 in
     let o4 = run ~jobs:4 in
-    Alcotest.(check bool) "-j4 byte-identical to -j1 under faults" true
-      (fingerprint o1 = fingerprint o4);
+    Alcotest.(check string) "-j4 byte-identical to -j1 under faults"
+      (Pipeline.search_digest o1) (Pipeline.search_digest o4);
     Alcotest.(check bool) "faults actually fired" true (Faults.injected () > 0);
     (* the winner must be correct in a fault-free world *)
     Faults.disable ();
@@ -531,16 +526,19 @@ let test_corpus_optimize_deterministic () =
     let app = Option.get (App.find "FFT") in
     let co = Option.get (Pipeline.capture_corpus ~seed:5 ~k:3 app) in
     let run ~jobs ~cache =
-      Pipeline.optimize ~seed:21 ~cfg:tiny_cfg ~jobs ~cache
-        ~corpus:co.Pipeline.co_entries app co.Pipeline.co_primary
+      Pipeline.(
+        run_session
+          (start_search ~seed:21 ~cfg:tiny_cfg ~jobs ~cache
+             ~corpus:co.co_entries app co.co_primary))
     in
     let o1 = run ~jobs:1 ~cache:true in
     let o4 = run ~jobs:4 ~cache:true in
     let onc = run ~jobs:1 ~cache:false in
-    Alcotest.(check bool) "-j4 byte-identical to -j1 with corpus" true
-      (fingerprint o1 = fingerprint o4);
-    Alcotest.(check bool) "--no-cache byte-identical with corpus" true
-      (fingerprint o1 = fingerprint onc);
+    let digest = Pipeline.search_digest in
+    Alcotest.(check string) "-j4 byte-identical to -j1 with corpus"
+      (digest o1) (digest o4);
+    Alcotest.(check string) "--no-cache byte-identical with corpus"
+      (digest o1) (digest onc);
     (* the winner verifies against the whole corpus, not just the primary *)
     match o1.Pipeline.best_binary with
     | None -> Alcotest.fail "no verified winner with corpus"
@@ -549,8 +547,8 @@ let test_corpus_optimize_deterministic () =
       List.iter
         (fun ce ->
            match
-             Verify.check_ref o1.Pipeline.env.Pipeline.dx
-               ce.Pipeline.ce_snapshot ce.Pipeline.ce_reference loaded
+             Verify.check o1.Pipeline.env.Pipeline.dx ce.Pipeline.ce_snapshot
+               ce.Pipeline.ce_reference loaded
            with
            | Verify.Passed _ -> ()
            | _ -> Alcotest.fail "winner fails a corpus entry")

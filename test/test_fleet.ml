@@ -122,7 +122,7 @@ let test_single_device_fleet_runs () =
 (* Convergence at equal budget: FFT, seed 7, corpus K=2, the quick GA cut
    to 3 generations.  The winner of a 1,000-device fleet search, replayed
    on the reference device, lands within 5% of the single-device
-   [Pipeline.optimize] winner of the same configuration. *)
+   search's winner of the same configuration. *)
 let test_fleet_converges_to_single_device () =
   let seed = 7 in
   let co = Option.get (P.capture_corpus ~seed ~k:2 (app "FFT")) in
@@ -132,8 +132,9 @@ let test_fleet_converges_to_single_device () =
   in
   let fleet = Fleet.run ~jobs:1 ~cache:true ~cfg ~seed ~devices:1000 co in
   let single =
-    P.optimize ~seed ~cfg:cfg.Fleet.ga ~corpus:co.P.co_entries (app "FFT")
-      co.P.co_primary
+    P.run_session
+      (P.start_search ~seed ~cfg:cfg.Fleet.ga ~corpus:co.P.co_entries
+         (app "FFT") co.P.co_primary)
   in
   match
     (fleet.Fleet.winner_ms,

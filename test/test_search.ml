@@ -74,6 +74,10 @@ let test_dedup_adjacent () =
 
 (* -------------------------------- GA -------------------------------- *)
 
+(* The synthetic evaluators are pure functions of the genome, so a batch
+   is a plain map over its tasks. *)
+let batch evaluate tasks = Array.map (fun (_, genome) -> evaluate genome) tasks
+
 (* Synthetic landscape: fitness depends on which passes are present;
    "gc-check-elim" is worth a lot, unsafe passes fail verification. *)
 let synthetic_eval genome =
@@ -98,7 +102,7 @@ let synthetic_eval genome =
 let test_ga_improves () =
   let r = rng () in
   let cfg = { Ga.quick_config with Ga.population = 12; generations = 6 } in
-  let result = Ga.search r cfg ~evaluate:synthetic_eval () in
+  let result = Ga.run r cfg ~evaluate_batch:(batch synthetic_eval) () in
   match result.Ga.best with
   | None -> Alcotest.fail "no best found"
   | Some (genome, fit) ->
@@ -109,7 +113,7 @@ let test_ga_improves () =
 let test_ga_history_ordered () =
   let r = rng () in
   let cfg = { Ga.quick_config with Ga.population = 8; generations = 4 } in
-  let result = Ga.search r cfg ~evaluate:synthetic_eval () in
+  let result = Ga.run r cfg ~evaluate_batch:(batch synthetic_eval) () in
   let indices = List.map (fun e -> e.Ga.ev_index) result.Ga.history in
   Alcotest.(check (list int)) "indices sequential"
     (List.init (List.length indices) (fun i -> i + 1))
@@ -126,14 +130,14 @@ let test_ga_halts_on_identical () =
   let r = rng () in
   let cfg = { Ga.quick_config with Ga.population = 10; generations = 50;
                                    max_identical = 15 } in
-  let result = Ga.search r cfg ~evaluate:eval () in
+  let result = Ga.run r cfg ~evaluate_batch:(batch eval) () in
   Alcotest.(check bool) "halted early" true (result.Ga.halted_early <> None)
 
 let test_ga_all_failures () =
   let eval _ = Ga.Compile_failed "nope" in
   let r = rng () in
   let cfg = { Ga.quick_config with Ga.population = 6; generations = 3 } in
-  let result = Ga.search r cfg ~evaluate:eval () in
+  let result = Ga.run r cfg ~evaluate_batch:(batch eval) () in
   Alcotest.(check bool) "no best when everything fails" true
     (result.Ga.best = None)
 
@@ -146,7 +150,7 @@ let test_ga_size_tiebreak () =
   in
   let r = rng () in
   let cfg = { Ga.quick_config with Ga.population = 14; generations = 6 } in
-  let result = Ga.search r cfg ~evaluate:eval () in
+  let result = Ga.run r cfg ~evaluate_batch:(batch eval) () in
   match result.Ga.best with
   | Some (genome, _) ->
     Alcotest.(check bool) "short genome preferred" true
@@ -161,7 +165,10 @@ let test_hill_climb_improves_or_keeps () =
     | Ga.Measured { times; _ } -> Repro_util.Stats.mean times
     | _ -> 20.0
   in
-  let _, fit = Ga.hill_climb r ~evaluate:synthetic_eval (start, fit0) ~rounds:2 in
+  let _, fit =
+    Ga.hill_climb r ~evaluate_batch:(batch synthetic_eval) (start, fit0)
+      ~rounds:2
+  in
   Alcotest.(check bool) "no worse" true (fit <= fit0)
 
 let () =

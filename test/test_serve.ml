@@ -1,6 +1,6 @@
 (* Tests for the multi-app serve scheduler: N concurrent searches over one
    shared domain pool must each produce exactly the digest a standalone
-   [Pipeline.optimize] run produces, make progress concurrently with
+   [Pipeline.run_session] produces, make progress concurrently with
    round-robin fairness, respect admission control and backpressure, keep
    tenant quarantine logs isolated, and survive a mid-serve kill via their
    per-job checkpoints. *)

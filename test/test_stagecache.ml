@@ -172,27 +172,23 @@ let test_lru_eviction_bounded () =
 let tiny_cfg =
   { Ga.quick_config with population = 8; generations = 3; max_identical = 30 }
 
-let fingerprint (o : Pipeline.optimized) =
-  (o.Pipeline.ga.Ga.best,
-   o.Pipeline.ga.Ga.history,
-   o.Pipeline.ga.Ga.evaluations,
-   o.Pipeline.ga.Ga.halted_early,
-   o.Pipeline.best_genome)
-
 let test_search_identity_across_stage_cache () =
   let app, cap, _ = Lazy.force shared in
   let run ~stage ~jobs ~cache =
     with_stage stage @@ fun () ->
     Stagecache.reset ();
-    fingerprint (Pipeline.optimize ~seed:11 ~cfg:tiny_cfg ~jobs ~cache app cap)
+    Pipeline.(
+      search_digest
+        (run_session
+           (start_search ~seed:11 ~cfg:tiny_cfg ~jobs ~cache app cap)))
   in
   let reference = run ~stage:true ~jobs:1 ~cache:true in
   List.iter
     (fun (stage, jobs, cache) ->
-       Alcotest.(check bool)
+       Alcotest.(check string)
          (Printf.sprintf "stage=%b -j%d cache=%b identical" stage jobs cache)
-         true
-         (run ~stage ~jobs ~cache = reference))
+         reference
+         (run ~stage ~jobs ~cache))
     [ (false, 1, true); (true, 4, false); (false, 4, false) ]
 
 let () =

@@ -460,24 +460,18 @@ let test_chrome_golden () =
 let tiny_cfg =
   { Ga.quick_config with population = 8; generations = 4; max_identical = 30 }
 
-let fingerprint (o : Pipeline.optimized) =
-  (o.Pipeline.ga.Ga.best,
-   o.Pipeline.ga.Ga.history,
-   o.Pipeline.ga.Ga.evaluations,
-   o.Pipeline.ga.Ga.halted_early,
-   o.Pipeline.best_genome)
+let search_digest ~jobs app cap =
+  Pipeline.(
+    search_digest
+      (run_session (start_search ~seed:3 ~cfg:tiny_cfg ~jobs app cap)))
 
 let test_traced_search_deterministic () =
   let app = Option.get (App.find "FFT") in
   let (t1, t4, cap) =
     with_tracing @@ fun () ->
     let cap = Option.get (Pipeline.capture_once ~seed:5 app) in
-    let t1 =
-      fingerprint (Pipeline.optimize ~seed:3 ~cfg:tiny_cfg ~jobs:1 app cap)
-    in
-    let t4 =
-      fingerprint (Pipeline.optimize ~seed:3 ~cfg:tiny_cfg ~jobs:4 app cap)
-    in
+    let t1 = search_digest ~jobs:1 app cap in
+    let t4 = search_digest ~jobs:4 app cap in
     let evs = Trace.events () in
     Alcotest.(check bool) "full pipeline trace well-formed" true
       (well_formed evs);
@@ -503,12 +497,9 @@ let test_traced_search_deterministic () =
       (List.length worker_tids >= 2);
     (t1, t4, cap)
   in
-  Alcotest.(check bool) "-j 1 = -j 4 under tracing" true (t1 = t4);
+  Alcotest.(check string) "-j 1 = -j 4 under tracing" t1 t4;
   (* tracing itself must not perturb the search *)
-  let untraced =
-    fingerprint (Pipeline.optimize ~seed:3 ~cfg:tiny_cfg ~jobs:1 app cap)
-  in
-  Alcotest.(check bool) "traced = untraced" true (t1 = untraced)
+  Alcotest.(check string) "traced = untraced" t1 (search_digest ~jobs:1 app cap)
 
 let () =
   Alcotest.run "trace"
