@@ -30,17 +30,18 @@ let full_arg =
        & info [ "full" ]
          ~doc:"Use the paper-scale GA (11 generations x 50 genomes).")
 
-let jobs_arg =
-  let pos_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ | None ->
-        Error (`Msg "expected a positive number of worker domains")
-    in
-    Arg.conv (parse, Format.pp_print_int)
+(* The converter of every count flag: an integer >= 1, rejected with
+   "expected [what]". *)
+let pos_int what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None -> Error (`Msg ("expected " ^ what))
   in
-  Arg.(value & opt pos_int 1
+  Arg.conv (parse, Format.pp_print_int)
+
+let jobs_arg =
+  Arg.(value & opt (pos_int "a positive number of worker domains") 1
        & info [ "j"; "jobs" ] ~docv:"N"
          ~doc:"Evaluate each GA generation on $(docv) worker domains. \
                Results are independent of $(docv).")
@@ -121,11 +122,11 @@ let with_trace trace metrics f =
   in
   Fun.protect ~finally:finish f
 
-(* The flags every search command shares ([optimize], [serve], [fleet]),
-   parsed once.  [--full] picks the paper-scale GA config; [wrap] runs the
-   command's body under its tracing, engine and stage-cache settings. *)
+(* The flags every search command shares ([optimize], [serve], [fleet],
+   [experiment]), parsed once.  [--full] picks the paper-scale GA config;
+   [wrap] runs the command's body under its tracing, engine and
+   stage-cache settings. *)
 type search_flags = {
-  seed : int;
   cfg : Ga.config;
   jobs : int;
   cache : bool;
@@ -133,16 +134,16 @@ type search_flags = {
 }
 
 let search_flags =
-  let make seed full jobs no_cache no_stage_cache engine trace metrics =
-    { seed; cfg = (if full then Ga.default_config else Ga.quick_config);
+  let make full jobs no_cache no_stage_cache engine trace metrics =
+    { cfg = (if full then Ga.default_config else Ga.quick_config);
       jobs; cache = not no_cache;
       wrap =
         (fun f ->
            with_trace trace metrics @@ fun () ->
            with_engine engine @@ fun () -> with_stage_cache no_stage_cache f) }
   in
-  Term.(const make $ seed_arg $ full_arg $ jobs_arg $ no_cache_arg
-        $ no_stage_cache_arg $ engine_arg $ trace_arg $ metrics_arg)
+  Term.(const make $ full_arg $ jobs_arg $ no_cache_arg $ no_stage_cache_arg
+        $ engine_arg $ trace_arg $ metrics_arg)
 
 (* Cache/worker report for commands that run evaluation pools, plus the
    staged-compilation cache totals right beside it. *)
@@ -432,15 +433,7 @@ let capture_cmd =
 (* ----------------------------- optimize ---------------------------- *)
 
 let corpus_arg =
-  let pos_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ | None -> Error (`Msg "expected a corpus size >= 1")
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt pos_int 1
+  Arg.(value & opt (pos_int "a corpus size >= 1") 1
        & info [ "corpus" ] ~docv:"K"
          ~doc:"Capture a $(docv)-input corpus and verify every candidate \
                against all of it (cross-input verification). $(docv)=1 is \
@@ -471,13 +464,13 @@ let print_session_warnings warnings =
   List.iter (fun w -> Printf.printf "warning: %s\n" w) warnings
 
 let optimize_cmd =
-  let run app fl faults store corpus_k checkpoint ckpt_abort =
+  let run app seed fl faults store corpus_k checkpoint ckpt_abort =
     fl.wrap @@ fun () ->
     with_store store @@ fun () ->
     with_faults faults @@ fun () ->
     match
       Pipeline.start ~jobs:fl.jobs ~cache:fl.cache ?abort_after:ckpt_abort
-        (Pipeline.request ~seed:fl.seed ~cfg:fl.cfg ~corpus_k ?checkpoint app)
+        (Pipeline.request ~seed ~cfg:fl.cfg ~corpus_k ?checkpoint app)
     with
     | None -> print_endline "no replayable hot region: nothing to optimize"
     | Some (co, session) ->
@@ -526,8 +519,8 @@ let optimize_cmd =
   Cmd.v
     (Cmd.info "optimize"
        ~doc:"Run the full replay-based iterative compilation (Figure 6).")
-    Term.(const run $ app_arg $ search_flags $ faults_arg $ store_arg
-          $ corpus_arg $ checkpoint_arg $ ckpt_abort_arg)
+    Term.(const run $ app_arg $ seed_arg $ search_flags $ faults_arg
+          $ store_arg $ corpus_arg $ checkpoint_arg $ ckpt_abort_arg)
 
 (* ------------------------------ serve ------------------------------ *)
 
@@ -537,15 +530,7 @@ let serve_apps_arg =
   Arg.(non_empty & pos_all app_conv [] & info [] ~docv:"APP")
 
 let max_active_arg =
-  let pos_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ | None -> Error (`Msg "expected a positive number of slots")
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt (some pos_int) None
+  Arg.(value & opt (some (pos_int "a positive number of slots")) None
        & info [ "max-active" ] ~docv:"N"
          ~doc:"Admission control: at most $(docv) searches run \
                concurrently; further submissions queue (bounded) and then \
@@ -566,7 +551,7 @@ let ckpt_dir_arg =
                byte-identical history. The directory must exist.")
 
 let serve_cmd =
-  let run apps fl max_active queue_capacity ckpt_dir ckpt_abort =
+  let run apps seed fl max_active queue_capacity ckpt_dir ckpt_abort =
     fl.wrap @@ fun () ->
     let max_active = Option.value max_active ~default:(List.length apps) in
     let t =
@@ -580,7 +565,7 @@ let serve_cmd =
              (fun dir -> Filename.concat dir (app.App.name ^ ".ckpt"))
              ckpt_dir
          in
-         let r = Serve.request ~seed:fl.seed ~cfg:fl.cfg ?checkpoint app in
+         let r = Serve.request ~seed ~cfg:fl.cfg ?checkpoint app in
          match Serve.submit t r with
          | `Admitted -> Printf.printf "%s: admitted\n" app.App.name
          | `Queued n -> Printf.printf "%s: queued (position %d)\n" app.App.name n
@@ -637,8 +622,8 @@ let serve_cmd =
              searches over one shared worker pool with round-robin \
              fairness, admission control and per-tenant crash-safe \
              checkpoints.")
-    Term.(const run $ serve_apps_arg $ search_flags $ max_active_arg
-          $ queue_arg $ ckpt_dir_arg $ ckpt_abort_arg)
+    Term.(const run $ serve_apps_arg $ seed_arg $ search_flags
+          $ max_active_arg $ queue_arg $ ckpt_dir_arg $ ckpt_abort_arg)
 
 (* ------------------------------ fleet ------------------------------ *)
 
@@ -647,30 +632,14 @@ module Bank = Repro_fleet.Bank
 module Device = Repro_fleet.Device
 
 let devices_arg =
-  let pos_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ | None -> Error (`Msg "expected a fleet size >= 1")
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt pos_int 100
+  Arg.(value & opt (pos_int "a fleet size >= 1") 100
        & info [ "devices" ] ~docv:"N"
          ~doc:"Simulate a fleet of $(docv) devices. Profiles (installed \
                apps, DVFS noise multiplier, availability schedule) are \
                derived deterministically from the seed.")
 
 let gens_arg =
-  let pos_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ | None -> Error (`Msg "expected a generation count >= 1")
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt (some pos_int) None
+  Arg.(value & opt (some (pos_int "a generation count >= 1")) None
        & info [ "gens" ] ~docv:"G"
          ~doc:"GA generations (default: the quick config's; with --full, \
                the paper-scale config's).")
@@ -692,7 +661,7 @@ let sched_seed_arg =
                determinism contract the fleet smoke test asserts.")
 
 let fleet_cmd =
-  let run app fl devices gens bank_file sched_seed corpus_k =
+  let run app seed fl devices gens bank_file sched_seed corpus_k =
     fl.wrap @@ fun () ->
     let ga_cfg =
       match gens with
@@ -700,7 +669,6 @@ let fleet_cmd =
       | Some g -> { fl.cfg with Ga.generations = g }
     in
     let cfg = { Fleet.default_config with Fleet.ga = ga_cfg } in
-    let seed = fl.seed in
     match Pipeline.capture_corpus ~seed ~k:corpus_k app with
     | None -> print_endline "no replayable hot region: nothing to optimize"
     | Some co ->
@@ -764,8 +732,8 @@ let fleet_cmd =
              online each round and pooled in device-id order, so the \
              search history is byte-identical across -j, --sched-seed \
              and availability interleaving.")
-    Term.(const run $ app_arg $ search_flags $ devices_arg $ gens_arg
-          $ bank_arg $ sched_seed_arg $ corpus_arg)
+    Term.(const run $ app_arg $ seed_arg $ search_flags $ devices_arg
+          $ gens_arg $ bank_arg $ sched_seed_arg $ corpus_arg)
 
 (* ----------------------------- storage ----------------------------- *)
 
@@ -860,16 +828,14 @@ let experiment_cmd =
          & info [ "eager" ]
            ~doc:"Figure 10 ablation: CERE-style eager page copying.")
   in
-  let run picked full eager jobs no_cache no_stage_cache engine trace metrics
-      faults =
-    with_trace trace metrics @@ fun () ->
-    with_engine engine @@ fun () ->
-    with_stage_cache no_stage_cache @@ fun () ->
+  let run picked fl eager faults =
+    fl.wrap @@ fun () ->
     with_faults faults @@ fun () ->
-    let cfg = if full then Ga.default_config else Ga.quick_config in
-    let cache = not no_cache in
+    let jobs = fl.jobs and cache = fl.cache in
+    (* Figures 7 and 9 read the same searches: one per app, run once *)
+    let studies = lazy (E.studies ~cfg:fl.cfg ~jobs ~cache ()) in
     let quick_note () =
-      if not full then
+      if fl.cfg = Ga.quick_config then
         print_endline
           "(quick GA config: 6 generations x 14 genomes; pass --full for the \
            paper's 11 x 50)"
@@ -882,9 +848,9 @@ let experiment_cmd =
          | "fig1" -> E.print_fig1 (E.fig1 ~jobs ~cache ())
          | "fig2" -> E.print_fig2 (E.fig2 ~jobs ~cache ())
          | "fig3" -> E.print_fig3 (E.fig3 ())
-         | "fig7" -> quick_note (); E.print_fig7 (E.fig7 ~cfg ~jobs ~cache ())
+         | "fig7" -> quick_note (); E.print_fig7 (E.fig7 (Lazy.force studies))
          | "fig8" -> E.print_fig8 (E.fig8 ())
-         | "fig9" -> quick_note (); E.print_fig9 (E.fig9 ~cfg ~jobs ~cache ())
+         | "fig9" -> quick_note (); E.print_fig9 (E.fig9 (Lazy.force studies))
          | "fig10" -> E.print_fig10 (E.fig10 ~eager ())
          | "fig11" -> E.print_fig11 (E.fig11 ())
          | "survival" -> E.print_survival (E.survival ())
@@ -896,9 +862,7 @@ let experiment_cmd =
   Cmd.v
     (Cmd.info "experiment"
        ~doc:"Regenerate the paper's tables and figures.")
-    Term.(const run $ names_arg $ full_arg $ eager_arg $ jobs_arg $ no_cache_arg
-          $ no_stage_cache_arg $ engine_arg $ trace_arg $ metrics_arg
-          $ faults_arg)
+    Term.(const run $ names_arg $ search_flags $ eager_arg $ faults_arg)
 
 (* ----------------------------- disasm ------------------------------ *)
 

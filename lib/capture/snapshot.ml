@@ -41,17 +41,16 @@ let store_ref : Storage.t option Atomic.t = Atomic.make None
 let set_store s = Atomic.set store_ref s
 let current_store () = Atomic.get store_ref
 
-(* ----------------------- per-domain snapshot memos --------------------- *)
+(* ----------------------- per-domain snapshot memo ---------------------- *)
 
-(* Values derived from a snapshot (its template, its originals table),
-   memoized per (domain, snapshot): per domain, so template frames'
-   plain-int refcounts are never shared across domains.  Each domain keeps
-   a small MRU list rather than one entry — corpus verification cycles
-   through K snapshots per candidate — and the cap bounds its footprint.
-   Entries are ephemerons keyed on the snapshot, so a value dies with its
-   snapshot.  [invalidate_templates] bumps one process-wide generation;
-   a domain drops an older generation's list on its next access, so
-   invalidation reaches every pool worker. *)
+(* Snapshot templates, memoized per (domain, snapshot): per domain, so
+   template frames' plain-int refcounts are never shared across domains.
+   Each domain keeps a small MRU list rather than one entry — corpus
+   verification cycles through K snapshots per candidate — and the cap
+   bounds its footprint.  Entries are ephemerons keyed on the snapshot,
+   so a template dies with its snapshot.  [invalidate_templates] bumps
+   one process-wide generation; a domain drops an older generation's list
+   on its next access, so invalidation reaches every pool worker. *)
 let max_memo_entries = 12
 
 type 'a memo = (int * (t, 'a) Ephemeron.K1.t list) Domain.DLS.key

@@ -58,30 +58,21 @@ val set_store : Repro_os.Storage.t option -> unit
 val current_store : unit -> Repro_os.Storage.t option
 
 val invalidate_templates : unit -> unit
-(** Drop every domain's memoized templates and originals tables, pool
-    workers included: each domain rebuilds on its next access, so the
-    next {!template} call reads the (possibly mutated) store — used by
-    the corruption tests and fault campaigns. *)
-
-type 'a memo
-(** Values derived from snapshots, memoized per (domain, snapshot): each
-    domain keeps its 12 most recently used entries, each an ephemeron
-    keyed on the snapshot, so an entry dies with its snapshot.
-    {!invalidate_templates} empties every domain's list. *)
-
-val new_memo : unit -> 'a memo
-
-val memoized : 'a memo -> (t -> 'a) -> t -> 'a
-(** [memoized m build snap] is the calling domain's entry for [snap]
-    (physical identity), built with [build snap] on a miss. *)
+(** Drop every domain's memoized templates, pool workers included: each
+    domain rebuilds on its next access, so the next {!template} call
+    reads the (possibly mutated) store — used by the corruption tests and
+    fault campaigns. *)
 
 val template : t -> Repro_os.Mem.t
 (** The snapshot's address-space template: mappings recreated and every
-    captured page installed, built once per (domain, snapshot) and
-    memoized with {!memoized}.  Replays [Repro_os.Mem.clone] it instead of
-    re-copying every page, making per-replay setup O(page table) and
-    verification O(dirty pages).  The template must be treated as
-    immutable; never write through it. *)
+    captured page installed (program pages over boot-common ones), built
+    once per (domain, snapshot).  Each domain keeps its 12 most recently
+    used templates, each an ephemeron keyed on the snapshot (physical
+    identity), so a template dies with its snapshot.  Replays
+    [Repro_os.Mem.clone] it instead of re-copying every page, making
+    per-replay setup O(page table) and verification O(dirty pages);
+    verification also reads the captured original words from it.  The
+    template must be treated as immutable; never write through it. *)
 
 val cached_template : t -> Repro_os.Mem.t option
 (** The calling domain's memoized template for this exact snapshot, if

@@ -10,24 +10,6 @@ type t = {
   ret : Value.t option;
 }
 
-(* address -> captured original page image (program pages shadow common).
-   Building the table walks the whole snapshot, so it is memoized per
-   (domain, snapshot) like the template (the table only holds references
-   to the snapshot's page images): repeat verifications against the same
-   snapshot — the GA loop — pay O(dirty pages), not O(snapshot). *)
-let build_originals (snap : Snapshot.t) =
-  let original = Hashtbl.create 64 in
-  List.iter
-    (fun { Snapshot.pg_index; pg_data } ->
-       Hashtbl.replace original pg_index pg_data)
-    (snap.Snapshot.snap_common @ snap.Snapshot.snap_pages);
-  original
-
-let originals : (int, int64 array) Hashtbl.t Snapshot.memo =
-  Snapshot.new_memo ()
-
-let original_of_snapshot snap = Snapshot.memoized originals build_originals snap
-
 (* Pages a replay could have changed.  When [mem] is a clone of this very
    snapshot's template (the normal replay path), only the pages the clone
    actually privatized can differ — everything still sharing a template
@@ -53,17 +35,20 @@ let pages_to_scan mem (snap : Snapshot.t) =
   if not fast then Trace.incr "verify.full_scans";
   pages
 
-(* Scan [pages] (ascending) against the captured originals; diffs come out
-   already sorted by address because pages and in-page words are visited in
-   ascending order and addresses are unique. *)
-let diff_pages mem original pages =
+(* Scan [pages] (ascending) against the captured originals, which the
+   snapshot's template holds: every captured page installed, program pages
+   over boot-common ones, and never written (replays run on clones).
+   Diffs come out already sorted by address because pages and in-page
+   words are visited in ascending order and addresses are unique. *)
+let diff_pages mem snap pages =
+  let original = Snapshot.template snap in
   let diffs = ref [] in
   List.iter
     (fun page ->
        match Mem.page_words mem ~page with
        | None -> ()
        | Some now ->
-         let orig = Hashtbl.find_opt original page in
+         let orig = Mem.page_words original ~page in
          let base = page * Mem.page_size in
          for w = 0 to Mem.words_per_page - 1 do
            let v = now.(w) in
@@ -75,7 +60,7 @@ let diff_pages mem original pages =
 
 let diff_against_snapshot (ctx : Ctx.t) (snap : Snapshot.t) =
   let mem = ctx.Ctx.mem in
-  diff_pages mem (original_of_snapshot snap) (pages_to_scan mem snap)
+  diff_pages mem snap (pages_to_scan mem snap)
 
 let diff_against_snapshot_full (ctx : Ctx.t) (snap : Snapshot.t) =
   let mem = ctx.Ctx.mem in
@@ -84,14 +69,14 @@ let diff_against_snapshot_full (ctx : Ctx.t) (snap : Snapshot.t) =
       (Mem.touched_pages mem ~kind:Mem.Rheap
        @ Mem.touched_pages mem ~kind:Mem.Rstatics)
   in
-  diff_pages mem (original_of_snapshot snap) pages
+  diff_pages mem snap pages
 
 (* Early-exit comparison for the hot path: walk the replay's diffs in
    address order in lockstep with the (sorted) reference write map and bail
    on the first divergence, without materializing the diff list. *)
 let diff_matches (ctx : Ctx.t) (snap : Snapshot.t) reference_writes =
   let mem = ctx.Ctx.mem in
-  let original = original_of_snapshot snap in
+  let original = Snapshot.template snap in
   let pages = pages_to_scan mem snap in
   let exception Mismatch in
   let rest = ref reference_writes in
@@ -101,7 +86,7 @@ let diff_matches (ctx : Ctx.t) (snap : Snapshot.t) reference_writes =
          match Mem.page_words mem ~page with
          | None -> ()
          | Some now ->
-           let orig = Hashtbl.find_opt original page in
+           let orig = Mem.page_words original ~page in
            let base = page * Mem.page_size in
            for w = 0 to Mem.words_per_page - 1 do
              let v = now.(w) in

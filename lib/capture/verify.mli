@@ -9,15 +9,10 @@ type t = {
   ret : Repro_vm.Value.t option;
 }
 
-val original_of_snapshot : Snapshot.t -> (int, int64 array) Hashtbl.t
-(** The snapshot's captured original words per page index (program pages
-    shadow boot-common ones), the reference the diffs below compare
-    against.  Memoized per (domain, snapshot) with {!Snapshot.memoized};
-    read-only. *)
-
 val diff_against_snapshot : Repro_vm.Exec_ctx.t -> Snapshot.t -> (int * int64) list
 (** All heap/static words whose post-replay value differs from the captured
-    original (absent pages read as zero).  When the context's memory is a
+    original, read from the snapshot's {!Snapshot.template} (program
+    pages shadow boot-common ones; absent pages read as zero).  When the context's memory is a
     clone of this snapshot's template (the normal replay path) only the
     pages the replay privatized are scanned — O(dirty pages), counted by
     the [verify.pages_scanned] trace counter; otherwise every materialized

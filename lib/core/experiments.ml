@@ -394,18 +394,30 @@ type fig7_row = {
   f7_ga : float;
 }
 
-let fig7 ?cfg ?(seed = 7) ?apps ?jobs ?cache () =
+type study = {
+  st_app : App.t;
+  st_opt : Pipeline.optimized;
+  st_speedups : Pipeline.speedups;
+}
+
+let studies ?cfg ?(seed = 7) ?apps ?jobs ?cache () =
   List.filter_map
     (fun app ->
-       match Study.run ~seed ?cfg ?jobs ?cache app with
-       | None -> None
-       | Some s ->
-         Some
-           { f7_app = app.App.name;
-             f7_cls = App.class_name app.App.cls;
-             f7_o3 = s.Study.speedups.Pipeline.o3_speedup;
-             f7_ga = s.Study.speedups.Pipeline.ga_speedup })
+       Pipeline.start ?jobs ?cache (Pipeline.request ~seed ?cfg app)
+       |> Option.map (fun (_, session) ->
+           let opt = Pipeline.run_session session in
+           { st_app = app; st_opt = opt;
+             st_speedups = Pipeline.measure_speedups app opt }))
     (apps_of ?apps ())
+
+let fig7 studies =
+  List.map
+    (fun s ->
+       { f7_app = s.st_app.App.name;
+         f7_cls = App.class_name s.st_app.App.cls;
+         f7_o3 = s.st_speedups.Pipeline.o3_speedup;
+         f7_ga = s.st_speedups.Pipeline.ga_speedup })
+    studies
 
 let print_fig7 rows =
   print_endline
@@ -473,42 +485,39 @@ type fig9_point = {
 
 type fig9_row = { f9_app : string; f9_points : fig9_point list }
 
-let fig9 ?cfg ?(seed = 7) ?apps ?jobs ?cache () =
-  List.filter_map
-    (fun app ->
-       match Study.run ~seed ?cfg ?jobs ?cache app with
-       | None -> None
-       | Some s ->
-         let android_ms = s.Study.opt.Pipeline.env.Pipeline.android_region_ms in
-         let by_gen = Hashtbl.create 16 in
-         List.iter
-           (fun ev ->
-              match ev.Ga.ev_fitness with
-              | None -> ()
-              | Some fit ->
-                let sp = android_ms /. fit in
-                let g = ev.Ga.ev_generation in
-                let best, worst =
-                  Option.value ~default:(neg_infinity, infinity)
-                    (Hashtbl.find_opt by_gen g)
-                in
-                Hashtbl.replace by_gen g (max best sp, min worst sp))
-           s.Study.opt.Pipeline.ga.Ga.history;
-         let gens =
-           Hashtbl.fold (fun g _ acc -> g :: acc) by_gen [] |> List.sort compare
-         in
-         (* best line is cumulative (best genome so far) *)
-         let points =
-           let best_so_far = ref neg_infinity in
-           List.map
-             (fun g ->
-                let best, worst = Hashtbl.find by_gen g in
-                best_so_far := max !best_so_far best;
-                { f9_generation = g; f9_best = !best_so_far; f9_worst = worst })
-             gens
-         in
-         Some { f9_app = app.App.name; f9_points = points })
-    (apps_of ?apps ())
+let fig9 studies =
+  List.map
+    (fun s ->
+       let android_ms = s.st_opt.Pipeline.env.Pipeline.android_region_ms in
+       let by_gen = Hashtbl.create 16 in
+       List.iter
+         (fun ev ->
+            match ev.Ga.ev_fitness with
+            | None -> ()
+            | Some fit ->
+              let sp = android_ms /. fit in
+              let g = ev.Ga.ev_generation in
+              let best, worst =
+                Option.value ~default:(neg_infinity, infinity)
+                  (Hashtbl.find_opt by_gen g)
+              in
+              Hashtbl.replace by_gen g (max best sp, min worst sp))
+         s.st_opt.Pipeline.ga.Ga.history;
+       let gens =
+         Hashtbl.fold (fun g _ acc -> g :: acc) by_gen [] |> List.sort compare
+       in
+       (* best line is cumulative (best genome so far) *)
+       let points =
+         let best_so_far = ref neg_infinity in
+         List.map
+           (fun g ->
+              let best, worst = Hashtbl.find by_gen g in
+              best_so_far := max !best_so_far best;
+              { f9_generation = g; f9_best = !best_so_far; f9_worst = worst })
+           gens
+       in
+       { f9_app = s.st_app.App.name; f9_points = points })
+    studies
 
 let print_fig9 rows =
   print_endline

@@ -73,6 +73,25 @@ val print_fig3 : fig3 -> unit
 
 (* ----------------------------- Figures 7/8/9 ----------------------- *)
 
+(** One app's GA search and its whole-program measurements, the input
+    Figures 7 and 9 both read. *)
+type study = {
+  st_app : Repro_apps.Registry.t;
+  st_opt : Pipeline.optimized;
+  st_speedups : Pipeline.speedups;
+}
+
+val studies :
+  ?cfg:Ga.config -> ?seed:int -> ?apps:string list -> ?jobs:int ->
+  ?cache:bool -> unit -> study list
+(** For each app (default: all 21) in order: {!Pipeline.start} on
+    [Pipeline.request ~seed ?cfg app] (seed 7, the quick config by
+    default), {!Pipeline.run_session}, then {!Pipeline.measure_speedups}.
+    Apps with no replayable hot region are skipped.  Nothing is memoized:
+    each call searches again, so a caller that draws both figures builds
+    one list and passes it to both.  [jobs]/[cache] set the evaluation
+    pool and cannot change results. *)
+
 type fig7_row = {
   f7_app : string;
   f7_cls : string;
@@ -80,9 +99,7 @@ type fig7_row = {
   f7_ga : float;
 }
 
-val fig7 :
-  ?cfg:Ga.config -> ?seed:int -> ?apps:string list -> ?jobs:int ->
-  ?cache:bool -> unit -> fig7_row list
+val fig7 : study list -> fig7_row list
 val print_fig7 : fig7_row list -> unit
 
 type fig8_row = {
@@ -101,9 +118,7 @@ type fig9_point = {
 
 type fig9_row = { f9_app : string; f9_points : fig9_point list }
 
-val fig9 :
-  ?cfg:Ga.config -> ?seed:int -> ?apps:string list -> ?jobs:int ->
-  ?cache:bool -> unit -> fig9_row list
+val fig9 : study list -> fig9_row list
 val print_fig9 : fig9_row list -> unit
 
 (* ----------------------------- Figures 10/11 ----------------------- *)

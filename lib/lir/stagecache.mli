@@ -57,13 +57,21 @@ val lookup :
   frontend:string -> mid:int -> fps:string array -> (int * entry) option
 (** Longest cached prefix for this (front-end, method): [Some (k, entry)]
     means [entry] is the state after genes [1..k] ([fps.(k-1)]).  Bumps
-    hit/miss and reuse counters; [None] when disabled. *)
+    hit/miss and reuse counters; [None] when disabled.
+
+    [lookup] and {!insert} take the lock separately, so two workers that
+    miss on one prefix both run its passes, and the second insert is
+    dropped.  At more than one worker the hit, reuse, insert and
+    held-byte counts, and so the end-of-run report, depend on
+    scheduling.  No result does: an entry is a pure function of its
+    key. *)
 
 val insert : frontend:string -> mid:int -> fp:string -> entry -> unit
 (** Publish the state after a freshly-run prefix (first writer wins; the
     value is a pure function of the key, so racing duplicates are
-    identical).  May evict least-recently-used entries to stay under the
-    byte budget.  No-op when disabled. *)
+    identical; see {!lookup} for what the race does to the counters).
+    May evict least-recently-used entries to stay under the byte budget.
+    No-op when disabled. *)
 
 val note_gene_run : unit -> unit
 (** One pass actually executed (the denominator of the reuse ratio). *)

@@ -12,8 +12,8 @@
    Every parallel stage runs on one process-wide [Domainpool], created by
    the first stage that needs a second worker and widened when a later
    stage asks for more.  Its workers outlive a batch, so their
-   domain-local snapshot templates and originals tables are built once
-   and reused by every later batch.
+   domain-local snapshot templates are built once and reused by every
+   later batch.
 
    The memos are entry-budgeted {!Repro_util.Lru} tables, owned by the
    calling domain.  Eviction can only cause re-computation of a

@@ -46,8 +46,7 @@ val quick_config : config
 
 val config_fingerprint : config -> string
 (** An exact rendering of every field (floats in hex), so equal strings
-    mean equal configs: the config part of checkpoint fingerprints and of
-    the study memo key. *)
+    mean equal configs: the config part of checkpoint fingerprints. *)
 
 (** One line of the evaluation history (the Figure 9 evolution data). *)
 type eval_record = {

@@ -66,8 +66,6 @@ let welch_t_test a b =
 let significantly_less ?(alpha = 0.05) a b =
   mean a < mean b && welch_t_test a b < alpha
 
-type ci = { lo : float; hi : float }
-
 let percentile xs p =
   let ys = sorted xs in
   let n = Array.length ys in
@@ -79,18 +77,6 @@ let percentile xs p =
     let hi = min (lo + 1) (n - 1) in
     let frac = rank -. float_of_int lo in
     ys.(lo) +. (frac *. (ys.(hi) -. ys.(lo)))
-  end
-
-let bootstrap_ci rng ?(rounds = 1000) ~confidence stat xs =
-  let n = Array.length xs in
-  if n = 0 then { lo = nan; hi = nan }
-  else begin
-    let draws = Array.init rounds (fun _ ->
-        let resample = Array.init n (fun _ -> xs.(Rng.int rng n)) in
-        stat resample)
-    in
-    let tail = (1.0 -. confidence) /. 2.0 *. 100.0 in
-    { lo = percentile draws tail; hi = percentile draws (100.0 -. tail) }
   end
 
 (* Fleet-aggregation helpers.  The coordinator pools per-device sample

@@ -3,8 +3,8 @@
     During search each transformation is evaluated 10 times through replay;
     outliers are removed with the median absolute deviation; the relative
     merit of two transformation sets is decided with a two-sided t-test; the
-    online-vs-offline study (Figure 3) uses bootstrapped confidence
-    intervals. *)
+    online-vs-offline study (Figure 3) reports {!percentile} bands over
+    independently simulated trajectories. *)
 
 val mean : float array -> float
 val variance : float array -> float
@@ -31,12 +31,6 @@ val welch_t_test : float array -> float array -> float
 val significantly_less : ?alpha:float -> float array -> float array -> bool
 (** [significantly_less a b] holds when mean [a] < mean [b] and the t-test
     rejects equality at level [alpha] (default 0.05). *)
-
-type ci = { lo : float; hi : float }
-
-val bootstrap_ci : Rng.t -> ?rounds:int -> confidence:float ->
-  (float array -> float) -> float array -> ci
-(** Percentile bootstrap confidence interval for a statistic. *)
 
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [0, 100]; linear interpolation. *)

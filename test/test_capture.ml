@@ -363,11 +363,11 @@ let test_invalidation_reaches_pool_workers () =
         (verify tasks))
 
 (* Memo entries are ephemerons keyed on their snapshot: once nothing else
-   holds the snapshot, its templates and originals tables — on the calling
-   domain and on a pool worker alike — are garbage. *)
+   holds the snapshot, its templates — on the calling domain and on a pool
+   worker alike — are garbage. *)
 let test_dead_snapshot_frees_memo () =
   let snap0 = (Lazy.force fft_capture).Pipeline.snapshot in
-  let templates = Weak.create 2 and originals = Weak.create 2 in
+  let templates = Weak.create 2 in
   let pool = Repro_search.Domainpool.create ~workers:2 in
   Fun.protect ~finally:(fun () -> Repro_search.Domainpool.shutdown pool)
   @@ fun () ->
@@ -375,13 +375,8 @@ let test_dead_snapshot_frees_memo () =
   let[@inline never] fill () =
     let snap = { snap0 with Snapshot.snap_mid = snap0.Snapshot.snap_mid } in
     Repro_search.Domainpool.run pool (fun wid ->
-        Weak.set templates wid (Some (Snapshot.template snap));
-        Weak.set originals wid (Some (Verify.original_of_snapshot snap)));
-    let built =
-      List.for_all
-        (fun wid -> Weak.check templates wid && Weak.check originals wid)
-        [ 0; 1 ]
-    in
+        Weak.set templates wid (Some (Snapshot.template snap)));
+    let built = List.for_all (Weak.check templates) [ 0; 1 ] in
     ignore (Sys.opaque_identity snap);
     built
   in
@@ -391,11 +386,101 @@ let test_dead_snapshot_frees_memo () =
     (fun wid ->
        Alcotest.(check bool)
          (Printf.sprintf "worker %d template freed" wid) false
-         (Weak.check templates wid);
-       Alcotest.(check bool)
-         (Printf.sprintf "worker %d originals freed" wid) false
-         (Weak.check originals wid))
+         (Weak.check templates wid))
     [ 0; 1 ]
+
+(* Verification reads the captured words from the template.  The
+   reference is the table verification used to build for that: every
+   captured page, program pages replacing boot-common ones. *)
+let captured_table (snap : Snapshot.t) =
+  let table = Hashtbl.create 64 in
+  List.iter
+    (fun { Snapshot.pg_index; pg_data } ->
+       Hashtbl.replace table pg_index pg_data)
+    (snap.Snapshot.snap_common @ snap.Snapshot.snap_pages);
+  table
+
+(* Every heap/static word of [mem] that differs from [table] (absent
+   pages read as zero), scanning every materialized page. *)
+let diff_against_table table mem =
+  let pages =
+    List.sort Int.compare
+      (Mem.touched_pages mem ~kind:Mem.Rheap
+       @ Mem.touched_pages mem ~kind:Mem.Rstatics)
+  in
+  List.concat_map
+    (fun page ->
+       let now = Option.get (Mem.page_words mem ~page) in
+       let orig = Hashtbl.find_opt table page in
+       List.filter_map
+         (fun w ->
+            let o = match orig with Some a -> a.(w) | None -> 0L in
+            if now.(w) = o then None
+            else Some ((page * Mem.page_size) + (w * 8), now.(w)))
+         (List.init Mem.words_per_page Fun.id))
+    pages
+
+(* FFT's primary capture and its K=4 corpus: the template holds every
+   captured word, built from the in-memory pages and again from
+   checksum-checked store reads, and replays of random-genome binaries
+   diff against it exactly as against the table. *)
+let test_template_holds_captured_words () =
+  let app = fft () in
+  let dx = App.dexfile app in
+  let co = Option.get (Pipeline.capture_corpus ~seed:7 ~k:4 app) in
+  let snaps =
+    co.Pipeline.co_primary.Pipeline.snapshot
+    :: List.map (fun ce -> ce.Pipeline.ce_snapshot) co.Pipeline.co_entries
+  in
+  Alcotest.(check int) "primary and three corpus entries" 4
+    (List.length snaps);
+  let holds what snap tpl =
+    Hashtbl.iter
+      (fun page words ->
+         if Mem.page_words tpl ~page <> Some words then
+           Alcotest.failf "%s: page %d differs from the capture" what page)
+      (captured_table snap)
+  in
+  List.iter
+    (fun snap ->
+       let tpl = Snapshot.template snap in
+       holds "in-memory template" snap tpl;
+       with_attached_store snap (fun storage ->
+           Alcotest.(check bool) "the store holds the capture" true
+             (Storage.contains storage ~label:(Snapshot.program_label snap));
+           let stored = Snapshot.template snap in
+           Alcotest.(check bool) "rebuilt from the store" true (stored != tpl);
+           holds "store-backed template" snap stored))
+    snaps;
+  let region =
+    Pipeline.region_methods app co.Pipeline.co_primary.Pipeline.hot_mid
+  in
+  let fe = Repro_lir.Compile.frontend dx in
+  let rng = Repro_util.Rng.create 23 in
+  let finished = ref 0 in
+  for _ = 1 to 4 do
+    match
+      Repro_lir.Compile.llvm_binary fe (Genome.to_spec (Genome.random rng))
+        region
+    with
+    | exception
+        (Repro_lir.Compile.Compile_error _ | Repro_lir.Compile.Compile_timeout)
+      -> ()
+    | binary ->
+      let loaded = Repro_lir.Blockexec.load binary in
+      List.iter
+        (fun snap ->
+           let r = Replay.run dx snap (Replay.Optimized loaded) in
+           (match r.Replay.outcome with
+            | Replay.Finished _ -> incr finished
+            | Replay.Crashed _ | Replay.Hung -> ());
+           Alcotest.(check bool) "template diff = table diff" true
+             (Verify.diff_against_snapshot r.Replay.ctx snap
+              = diff_against_table (captured_table snap)
+                  r.Replay.ctx.Vm.Exec_ctx.mem))
+        snaps
+  done;
+  Alcotest.(check bool) "some replays finished" true (!finished > 0)
 
 let test_eager_mode_costs_more () =
   let app = fft () in
@@ -747,4 +832,6 @@ let () =
            test_invalidation_reaches_pool_workers ]);
       ("memo",
        [ Alcotest.test_case "a dead snapshot frees its memo entries" `Quick
-           test_dead_snapshot_frees_memo ]) ]
+           test_dead_snapshot_frees_memo;
+         Alcotest.test_case "template holds the captured words" `Quick
+           test_template_holds_captured_words ]) ]

@@ -2,12 +2,10 @@
 
 module App = Repro_apps.Registry
 module Pipeline = Repro_core.Pipeline
-module Study = Repro_core.Study
 module E = Repro_core.Experiments
 module Ga = Repro_search.Ga
 module Genome = Repro_search.Genome
 module Evalpool = Repro_search.Evalpool
-module Faults = Repro_util.Faults
 
 let fft () = Option.get (App.find "FFT")
 
@@ -101,36 +99,44 @@ let test_final_binary_overlays_region () =
   let sp = Pipeline.measure_speedups ~runs:2 app opt in
   Alcotest.(check bool) "GA speedup > 1" true (sp.Pipeline.ga_speedup > 1.0)
 
-let test_study_memoized () =
-  Study.clear_cache ();
-  let app = fft () in
-  let a = Study.run ~cfg:tiny_cfg app in
-  let b = Study.run ~cfg:tiny_cfg app in
-  (* physical equality proves the second call came from the cache *)
-  Alcotest.(check bool) "same study" true
-    (match a, b with Some a, Some b -> a == b | _ -> false)
+(* Evaluations the process-wide pool has been asked for so far. *)
+let pool_tasks () = (Evalpool.cumulative_stats ()).Evalpool.tasks
 
-(* Regression: the memo key once hashed only population, generations and
-   max_identical, so configs differing in any other field shared a study;
-   later it named the app only by name and ignored the armed fault spec. *)
-let test_study_key_covers_config () =
-  Study.clear_cache ();
-  let app = fft () in
-  let a = Study.run ~cfg:tiny_cfg app in
-  let distinct what b =
-    Alcotest.(check bool) (what ^ " gets its own study") true
-      (match a, b with Some a, Some b -> a != b | _ -> false)
-  in
-  distinct "tournament_p"
-    (Study.run ~cfg:{ tiny_cfg with Ga.tournament_p = 0.5 } app);
-  distinct "a same-named app with other code"
-    (Study.run ~cfg:tiny_cfg (fft_variant ()));
-  (match Faults.parse_spec "seed=11,rate=0.05" with
-   | Ok cfg -> Faults.enable cfg
-   | Error e -> Alcotest.fail e);
-  distinct "an armed fault spec"
-    (Fun.protect ~finally:Faults.disable (fun () ->
-         Study.run ~cfg:tiny_cfg app))
+(* [studies ()] and the evaluations it requested. *)
+let counted_studies () =
+  let before = pool_tasks () in
+  let studies = E.studies ~cfg:tiny_cfg ~apps:[ "FFT" ] () in
+  (studies, pool_tasks () - before)
+
+let one_study = function
+  | [ s ] -> s
+  | l -> Alcotest.failf "one study expected, got %d" (List.length l)
+
+(* A study list holds each app's one search: building it evaluates exactly
+   that search's genomes, and both figures read the list without
+   evaluating anything. *)
+let test_one_search_per_study_list () =
+  let studies, evals = counted_studies () in
+  let s = one_study studies in
+  Alcotest.(check int) "the list evaluates its search once"
+    s.E.st_opt.Pipeline.pool_stats.Evalpool.tasks evals;
+  Alcotest.(check bool) "the search evaluated genomes" true (evals > 0);
+  let before = pool_tasks () in
+  ignore (E.fig7 studies);
+  ignore (E.fig9 studies);
+  Alcotest.(check int) "fig7 and fig9 evaluate nothing" 0
+    (pool_tasks () - before)
+
+(* Nothing memoizes studies: a second list searches again, by the same
+   amount and to the same digest. *)
+let test_studies_computed_afresh () =
+  let a, evals_a = counted_studies () in
+  let b, evals_b = counted_studies () in
+  Alcotest.(check int) "the second list evaluates again" evals_a evals_b;
+  Alcotest.(check bool) "a fresh search" true (one_study a != one_study b);
+  Alcotest.(check string) "same search digest"
+    (Pipeline.search_digest (one_study a).E.st_opt)
+    (Pipeline.search_digest (one_study b).E.st_opt)
 
 let test_fig1_classifies () =
   let f = E.fig1 ~sequences:20 ~seed:5 () in
@@ -186,15 +192,15 @@ let test_fig8_rows () =
        Alcotest.(check (float 1e-6)) (r.E.f8_app ^ " sums to 1") 1.0 total)
     rows
 
-let test_fig7_and_9_via_study () =
-  Study.clear_cache ();
-  let rows = E.fig7 ~cfg:tiny_cfg ~apps:[ "FFT" ] () in
+let test_fig7_and_9_from_one_list () =
+  let studies = E.studies ~cfg:tiny_cfg ~apps:[ "FFT" ] () in
+  let rows = E.fig7 studies in
   (match rows with
    | [ r ] ->
      Alcotest.(check bool) "GA speedup sensible" true
        (r.E.f7_ga > 0.9 && r.E.f7_ga < 5.0)
    | _ -> Alcotest.fail "one row expected");
-  let evo = E.fig9 ~cfg:tiny_cfg ~apps:[ "FFT" ] () in
+  let evo = E.fig9 studies in
   (match evo with
    | [ r ] ->
      Alcotest.(check bool) "points per generation" true
@@ -232,16 +238,18 @@ let () =
          Alcotest.test_case "same name, other source" `Quick
            test_same_name_other_source;
          Alcotest.test_case "optimize beats android" `Slow test_optimize_beats_android;
-         Alcotest.test_case "final binary" `Slow test_final_binary_overlays_region;
-         Alcotest.test_case "study memoized" `Slow test_study_memoized;
-         Alcotest.test_case "study key covers config" `Slow
-           test_study_key_covers_config ]);
+         Alcotest.test_case "final binary" `Slow
+           test_final_binary_overlays_region ]);
       ("experiments",
        [ Alcotest.test_case "fig1" `Quick test_fig1_classifies;
          Alcotest.test_case "fig2" `Quick test_fig2_speedups;
          Alcotest.test_case "fig3" `Quick test_fig3_offline_converges_faster;
          Alcotest.test_case "fig10/fig11" `Quick test_fig10_and_11_rows;
          Alcotest.test_case "fig8" `Quick test_fig8_rows;
-         Alcotest.test_case "fig7/fig9" `Slow test_fig7_and_9_via_study;
+         Alcotest.test_case "fig7/fig9" `Slow test_fig7_and_9_from_one_list;
+         Alcotest.test_case "one search per study list" `Slow
+           test_one_search_per_study_list;
+         Alcotest.test_case "studies are computed afresh" `Slow
+           test_studies_computed_afresh;
          Alcotest.test_case "survival falls with K" `Slow
            test_survival_falls_with_k ]) ]

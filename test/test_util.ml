@@ -116,13 +116,6 @@ let test_percentile () =
   check_float "p100" 5.0 (Stats.percentile xs 100.0);
   check_float "p25" 2.0 (Stats.percentile xs 25.0)
 
-let test_bootstrap_ci_covers () =
-  let rng = Rng.create 31 in
-  let xs = Array.init 200 (fun _ -> Rng.gaussian rng ~mean:5.0 ~stddev:1.0) in
-  let ci = Stats.bootstrap_ci rng ~confidence:0.95 Stats.mean xs in
-  Alcotest.(check bool) "CI around 5" true (ci.Stats.lo < 5.0 && ci.Stats.hi > 5.0);
-  Alcotest.(check bool) "CI narrow" true (ci.Stats.hi -. ci.Stats.lo < 0.5)
-
 let test_geomean () =
   check_float "geomean" 2.0 (Stats.geomean [| 1.0; 2.0; 4.0 |])
 
@@ -399,7 +392,6 @@ let () =
          Alcotest.test_case "t-test distinguishes" `Quick test_t_test_distinguishes;
          Alcotest.test_case "t-test same mean" `Quick test_t_test_same_mean;
          Alcotest.test_case "percentile" `Quick test_percentile;
-         Alcotest.test_case "bootstrap ci" `Quick test_bootstrap_ci_covers;
          Alcotest.test_case "geomean" `Quick test_geomean ]);
       ("table",
        [ Alcotest.test_case "display width" `Quick test_display_width;
