@@ -23,8 +23,6 @@ type result = {
   region_exn : exn option;
 }
 
-let eager_mode = ref false
-
 (* Millisecond cost coefficients for the kernel interactions (loosely
    calibrated to the Pixel 4 numbers in Figure 10). *)
 let fork_base_ms = 0.8
@@ -41,7 +39,8 @@ let charge_ms (ctx : Ctx.t) ms =
 
 let materialized_pages mem = Mem.word_count mem / Mem.words_per_page
 
-let capture_region ~app ?(harvest_on_exn = false) (ctx : Ctx.t) ~mid ~args ~run =
+let capture_region ~app ?(harvest_on_exn = false) ?(eager = false)
+    (ctx : Ctx.t) ~mid ~args ~run =
   Trace.span ~cat:"capture" ~args:[ ("app", app) ] "capture" @@ fun () ->
   let mem = ctx.Ctx.mem in
   let st = Mem.stats mem in
@@ -68,7 +67,7 @@ let capture_region ~app ?(harvest_on_exn = false) (ctx : Ctx.t) ~mid ~args ~run 
   in
   charge_ms ctx preparation_ms;
   let recorded = ref [] in
-  let per_fault_ms = if !eager_mode then fault_ms +. eager_copy_ms else fault_ms in
+  let per_fault_ms = if eager then fault_ms +. eager_copy_ms else fault_ms in
   Mem.set_fault_handler mem
     (Some
        (fun page ->
@@ -99,7 +98,7 @@ let capture_region ~app ?(harvest_on_exn = false) (ctx : Ctx.t) ~mid ~args ~run 
   (* 5-6) wake the child; spool the original contents of recorded pages *)
   let n_faults = st.Mem.n_faults - faults0 in
   let n_cow = st.Mem.n_cow - cow0 in
-  let cow_total_ms = if !eager_mode then 0.0 else cow_ms *. float_of_int n_cow in
+  let cow_total_ms = if eager then 0.0 else cow_ms *. float_of_int n_cow in
   charge_ms ctx cow_total_ms;
   let fault_cow_ms =
     (per_fault_ms *. float_of_int n_faults) +. cow_total_ms
@@ -138,6 +137,10 @@ let capture_region ~app ?(harvest_on_exn = false) (ctx : Ctx.t) ~mid ~args ~run 
     snap_heap_next = heap_next0;
     snap_alloc_since_gc = alloc0;
   } in
+  (* the child spools its pages: enqueued here, hashed by the store's
+     idle-priority drains *)
+  Option.iter (fun storage -> Snapshot.store storage snapshot)
+    (Snapshot.current_store ());
   Trace.add "capture.pages_spooled"
     (List.length program_pages + List.length common_pages);
   Trace.add "capture.faults" n_faults;

@@ -41,20 +41,24 @@ type result = {
 val capture_region :
   app:string ->
   ?harvest_on_exn:bool ->
+  ?eager:bool ->
   Repro_vm.Exec_ctx.t -> mid:int -> args:Repro_vm.Value.t list ->
   run:(unit -> Repro_vm.Value.t option) ->
   result
 (** Capture one execution of region [mid].  [run] performs the actual
     region execution (through whatever dispatcher is installed); the
     capture machinery forks, protects, observes and then harvests the
-    snapshot from the child.  Exceptions from [run] propagate after the
-    capture state is torn down — unless [harvest_on_exn] (default false)
-    is set, in which case the snapshot is still harvested (the forked
-    child's pages predate the region, so the trap cannot corrupt them)
-    and the exception is returned in [region_exn].  Corpus capture uses
-    this for adversarial inputs on which the region itself traps. *)
+    snapshot from the child.  When a device store is attached
+    ({!Snapshot.set_store}), the snapshot's pages are enqueued to it
+    ({!Snapshot.store}) as soon as it is built.  Exceptions from [run]
+    propagate after the capture state is torn down — unless
+    [harvest_on_exn] (default false) is set, in which case the snapshot
+    is still harvested (the forked child's pages predate the region, so
+    the trap cannot corrupt them) and the exception is returned in
+    [region_exn].  Corpus capture uses this for adversarial inputs on
+    which the region itself traps.
 
-val eager_mode : bool ref
-(** Ablation (CERE-style capture, §6): when set, every recorded page is
-    copied at fault time in user space instead of relying on kernel
-    Copy-on-Write, inflating the in-region overhead.  Default false. *)
+    [eager] (default false) is the CERE-style ablation of §6 (Figure 10's
+    [--eager]): every recorded page is copied at fault time in user space
+    instead of relying on kernel Copy-on-Write, inflating the in-region
+    overhead. *)

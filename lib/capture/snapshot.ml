@@ -19,7 +19,16 @@ type t = {
 let program_bytes t = List.length t.snap_pages * Mem.page_size
 let common_bytes t = List.length t.snap_common * Mem.page_size
 
-let program_label t = t.snap_app ^ "/capture"
+(* A capture's program blob is named by its content: the app name plus a
+   digest of its page indices and words.  Two captures share a name only
+   when they hold the same pages, whatever the input, seed or app source
+   that produced them.  Boot-common pages are the same for every capture
+   of an app, so they keep one blob per app. *)
+let program_label t =
+  let pages = Marshal.to_string t.snap_pages [ Marshal.No_sharing ] in
+  Printf.sprintf "%s/capture/%s" t.snap_app
+    (String.sub (Digest.to_hex (Digest.string pages)) 0 12)
+
 let common_label t = t.snap_app ^ "/boot-common"
 
 let page_list images =
@@ -33,9 +42,7 @@ let store storage t =
   Storage.write storage ~label:(program_label t) ~pages:(page_list t.snap_pages);
   Storage.write storage ~label:(common_label t) ~pages:(page_list t.snap_common)
 
-let discard storage t = Storage.delete storage ~label:(program_label t)
-
-(* The device store, when one is attached (bin/repro --store, fig11).  Set
+(* The device store, when one is attached (repro --store, repro storage).  Set
    on the main domain before any workers spawn; workers only read it. *)
 let store_ref : Storage.t option Atomic.t = Atomic.make None
 let set_store s = Atomic.set store_ref s
@@ -92,15 +99,18 @@ let memoized memo build snap =
    [Storage.Integrity], which the replay loader converts into a crashed
    replay for the quarantine policy), else the in-memory lists *)
 let template_pages snap =
-  match current_store () with
-  | Some storage when Storage.contains storage ~label:(program_label snap) ->
+  let stored =
+    Option.map (fun storage -> (storage, program_label snap)) (current_store ())
+  in
+  match stored with
+  | Some (storage, label) when Storage.contains storage ~label ->
     Trace.incr "storage.template_reads";
     let fetch label =
       match Storage.read storage ~label with
       | Ok pages -> pages
       | Error e -> raise (Storage.Integrity e)
     in
-    fetch (common_label snap) @ fetch (program_label snap)
+    fetch (common_label snap) @ fetch label
   | _ -> page_list snap.snap_common @ page_list snap.snap_pages
 
 let build_template snap =

@@ -31,21 +31,26 @@ val common_bytes : t -> int
     shared by every capture). *)
 
 val program_label : t -> string
-(** Store label of the program-specific page blob (["app/capture"]). *)
+(** Store label of the program-specific page blob: the app name, then
+    ["/capture/"], then the first 12 hex digits of a digest of the page
+    indices and words (e.g. ["FFT/capture/03551d9acd2b"]).  Captures of
+    one app from different inputs or seeds get different blobs; only
+    captures that hold the same pages share one.  Computed on each call
+    (one marshal and MD5 over the program pages). *)
 
 val common_label : t -> string
 (** Store label of this app's boot-common page blob (["app/boot-common"]).
-    Labels are per-app, but the content-addressed store dedups identical
-    runtime pages across apps into shared frames — Figure 11's sharing. *)
+    Every capture of an app holds the same boot-common pages, so one blob
+    per app serves all of them.  Labels are per-app, but the
+    content-addressed store dedups identical runtime pages across apps
+    into shared frames — Figure 11's sharing. *)
 
 val store : Repro_os.Storage.t -> t -> unit
 (** Spool both page sets to device storage (enqueue only; the
     idle-priority drain between GA evaluation batches does the hashing).
-    Replaces any previous blobs under the same labels. *)
-
-val discard : Repro_os.Storage.t -> t -> unit
-(** Release the app-specific capture blob after optimization finishes
-    (§5.4); boot-common frames survive while other captures share them. *)
+    Replaces any previous blobs under the same labels.
+    {!Repro_capture.Capture.capture_region} calls it for every snapshot
+    it builds while a store is attached. *)
 
 val set_store : Repro_os.Storage.t option -> unit
 (** Attach (or detach, with [None]) the process-wide device store.  While

@@ -546,25 +546,19 @@ type fig10_row = {
 }
 
 let fig10 ?(seed = 7) ?(eager = false) ?apps () =
-  let saved = !Capture.eager_mode in
-  Capture.eager_mode := eager;
-  let rows =
-    List.filter_map
-      (fun app ->
-         match Pipeline.capture_once ~seed app with
-         | None -> None
-         | Some cap ->
-           let o = cap.Pipeline.overhead in
-           Some
-             { f10_app = app.App.name;
-               f10_fork = o.Capture.fork_ms;
-               f10_prep = o.Capture.preparation_ms;
-               f10_faults_cow = o.Capture.fault_cow_ms;
-               f10_total = Capture.total_ms o })
-      (apps_of ?apps ())
-  in
-  Capture.eager_mode := saved;
-  rows
+  List.filter_map
+    (fun app ->
+       match Pipeline.capture_once ~seed ~eager app with
+       | None -> None
+       | Some cap ->
+         let o = cap.Pipeline.overhead in
+         Some
+           { f10_app = app.App.name;
+             f10_fork = o.Capture.fork_ms;
+             f10_prep = o.Capture.preparation_ms;
+             f10_faults_cow = o.Capture.fault_cow_ms;
+             f10_total = Capture.total_ms o })
+    (apps_of ?apps ())
 
 let print_fig10 rows =
   print_endline
@@ -645,13 +639,6 @@ type survival = {
   su_corpus_checks : int;                  (* corpus checks run (after short-circuit) *)
 }
 
-(* The pinned guard-stripping genome of the regression test: the Android
-   pipeline's body with every bounds guard dropped afterwards. *)
-let pinned_unsafe_genome () =
-  List.map
-    (fun (name, ps) -> { Genome.g_pass = name; g_params = ps })
-    (Repro_lir.Pipelines.o2 @ [ ("unsafe-bce", [||]) ])
-
 let survival_genomes () =
   let of_spec label spec =
     (label,
@@ -671,6 +658,8 @@ let survival_genomes () =
     of_spec "o2+unsafe-bce+fast-math"
       (o2 @ [ ("unsafe-bce", [||]); ("fast-math", [| 1; 1 |]) ]);
     of_spec "unsafe-bce-only" [ ("unsafe-bce", [||]) ] ]
+
+let pinned_unsafe_genome () = List.assoc "o2+unsafe-bce" (survival_genomes ())
 
 (* First corpus size K at which the binary is rejected: primary check
    first (K=1), then the corpus entries in order (entry i covers K=i+1).

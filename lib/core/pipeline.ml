@@ -71,7 +71,7 @@ type captured = {
 
 (* The capture targets the second entry into the hot region: warm state,
    after first-call initialization. *)
-let capture_once ?(seed = 42) app =
+let capture_once ?(seed = 42) ?eager app =
   Trace.span ~cat:"pipeline" ~args:[ ("app", app.App.name) ] "capture_once"
   @@ fun () ->
   (* a first run finds the hot region; the capture run targets it *)
@@ -90,7 +90,7 @@ let capture_once ?(seed = 42) app =
       if mid = hot_mid then incr entries;
       if mid = hot_mid && !entries = 2 && !result = None then begin
         let r =
-          Capture.capture_region ~app:app.App.name ctx' ~mid ~args
+          Capture.capture_region ~app:app.App.name ?eager ctx' ~mid ~args
             ~run:(fun () -> base ctx' mid args)
         in
         result := Some r;
@@ -103,12 +103,6 @@ let capture_once ?(seed = 42) app =
     (match !result with
      | None -> None
      | Some r ->
-       (* spool the captured pages to the device store, when one is
-          attached; hashing/dedup happens at the idle-priority drains
-          between GA evaluation batches *)
-       (match Snapshot.current_store () with
-        | Some storage -> Snapshot.store storage r.Capture.snapshot
-        | None -> ());
        Some
          { snapshot = r.Capture.snapshot;
            overhead = r.Capture.overhead;
@@ -169,9 +163,6 @@ let capture_variant app ~seed ~hot_mid input =
   match !result with
   | None -> None
   | Some r ->
-    (match Snapshot.current_store () with
-     | Some storage -> Snapshot.store storage r.Capture.snapshot
-     | None -> ());
     (match Verify.collect (App.dexfile app) r.Capture.snapshot with
      | reference ->
        Trace.incr "corpus.captures";
@@ -305,10 +296,7 @@ let mean_replay_ms env ~noise_index binary =
     Verify.check env.dx env.capture.snapshot env.vmap (Blockexec.load binary)
   with
   | Verify.Passed cycles ->
-    Some
-      (Stats.mean
-         (Stats.remove_outliers_mad
-            (noise_times env ~ev_index:noise_index cycles)))
+    Some (Stats.robust_mean (noise_times env ~ev_index:noise_index cycles))
   | Verify.Wrong_output | Verify.Crashed _ | Verify.Hung -> None
 
 let replay_ms env binary =

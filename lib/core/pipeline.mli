@@ -33,13 +33,15 @@ type captured = {
   online_with_capture : online;
 }
 
-val capture_once : ?seed:int -> App.t -> captured option
+val capture_once : ?seed:int -> ?eager:bool -> App.t -> captured option
 (** Run online under the Android binary with a capture scheduled for the
     second entry into the hot region (warm state, after first-call
     initialization); [None] when no replayable hot region exists.  When a
     device store is attached ({!Repro_capture.Snapshot.set_store}), the
-    captured pages are enqueued to it — content hashing and dedup happen
-    later, at the idle-priority drains between GA evaluation batches. *)
+    capture enqueues its pages to it — content hashing and dedup happen
+    later, at the idle-priority drains between GA evaluation batches.
+    [eager] is {!Repro_capture.Capture.capture_region}'s Figure 10
+    ablation (default false). *)
 
 (** One secondary corpus capture: a distinct input's snapshot, its
     cross-input verification reference (a map, or the reference's own
@@ -68,9 +70,11 @@ val capture_corpus : ?seed:int -> k:int -> App.t -> corpus option
     right after the capture.  Variants whose run never reaches the region
     or whose reference replay hangs are dropped, so the corpus may hold
     fewer than [k] entries.  Snapshots are spooled to the attached device
-    store like the primary's (identical pages — shared boot images —
-    dedup to shared frames, which is what makes corpus storage cost
-    sublinear in K).  Each capture bumps the [corpus.captures] counter.
+    store like the primary's, each under its own program blob
+    ({!Repro_capture.Snapshot.program_label}) next to the app's one
+    boot-common blob (identical pages dedup to shared frames, which is
+    what makes corpus storage cost sublinear in K).  Each capture bumps
+    the [corpus.captures] counter.
     Pure in [(app, seed, k)].  [None] when no replayable hot region
     exists. *)
 

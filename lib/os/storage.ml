@@ -41,7 +41,6 @@ type blob = {
   bl_gen : int;                               (* write generation *)
   mutable bl_entries : (int * string) list;   (* (page, digest), reversed *)
   mutable bl_pending : int;                   (* queued, not yet spooled *)
-  mutable bl_tick : int;                      (* last touch, for LRU tiering *)
 }
 
 type pending = {
@@ -56,14 +55,8 @@ type t = {
   blobs : (string, blob) Hashtbl.t;
   queue : pending Queue.t;
   mutable gen : int;
-  mutable tick : int;          (* access clock for blob LRU eviction *)
   lock : Mutex.t;
 }
-
-(* caller holds the lock *)
-let touch_blob t bl =
-  t.tick <- t.tick + 1;
-  bl.bl_tick <- t.tick
 
 let with_lock t f =
   Mutex.lock t.lock;
@@ -76,7 +69,6 @@ let create () =
     blobs = Hashtbl.create 16;
     queue = Queue.create ();
     gen = 0;
-    tick = 0;
     lock = Mutex.create () }
 
 (* -- serialization of one page ------------------------------------------ *)
@@ -120,9 +112,8 @@ let write t ~label ~pages =
       t.gen <- t.gen + 1;
       let bl =
         { bl_label = label; bl_gen = t.gen; bl_entries = [];
-          bl_pending = List.length pages; bl_tick = 0 }
+          bl_pending = List.length pages }
       in
-      touch_blob t bl;
       Hashtbl.replace t.blobs label bl;
       List.iter
         (fun (p_index, p_data) ->
@@ -197,12 +188,12 @@ let settle_label t label =
 
 (* -- read path ---------------------------------------------------------- *)
 
-(* walk a manifest validating each frame; [consume] sees the (possibly
-   damaged) serialized bytes of every page that passes.  Caller holds the
-   lock. *)
-let validate_entries t ~label ~damage ~consume entries =
-  let rec go pos = function
-    | [] -> Ok ()
+(* walk a manifest validating each frame against its content address and
+   decoding the pages that pass; [damage] sees a copy of each frame's
+   bytes.  Caller holds the lock. *)
+let read_entries t ~label ~damage entries =
+  let rec go pos acc = function
+    | [] -> Ok (List.rev acc)
     | (index, hash) :: rest -> (
         match Hashtbl.find_opt t.frames hash with
         | None -> Error (Missing_page { label; index; hash })
@@ -223,12 +214,9 @@ let validate_entries t ~label ~damage ~consume entries =
               Trace.incr "storage.checksum_failures";
               Error (Corrupt_page { label; index; hash })
             end
-            else begin
-              consume index bytes;
-              go (pos + 1) rest
-            end)
+            else go (pos + 1) ((index, deserialize_page bytes) :: acc) rest)
   in
-  go 0 entries
+  go 0 [] entries
 
 let read ?damage t ~label =
   with_lock t (fun () ->
@@ -236,29 +224,7 @@ let read ?damage t ~label =
       settle_label t label;
       match Hashtbl.find_opt t.blobs label with
       | None -> Error (Missing_blob { label })
-      | Some bl ->
-          touch_blob t bl;
-          let acc = ref [] in
-          let consume index bytes =
-            acc := (index, deserialize_page bytes) :: !acc
-          in
-          (match
-             validate_entries t ~label ~damage ~consume
-               (List.rev bl.bl_entries)
-           with
-          | Ok () -> Ok (List.rev !acc)
-          | Error e -> Error e))
-
-let validate t ~label =
-  with_lock t (fun () ->
-      settle_label t label;
-      match Hashtbl.find_opt t.blobs label with
-      | None -> Error (Missing_blob { label })
-      | Some bl ->
-          touch_blob t bl;
-          validate_entries t ~label ~damage:None
-            ~consume:(fun _ _ -> ())
-            (List.rev bl.bl_entries))
+      | Some bl -> read_entries t ~label ~damage (List.rev bl.bl_entries))
 
 let contains t ~label = with_lock t (fun () -> Hashtbl.mem t.blobs label)
 
@@ -267,9 +233,7 @@ let manifest t ~label =
       settle_label t label;
       match Hashtbl.find_opt t.blobs label with
       | None -> None
-      | Some bl ->
-          touch_blob t bl;
-          Some (List.rev bl.bl_entries))
+      | Some bl -> Some (List.rev bl.bl_entries))
 
 let frame_refs t ~hash =
   with_lock t (fun () ->
@@ -285,18 +249,6 @@ let labels t =
       |> List.sort String.compare)
 
 let blob_pages bl = List.length bl.bl_entries + bl.bl_pending
-
-let blob_bytes t ~label =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.blobs label with
-      | None -> None
-      | Some bl -> Some (blob_pages bl * page_bytes))
-
-let total_bytes t =
-  with_lock t (fun () ->
-      Hashtbl.fold
-        (fun _ bl acc -> acc + (blob_pages bl * page_bytes))
-        t.blobs 0)
 
 let physical_bytes t =
   with_lock t (fun () ->
@@ -391,42 +343,6 @@ let blob_accounting t =
           :: acc)
         t.blobs []
       |> List.sort (fun a b -> String.compare a.ba_label b.ba_label))
-
-(* -- tiering / eviction ------------------------------------------------- *)
-
-let physical_bytes_locked t =
-  Hashtbl.fold (fun _ fr acc -> acc + Bytes.length fr.fr_bytes) t.frames 0
-
-(* Evict whole blobs, least-recently-touched first (ties broken by label
-   so the result is deterministic), until the deduped footprint fits the
-   budget.  Refcounts do the tiering work: dropping a blob only reclaims
-   the frames no surviving blob references, so hot shared pages (the
-   boot-common image) stay resident while cold exclusive snapshots are
-   the ones that actually free bytes. *)
-let evict_to t ~budget_bytes =
-  with_lock t (fun () ->
-      ignore (drain_locked t);
-      let evicted = ref [] in
-      let continue_ = ref true in
-      while !continue_ && physical_bytes_locked t > budget_bytes do
-        let victim =
-          Hashtbl.fold
-            (fun _ bl acc ->
-              match acc with
-              | Some best
-                when (best.bl_tick, best.bl_label) <= (bl.bl_tick, bl.bl_label)
-                -> acc
-              | _ -> Some bl)
-            t.blobs None
-        in
-        match victim with
-        | None -> continue_ := false
-        | Some bl ->
-            release_blob t bl;
-            Trace.incr "storage.blob_evictions";
-            evicted := bl.bl_label :: !evicted
-      done;
-      List.rev !evicted)
 
 (* -- string framing ------------------------------------------------------
 
@@ -607,7 +523,7 @@ let load file =
            t.gen <- t.gen + 1;
            Hashtbl.replace t.blobs label
              { bl_label = label; bl_gen = t.gen; bl_entries = !entries;
-               bl_pending = 0; bl_tick = 0 }
+               bl_pending = 0 }
          done
        with Short_file what -> warn "store file truncated at %s" what);
       (* recompute refcounts from the surviving manifests; reclaim frames

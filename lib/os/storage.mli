@@ -107,9 +107,6 @@ val read :
     injected single-byte flip or truncation must be caught by the same
     checksum machinery that guards real corruption. *)
 
-val validate : t -> label:string -> (unit, error) result
-(** {!read} without materializing the pages. *)
-
 val contains : t -> label:string -> bool
 
 val manifest : t -> label:string -> (int * string) list option
@@ -129,20 +126,15 @@ val frame_refs : t -> hash:string -> int option
 val labels : t -> string list
 (** All blob labels, sorted. *)
 
-val blob_bytes : t -> label:string -> int option
-(** Logical size of a blob: (stored + queued pages) × {!page_bytes}. *)
-
-val total_bytes : t -> int
-(** Logical bytes across all blobs — what a store without sharing would
-    pay. *)
-
 val physical_bytes : t -> int
 (** Bytes actually held after dedup: one copy per distinct frame. *)
 
 type accounting = {
   ac_blobs : int;
   ac_pages : int;              (** manifest entries across all blobs *)
-  ac_logical_bytes : int;      (** {!total_bytes} *)
+  ac_logical_bytes : int;      (** (stored + queued pages) × {!page_bytes}
+                                   across all blobs — what a store
+                                   without sharing would pay *)
   ac_frames : int;             (** distinct frames *)
   ac_physical_bytes : int;     (** {!physical_bytes} *)
   ac_shared_bytes : int;       (** physical bytes of frames referenced by
@@ -157,27 +149,14 @@ val accounting : t -> accounting
 type blob_accounting = {
   ba_label : string;
   ba_pages : int;
-  ba_bytes : int;             (** logical *)
+  ba_bytes : int;             (** logical: (stored + queued pages) ×
+                                  {!page_bytes} *)
   ba_shared_bytes : int;      (** its frames also referenced by other blobs *)
   ba_exclusive_bytes : int;   (** frames only this blob references *)
 }
 
 val blob_accounting : t -> blob_accounting list
 (** One row per blob, sorted by label. *)
-
-(** {1 Tiering / eviction} *)
-
-val evict_to : t -> budget_bytes:int -> string list
-(** Evict whole blobs — least-recently-accessed first (write/read/validate/
-    manifest all count as access), ties broken by label — until
-    {!physical_bytes} is at or under [budget_bytes]; the spool queue is
-    drained first so accounting is exact.  Returns the evicted labels in
-    eviction order.  Refcounts drive what an eviction actually frees:
-    frames shared with surviving blobs (boot-common pages) stay resident,
-    so cold exclusive snapshots are evicted preferentially in effect.
-    Each eviction bumps the [storage.blob_evictions] counter.  A
-    long-running service calls this after checkpoint/bank saves to keep
-    thousands of accumulated snapshots inside a flash budget. *)
 
 (** {1 String framing} *)
 

@@ -70,9 +70,6 @@ type result = {
   halted_early : string option;
 }
 
-(* Fitness from measured times: MAD outlier removal then mean (§4). *)
-let fitness_of_times times = Stats.mean (Stats.remove_outliers_mad times)
-
 (* Canonical history rendering: every float as its exact bit pattern, so
    equal digests mean byte-identical searches.  This is the digest the
    fleet coordinator, the checkpoint/resume property tests and the serve
@@ -179,9 +176,10 @@ let run ?(seed_genomes = []) rng cfg ~evaluate_batch ?baseline_ms ?o3_ms () =
        | Compile_failed _ | Runtime_crashed _ | Runtime_hung | Wrong_output
        | Quarantined _ ->
          ());
+      (* fitness: the MAD-filtered mean of the measured times (§4) *)
       let fitness =
         match outcome with
-        | Measured m -> Some (fitness_of_times m.times)
+        | Measured m -> Some (Stats.robust_mean m.times)
         | Compile_failed _ | Runtime_crashed _ | Runtime_hung | Wrong_output
         | Quarantined _ ->
           None
@@ -343,7 +341,7 @@ let hill_climb ?(ev_base = 0) rng ~evaluate_batch (genome0, fit0) ~rounds =
     for i = 0 to Array.length tasks - 1 do
       match outcomes.(i) with
       | Measured m ->
-        let f = fitness_of_times m.times in
+        let f = Stats.robust_mean m.times in
         if f < snd !best then best := (snd tasks.(i), f)
       | Compile_failed _ | Runtime_crashed _ | Runtime_hung | Wrong_output
       | Quarantined _ ->

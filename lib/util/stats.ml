@@ -86,25 +86,9 @@ let percentile xs p =
    raising or returning an empty array.  See test_stats.ml for the pinned
    edge cases. *)
 
-let pool_samples batches =
-  let total = Array.fold_left (fun n b -> n + Array.length b) 0 batches in
-  let out = Array.make (max total 0) 0.0 in
-  let k = ref 0 in
-  Array.iter
-    (fun b ->
-       Array.iter
-         (fun x ->
-            out.(!k) <- x;
-            incr k)
-         b)
-    batches;
-  out
+let pool_samples batches = Array.concat (Array.to_list batches)
 
-let robust_mean xs =
-  match Array.length xs with
-  | 0 -> nan
-  | 1 -> xs.(0)
-  | _ -> mean (remove_outliers_mad xs)
+let robust_mean xs = mean (remove_outliers_mad xs)
 
 let geomean xs =
   let n = Array.length xs in

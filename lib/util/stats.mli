@@ -35,24 +35,24 @@ val significantly_less : ?alpha:float -> float array -> float array -> bool
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [0, 100]; linear interpolation. *)
 
-(** {2 Population-aggregation helpers}
+(** {2 Aggregation helpers}
 
-    Used by the fleet coordinator ([Repro_fleet.Fleet]) to fold
-    per-device fitness sample batches into one population-level sample
-    set.  Both tolerate the degenerate batches a real fleet produces —
-    devices that contributed a single replay, or batches whose every
-    point a MAD filter would reject — and never raise. *)
+    Both tolerate degenerate batches — a fleet device that contributed a
+    single replay, or a batch whose every point a MAD filter would
+    reject — and never raise. *)
 
 val pool_samples : float array array -> float array
-(** Concatenate sample batches {e in the given order} (callers aggregate
-    in device-id order so pooling is independent of device scheduling).
-    Empty batches contribute nothing; an all-empty input yields [[||]]. *)
+(** Concatenate sample batches {e in the given order} (the fleet
+    coordinator aggregates in device-id order so pooling is independent
+    of device scheduling).  Empty batches contribute nothing; an
+    all-empty input yields [[||]]. *)
 
 val robust_mean : float array -> float
-(** MAD-filtered mean ({!remove_outliers_mad} then {!mean}).  A single
-    sample is returned as-is (no filtering), and because the MAD filter
-    returns its input unchanged when it would reject every point, an
-    all-outlier batch still yields a finite mean.  Empty input yields
-    [nan] rather than raising. *)
+(** MAD-filtered mean ({!remove_outliers_mad} then {!mean}): the GA's
+    fitness of a measured binary and the pipeline's mean replay time.
+    Fewer than three samples are not filtered, so a single sample is its
+    own mean, and because the MAD filter returns its input unchanged when
+    it would reject every point, an all-outlier batch still yields a
+    finite mean.  Empty input yields [nan] rather than raising. *)
 
 val geomean : float array -> float

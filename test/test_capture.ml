@@ -209,7 +209,7 @@ let test_storage_accounting () =
   Snapshot.store storage snap;
   Alcotest.(check int) "logical = program + common"
     (Snapshot.program_bytes snap + Snapshot.common_bytes snap)
-    (Storage.total_bytes storage);
+    (Storage.accounting storage).Storage.ac_logical_bytes;
   Storage.flush storage;
   (* a second capture of another app: its boot-common pages dedup against
      the frames app 1 already stored — each shared page is stored once *)
@@ -243,7 +243,7 @@ let test_storage_accounting () =
     (ac.Storage.ac_shared_bytes >= List.length shared_frames * Storage.page_bytes);
   (* finishing app 1's optimization releases its program-specific blob;
      frames shared with app 2 survive *)
-  Snapshot.discard storage snap;
+  Storage.delete storage ~label:(Snapshot.program_label snap);
   Alcotest.(check bool) "program blob released" false
     (Storage.contains storage ~label:(Snapshot.program_label snap));
   (match Storage.read storage ~label:(Snapshot.common_label snap2) with
@@ -255,18 +255,21 @@ let test_storage_accounting () =
 (* with a device store attached, templates materialize from the store and
    a corrupted stored page surfaces as a crashed (quarantinable) replay —
    never an abort *)
-let with_attached_store snap f =
+let with_store f =
   let storage = Storage.create () in
   Snapshot.set_store (Some storage);
   Fun.protect
     ~finally:(fun () ->
         Snapshot.set_store None;
         Snapshot.invalidate_templates ())
-    (fun () ->
-       Snapshot.store storage snap;
-       Storage.flush storage;
-       Snapshot.invalidate_templates ();
-       f storage)
+    (fun () -> f storage)
+
+let with_attached_store snap f =
+  with_store (fun storage ->
+      Snapshot.store storage snap;
+      Storage.flush storage;
+      Snapshot.invalidate_templates ();
+      f storage)
 
 let test_store_backed_template_equivalent () =
   let cap = Lazy.force fft_capture in
@@ -420,6 +423,14 @@ let diff_against_table table mem =
          (List.init Mem.words_per_page Fun.id))
     pages
 
+(* [tpl] holds every word [snap] captured *)
+let holds what snap tpl =
+  Hashtbl.iter
+    (fun page words ->
+       if Mem.page_words tpl ~page <> Some words then
+         Alcotest.failf "%s: page %d differs from the capture" what page)
+    (captured_table snap)
+
 (* FFT's primary capture and its K=4 corpus: the template holds every
    captured word, built from the in-memory pages and again from
    checksum-checked store reads, and replays of random-genome binaries
@@ -434,13 +445,6 @@ let test_template_holds_captured_words () =
   in
   Alcotest.(check int) "primary and three corpus entries" 4
     (List.length snaps);
-  let holds what snap tpl =
-    Hashtbl.iter
-      (fun page words ->
-         if Mem.page_words tpl ~page <> Some words then
-           Alcotest.failf "%s: page %d differs from the capture" what page)
-      (captured_table snap)
-  in
   List.iter
     (fun snap ->
        let tpl = Snapshot.template snap in
@@ -485,11 +489,10 @@ let test_template_holds_captured_words () =
 let test_eager_mode_costs_more () =
   let app = fft () in
   let normal = (capture_app app).Pipeline.overhead in
-  Capture.eager_mode := true;
   let eager =
-    (Option.get (Pipeline.capture_once ~seed:5 app)).Pipeline.overhead
+    (Option.get (Pipeline.capture_once ~seed:5 ~eager:true app))
+      .Pipeline.overhead
   in
-  Capture.eager_mode := false;
   Alcotest.(check bool) "eager fault cost >= CoW-based" true
     (eager.Capture.fault_cow_ms >= normal.Capture.fault_cow_ms)
 
@@ -786,6 +789,70 @@ let test_corpus_distinct_references_per_scimark_app () =
          (List.length distinct >= 2))
     [ "FFT"; "SOR"; "MonteCarlo"; "Sparse matmult"; "LU" ]
 
+(* Every capture of an app holds the same boot-common pages, whatever
+   the input: one APP/boot-common blob per app relies on it. *)
+let test_one_boot_image_per_app () =
+  List.iter
+    (fun (co : Pipeline.corpus) ->
+       let name = co.Pipeline.co_app.App.name in
+       let common = co.Pipeline.co_primary.Pipeline.snapshot.Snapshot.snap_common in
+       Alcotest.(check bool) (name ^ ": corpus entries captured") true
+         (co.Pipeline.co_entries <> []);
+       List.iter
+         (fun ce ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s, %s: the primary's boot-common pages" name
+                 ce.Pipeline.ce_input.App.in_label)
+              true
+              (ce.Pipeline.ce_snapshot.Snapshot.snap_common = common))
+         co.Pipeline.co_entries)
+    [ Lazy.force fft_corpus;
+      Option.get
+        (Pipeline.capture_corpus ~seed:7 ~k:4
+           (Option.get (App.find "MaterialLife"))) ]
+
+(* A corpus captured with a store attached: each capture spools its own
+   program blob, so every snapshot's template, rebuilt from the store,
+   holds that snapshot's captured words. *)
+let test_store_backed_corpus_templates () =
+  with_store (fun storage ->
+      let co = Option.get (Pipeline.capture_corpus ~seed:5 ~k:3 (fft ())) in
+      let snaps =
+        co.Pipeline.co_primary.Pipeline.snapshot
+        :: List.map (fun ce -> ce.Pipeline.ce_snapshot) co.Pipeline.co_entries
+      in
+      let labels = List.map Snapshot.program_label snaps in
+      Alcotest.(check int) "three distinct program blobs" 3
+        (List.length (List.sort_uniq String.compare labels));
+      List.iter
+        (fun label ->
+           Alcotest.(check bool) (label ^ " in the store") true
+             (Storage.contains storage ~label))
+        labels;
+      Snapshot.invalidate_templates ();
+      List.iter
+        (fun snap -> holds "store-backed template" snap (Snapshot.template snap))
+        snaps)
+
+(* The --store contract with a corpus: the same search with and without
+   the store attached. *)
+let test_store_backed_corpus_search () =
+  let digest () =
+    let cfg =
+      { Repro_search.Ga.quick_config with
+        population = 8; generations = 3; max_identical = 30 }
+    in
+    let _, session =
+      Option.get
+        (Pipeline.start ~quarantine:(Pipeline.create_quarantine_log ())
+           (Pipeline.request ~seed:5 ~cfg ~corpus_k:3 (fft ())))
+    in
+    Pipeline.search_digest (Pipeline.run_session session)
+  in
+  let plain = digest () in
+  Alcotest.(check string) "same search digest with the store" plain
+    (with_store (fun _ -> digest ()))
+
 let () =
   Alcotest.run "capture"
     [ ("capture",
@@ -821,9 +888,15 @@ let () =
          Alcotest.test_case "recapture byte-identical" `Quick
            test_corpus_recapture_byte_identical;
          Alcotest.test_case "distinct references per app" `Quick
-           test_corpus_distinct_references_per_scimark_app ]);
+           test_corpus_distinct_references_per_scimark_app;
+         Alcotest.test_case "one boot image per app" `Quick
+           test_one_boot_image_per_app ]);
       ("storage",
        [ Alcotest.test_case "accounting" `Quick test_storage_accounting;
+         Alcotest.test_case "store-backed corpus templates" `Quick
+           test_store_backed_corpus_templates;
+         Alcotest.test_case "store-backed corpus search" `Quick
+           test_store_backed_corpus_search;
          Alcotest.test_case "store-backed template" `Quick
            test_store_backed_template_equivalent;
          Alcotest.test_case "corruption quarantines" `Quick

@@ -266,21 +266,27 @@ let test_storage_replace_and_labels () =
   write_pages s "a" [ 1; 2 ];
   write_pages s "b" [ 3 ];
   write_pages s "a" [ 4 ];          (* replaces the first "a" *)
+  let blob_bytes label =
+    List.find_map
+      (fun r ->
+         if r.Storage.ba_label = label then Some r.Storage.ba_bytes else None)
+      (Storage.blob_accounting s)
+  in
   Alcotest.(check int) "replace" (2 * Storage.page_bytes)
-    (Storage.total_bytes s);
+    (Storage.accounting s).Storage.ac_logical_bytes;
   Alcotest.(check (list string)) "labels" [ "a"; "b" ] (Storage.labels s);
   Alcotest.(check (option int)) "blob bytes" (Some Storage.page_bytes)
-    (Storage.blob_bytes s ~label:"a");
+    (blob_bytes "a");
   Storage.delete s ~label:"a";
   Alcotest.(check bool) "gone" false (Storage.contains s ~label:"a");
-  Alcotest.(check (option int)) "no bytes" None (Storage.blob_bytes s ~label:"a")
+  Alcotest.(check (option int)) "no bytes" None (blob_bytes "a")
 
 let test_storage_spooler_is_lazy () =
   let s = Storage.create () in
   write_pages s "a" [ 1; 2; 3; 4; 5 ];
   Alcotest.(check int) "all queued" 5 (Storage.pending s);
   Alcotest.(check int) "logical counts queued pages" (5 * Storage.page_bytes)
-    (Storage.total_bytes s);
+    (Storage.accounting s).Storage.ac_logical_bytes;
   Alcotest.(check int) "nothing hashed yet" 0 (Storage.physical_bytes s);
   Alcotest.(check int) "bounded drain" 2 (Storage.drain ~max_pages:2 s);
   Alcotest.(check int) "three left" 3 (Storage.pending s);
@@ -313,7 +319,7 @@ let test_storage_dedup_and_refcounts () =
   write_pages s "app2" [ 2; 7 ];
   Storage.flush s;
   Alcotest.(check int) "logical: 4 pages" (4 * Storage.page_bytes)
-    (Storage.total_bytes s);
+    (Storage.accounting s).Storage.ac_logical_bytes;
   Alcotest.(check int) "physical: 3 frames" (3 * Storage.page_bytes)
     (Storage.physical_bytes s);
   let shared = Storage.page_hash (page_of 7) in
@@ -363,8 +369,7 @@ let test_storage_corruption_detected () =
   write_pages s "a" [ 1; 2 ];
   Storage.flush s;
   Storage.corrupt s ~hash:(Storage.page_hash (page_of 2)) ~byte:17;
-  check_err "flip caught" "corrupt" (Storage.read s ~label:"a");
-  check_err "validate agrees" "corrupt" (Storage.validate s ~label:"a")
+  check_err "flip caught" "corrupt" (Storage.read s ~label:"a")
 
 let test_storage_truncation_detected () =
   let s = Storage.create () in
@@ -661,49 +666,12 @@ let prop_storage_totals_dedup_adjusted =
           = List.length distinct * Storage.page_bytes
        && ac.Storage.ac_dedup_saved_bytes
           = ac.Storage.ac_logical_bytes - ac.Storage.ac_physical_bytes
-       && Storage.total_bytes s = ac.Storage.ac_logical_bytes
        && Storage.physical_bytes s = ac.Storage.ac_physical_bytes
        && ac.Storage.ac_shared_bytes <= ac.Storage.ac_physical_bytes
        (* per-blob rows are consistent with the totals *)
        && List.fold_left (fun acc r -> acc + r.Storage.ba_bytes) 0
             (Storage.blob_accounting s)
           = ac.Storage.ac_logical_bytes)
-
-(* ----------------------- tiering / eviction --------------------------- *)
-
-let test_storage_evict_to_budget () =
-  let s = Storage.create () in
-  write_pages s "cold" [ 1; 2 ];
-  write_pages s "warm" [ 3; 4 ];
-  write_pages s "shared" [ 1; 5 ];   (* shares frame 1 with "cold" *)
-  Storage.flush s;
-  ignore (Storage.read s ~label:"warm");
-  ignore (Storage.read s ~label:"shared");
-  Alcotest.(check int) "five distinct frames" (5 * Storage.page_bytes)
-    (Storage.physical_bytes s);
-  let evicted = Storage.evict_to s ~budget_bytes:(4 * Storage.page_bytes) in
-  Alcotest.(check (list string)) "least-recently-touched blob goes first"
-    [ "cold" ] evicted;
-  Alcotest.(check bool) "evicted blob gone" false
-    (Storage.contains s ~label:"cold");
-  (* frame 1 must survive: the surviving "shared" blob still references
-     it — refcount-driven tiering, not blind deletion *)
-  Alcotest.(check bool) "shared frame kept readable" true
-    (Result.is_ok (Storage.read s ~label:"shared"));
-  Alcotest.(check int) "within budget" (4 * Storage.page_bytes)
-    (Storage.physical_bytes s);
-  (* a zero budget drains the rest, deterministically *)
-  let rest = Storage.evict_to s ~budget_bytes:0 in
-  Alcotest.(check int) "remaining blobs evicted" 2 (List.length rest);
-  Alcotest.(check int) "store empty" 0 (Storage.physical_bytes s)
-
-let test_storage_evict_noop_within_budget () =
-  let s = Storage.create () in
-  write_pages s "a" [ 1 ];
-  Storage.flush s;
-  Alcotest.(check (list string)) "nothing to do" []
-    (Storage.evict_to s ~budget_bytes:(10 * Storage.page_bytes));
-  Alcotest.(check bool) "blob intact" true (Storage.contains s ~label:"a")
 
 (* -------------------------- string framing ---------------------------- *)
 
@@ -777,10 +745,6 @@ let () =
          Alcotest.test_case "load drops corrupt frames" `Quick
            test_storage_load_drops_corrupt_frames;
          Alcotest.test_case "missing blob" `Quick test_storage_missing_blob;
-         Alcotest.test_case "evict to budget" `Quick
-           test_storage_evict_to_budget;
-         Alcotest.test_case "evict noop within budget" `Quick
-           test_storage_evict_noop_within_budget;
          Alcotest.test_case "string framing roundtrip" `Quick
            test_storage_string_framing_roundtrip ]);
       ("os-properties",
