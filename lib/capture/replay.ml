@@ -37,12 +37,6 @@ let default_fuel = 200_000_000
 
 (* --------------------- injected loader faults ---------------------- *)
 
-let perturb_value = function
-  | Value.Vint x -> Value.Vint (x + 1)
-  | Value.Vfloat x -> Value.Vfloat (x +. 1.0)
-  | Value.Vbool b -> Value.Vbool (not b)
-  | Value.Vref a -> Value.Vref (a + 8)
-
 (* Damage the rebuilt address space the way a broken loader would:
    [Replay_truncate] loses the snapshot's highest captured page (reads as
    zeroes, as if the spool file were cut short); [Replay_collision]
@@ -149,7 +143,7 @@ let perturb_args ~key args =
     let rng = Faults.rng Faults.Replay_regs ~key in
     let i = Rng.int rng (List.length args) in
     Faults.record Faults.Replay_regs;
-    List.mapi (fun j v -> if j = i then perturb_value v else v) args
+    List.mapi (fun j v -> if j = i then Exec.perturb_value v else v) args
   end
   else args
 

@@ -44,7 +44,7 @@ type config = {
 }
 
 val default_config : config
-(** {!Repro_search.Ga.quick_config}, 5 replicas, 3 samples per device:
+(** {!Repro_search.Ga.quick_config}, 7 replicas, 3 samples per device:
     a pooled sample set comparable to the single-device pipeline's
     {!Pipeline.replays_per_eval}. *)
 

@@ -10,9 +10,15 @@
     Contract: cycle accounting, observable memory, return values,
     profiler samples and crash/hang classification are bit-identical to
     {!Exec} — for conforming and non-conforming (guard-stripped,
-    fault-injected, malformed) code alike.  [test/test_blockexec.ml] and
-    the differential property in [test/test_fuzz.ml] enforce this in
-    lockstep; [bench/main.exe] gates the speedup on FFT's replay. *)
+    fault-injected, malformed) code alike.  The exact path, the barriers
+    and the terminators are {!Exec}'s own code ({!Exec.exec_instr} and the
+    terminator functions, with fused micro-ops run as their
+    {!Blockplan.expand}ed instructions), so only what this engine adds —
+    fusion, straightening, the headroom proof, the flush on exceptions
+    and the fast-path twins — can break the contract.
+    [test/test_blockexec.ml] and the differential property in
+    [test/test_fuzz.ml] guard those in lockstep; [bench/main.exe] gates
+    the speedup on FFT's replay. *)
 
 type engine = Ref | Fused
 

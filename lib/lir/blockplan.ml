@@ -216,6 +216,24 @@ let fuse_block ~fused insns =
   in
   go [] insns
 
+(* The inverse of [fuse_block]: the instructions a micro-op was fused
+   from, in order.  A straightened goto expands to no instruction (its
+   charge and block entry are the executor's business). *)
+let expand = function
+  | Op i -> [ i ]
+  | Goto_seam _ -> []
+  | Null_load_len (d, a) -> [ Hir.GuardNull a; Hir.LoadLen (d, a) ]
+  | Null_load_field (k, d, o, off) ->
+    [ Hir.GuardNull o; Hir.LoadField (k, d, o, off) ]
+  | Null_store_field (k, o, v, off) ->
+    [ Hir.GuardNull o; Hir.StoreField (k, o, v, off) ]
+  | Bounds_load_elem (k, d, a, i, l) ->
+    [ Hir.GuardBounds (i, l); Hir.LoadElem (k, d, a, i) ]
+  | Bounds_store_elem (k, a, i, v, l) ->
+    [ Hir.GuardBounds (i, l); Hir.StoreElem (k, a, i, v) ]
+  | Load_elem_op (k, dl, a, i, op, d2, x, y) ->
+    [ Hir.LoadElem (k, dl, a, i); Hir.Binop (op, d2, x, y) ]
+
 (* --------------------------- straightening -------------------------- *)
 
 (* Hard limits in the spirit of the guillotine analysis: bound the work and

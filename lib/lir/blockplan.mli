@@ -43,6 +43,10 @@ type mop =
       * Repro_hgraph.Hir.reg
       (** (kind, load dst, arr, idx, op, binop dst, lhs, rhs) *)
 
+val expand : mop -> Repro_hgraph.Hir.instr list
+(** The instructions a micro-op was fused from, in program order ([[]]
+    for a [Goto_seam]): what the executor's exact path runs. *)
+
 type seg = {
   sg_ops : mop array;
   sg_bound : int;

@@ -69,62 +69,72 @@ let zero_like = function
   | Vbool _ -> Vbool false
   | Vref _ -> Vref 0
 
-(* A corrupted return value must stay the same shape (the callers' cost
-   model switches on it) but differ under [Value.equal]. *)
+(* A corrupted value must stay the same shape (the callers' cost model
+   switches on it) but differ under [Value.equal]. *)
 let perturb_value = function
   | Vint x -> Vint (x + 1)
   | Vfloat x -> Vfloat (x +. 1.0)
   | Vbool b -> Vbool (not b)
   | Vref a -> Vref (a + 8)
 
-let run_func (ctx : Ctx.t) (f : Hir.func) args =
+(* The instruction semantics both engines execute.  None of these
+   functions allocates per instruction: [Ctx.charge ctx] is written out in
+   each case, as a local [charge] closure would be built on every call. *)
+
+let rec fill_args regs i = function
+  | [] -> ()
+  | v :: rest ->
+    regs.(i) <- v;
+    fill_args regs (i + 1) rest
+
+let frame (f : Hir.func) args =
+  let regs = Array.make (max f.Hir.f_nregs 1) (Vint 0) in
+  fill_args regs 0 args;
+  regs
+
+(* Executor fault points: armed only inside a [Faults.scoped] replay (a
+   verified candidate replay), keyed by (scope, method) — the same
+   function faults the same way on every call of that replay.  Fires
+   [Exec_crash] and [Exec_hang] here, at function entry; returns whether
+   [Exec_wrong_ret] fired, for [exec_ret] to apply. *)
+let fault_entry (ctx : Ctx.t) (f : Hir.func) =
+  match Faults.scope_key () with
+  | None -> false
+  | Some sk ->
+    let key = Faults.combine sk f.Hir.f_mid in
+    if Faults.fire Faults.Exec_crash ~key then begin
+      Faults.record Faults.Exec_crash;
+      raise (Segfault "injected executor fault")
+    end;
+    if Faults.fire Faults.Exec_hang ~key then begin
+      Faults.record Faults.Exec_hang;
+      (* spin until the replay fuel declares the execution hung *)
+      while true do
+        Ctx.charge ctx 1_000_000
+      done
+    end;
+    Faults.fire Faults.Exec_wrong_ret ~key
+
+let read mem addr =
+  try Mem.read_word mem addr with Invalid_argument msg -> raise (Segfault msg)
+
+let write mem addr v =
+  try Mem.write_word mem addr v
+  with Invalid_argument msg -> raise (Segfault msg)
+
+let as_ref v =
+  match v with
+  | Vref a -> a
+  | Vint a -> a     (* guard-free code can feed integers as addresses *)
+  | Vfloat _ | Vbool _ -> raise (Segfault "non-pointer value dereferenced")
+
+let exec_instr (ctx : Ctx.t) regs i =
   let c = ctx.Ctx.cost in
   let mem = ctx.Ctx.mem in
-  let regs = Array.make (max f.Hir.f_nregs 1) (Vint 0) in
-  List.iteri (fun i v -> regs.(i) <- v) args;
-  (* Executor fault points: armed only inside a [Faults.scoped] replay (a
-     verified candidate replay), keyed by (scope, method) — the same
-     function faults the same way on every call of that replay. *)
-  let fault_wrong_ret =
-    match Faults.scope_key () with
-    | None -> false
-    | Some sk ->
-      let key = Faults.combine sk f.Hir.f_mid in
-      if Faults.fire Faults.Exec_crash ~key then begin
-        Faults.record Faults.Exec_crash;
-        raise (Segfault "injected executor fault")
-      end;
-      if Faults.fire Faults.Exec_hang ~key then begin
-        Faults.record Faults.Exec_hang;
-        (* spin until the replay fuel declares the execution hung *)
-        while true do
-          Ctx.charge ctx 1_000_000
-        done
-      end;
-      Faults.fire Faults.Exec_wrong_ret ~key
-  in
-  let fetch_penalty = fetch_penalty_of f in
-  let charge n = Ctx.charge ctx n in
-  let read addr =
-    match Mem.read_word mem addr with
-    | w -> w
-    | exception Invalid_argument msg -> raise (Segfault msg)
-  in
-  let write addr v =
-    match Mem.write_word mem addr v with
-    | () -> ()
-    | exception Invalid_argument msg -> raise (Segfault msg)
-  in
-  let as_ref v =
-    match v with
-    | Vref a -> a
-    | Vint a -> a     (* guard-free code can feed integers as addresses *)
-    | Vfloat _ | Vbool _ -> raise (Segfault "non-pointer value dereferenced")
-  in
-  let exec_instr i =
+  try
     match i with
     | Hir.Const (d, const) ->
-      charge c.Cost.const;
+      Ctx.charge ctx c.Cost.const;
       regs.(d) <-
         (match const with
          | B.Cint k -> Vint k
@@ -132,95 +142,96 @@ let run_func (ctx : Ctx.t) (f : Hir.func) args =
          | B.Cbool b -> Vbool b
          | B.Cnull -> Value.null)
     | Hir.Move (d, s) ->
-      charge c.Cost.move;
+      Ctx.charge ctx c.Cost.move;
       regs.(d) <- regs.(s)
     | Hir.Binop (op, d, a, b) ->
-      charge (binop_cost c op regs.(a));
+      Ctx.charge ctx (binop_cost c op regs.(a));
       regs.(d) <- eval_binop_arm op regs.(a) regs.(b)
     | Hir.Fma (d, a, b, cc) ->
-      charge c.Cost.float_mul;
+      Ctx.charge ctx c.Cost.float_mul;
       regs.(d) <-
         Vfloat
           (Float.fma (Value.to_float regs.(a)) (Value.to_float regs.(b))
              (Value.to_float regs.(cc)))
     | Hir.Select (d, cnd, a, b) ->
-      charge c.Cost.int_alu;
+      Ctx.charge ctx c.Cost.int_alu;
       regs.(d) <- (if Value.is_truthy regs.(cnd) then regs.(a) else regs.(b))
     | Hir.Unop (Ast.Neg, d, a) ->
       (match regs.(a) with
        | Vint x ->
-         charge c.Cost.int_alu;
+         Ctx.charge ctx c.Cost.int_alu;
          regs.(d) <- Vint (-x)
        | Vfloat x ->
-         charge c.Cost.float_alu;
+         Ctx.charge ctx c.Cost.float_alu;
          regs.(d) <- Vfloat (-.x)
        | Vbool _ | Vref _ -> raise (Segfault "neg of non-number"))
     | Hir.Unop (Ast.Not, d, a) ->
-      charge c.Cost.int_alu;
+      Ctx.charge ctx c.Cost.int_alu;
       regs.(d) <- Vbool (not (Value.to_bool regs.(a)))
     | Hir.I2f (d, a) ->
-      charge c.Cost.float_conv;
+      Ctx.charge ctx c.Cost.float_conv;
       regs.(d) <- Vfloat (float_of_int (Value.to_int regs.(a)))
     | Hir.F2i (d, a) ->
-      charge c.Cost.float_conv;
+      Ctx.charge ctx c.Cost.float_conv;
       regs.(d) <- Vint (int_of_float (Value.to_float regs.(a)))
     | Hir.NewObj (d, cid) -> regs.(d) <- Vref (Ctx.alloc_object ctx cid)
     | Hir.NewArr (d, _, len) ->
       regs.(d) <- Vref (Ctx.alloc_array ctx (Value.to_int regs.(len)))
     | Hir.GuardNull r ->
-      charge c.Cost.null_check;
+      Ctx.charge ctx c.Cost.null_check;
       if as_ref regs.(r) = 0 then raise (Ctx.App_exception Ctx.exc_null_pointer)
     | Hir.GuardBounds (i, l) ->
-      charge c.Cost.bounds_check;
+      Ctx.charge ctx c.Cost.bounds_check;
       let idx = Value.to_int regs.(i) and len = Value.to_int regs.(l) in
       if idx < 0 || idx >= len then
         raise (Ctx.App_exception Ctx.exc_out_of_bounds)
     | Hir.GuardDivZero r ->
-      charge c.Cost.null_check;
+      Ctx.charge ctx c.Cost.null_check;
       (match regs.(r) with
        | Vint 0 -> raise (Ctx.App_exception Ctx.exc_div_by_zero)
        | _ -> ())
     | Hir.LoadElem (k, d, a, i) ->
-      charge c.Cost.load;
+      Ctx.charge ctx c.Cost.load;
       let addr = Ctx.elem_addr (as_ref regs.(a)) (Value.to_int regs.(i)) in
-      regs.(d) <- Value.of_word k (read addr)
+      regs.(d) <- Value.of_word k (read mem addr)
     | Hir.StoreElem (_, a, i, v) ->
-      charge c.Cost.store;
+      Ctx.charge ctx c.Cost.store;
       let addr = Ctx.elem_addr (as_ref regs.(a)) (Value.to_int regs.(i)) in
-      write addr (Value.to_word regs.(v))
+      write mem addr (Value.to_word regs.(v))
     | Hir.LoadLen (d, a) ->
-      charge c.Cost.load;
-      regs.(d) <- Vint (Int64.to_int (read (as_ref regs.(a))))
+      Ctx.charge ctx c.Cost.load;
+      regs.(d) <- Vint (Int64.to_int (read mem (as_ref regs.(a))))
     | Hir.LoadField (k, d, o, off) ->
-      charge c.Cost.load;
-      regs.(d) <- Value.of_word k (read (Ctx.field_addr (as_ref regs.(o)) off))
+      Ctx.charge ctx c.Cost.load;
+      regs.(d) <-
+        Value.of_word k (read mem (Ctx.field_addr (as_ref regs.(o)) off))
     | Hir.StoreField (_, o, v, off) ->
-      charge c.Cost.store;
-      write (Ctx.field_addr (as_ref regs.(o)) off) (Value.to_word regs.(v))
+      Ctx.charge ctx c.Cost.store;
+      write mem (Ctx.field_addr (as_ref regs.(o)) off) (Value.to_word regs.(v))
     | Hir.LoadClass (d, o) ->
-      charge c.Cost.load;
-      regs.(d) <- Vint (Int64.to_int (read (as_ref regs.(o))))
+      Ctx.charge ctx c.Cost.load;
+      regs.(d) <- Vint (Int64.to_int (read mem (as_ref regs.(o))))
     | Hir.SGet (k, d, slot) ->
-      charge c.Cost.load;
-      regs.(d) <- Value.of_word k (read (Ctx.static_addr ctx slot))
+      Ctx.charge ctx c.Cost.load;
+      regs.(d) <- Value.of_word k (read mem (Ctx.static_addr ctx slot))
     | Hir.SPut (_, slot, v) ->
-      charge c.Cost.store;
-      write (Ctx.static_addr ctx slot) (Value.to_word regs.(v))
+      Ctx.charge ctx c.Cost.store;
+      write mem (Ctx.static_addr ctx slot) (Value.to_word regs.(v))
     | Hir.CallStatic (ret, mid, argregs) ->
-      charge c.Cost.call_overhead;
+      Ctx.charge ctx c.Cost.call_overhead;
       let cargs = List.map (fun r -> regs.(r)) argregs in
       (match ret, Ctx.invoke ctx mid cargs with
        | Some d, Some v -> regs.(d) <- v
        | Some _, None | None, (Some _ | None) -> ())
     | Hir.CallVirtual (ret, slot, argregs, _site) ->
-      charge (c.Cost.call_overhead + c.Cost.virtual_extra + c.Cost.load);
+      Ctx.charge ctx (c.Cost.call_overhead + c.Cost.virtual_extra + c.Cost.load);
       let cargs = List.map (fun r -> regs.(r)) argregs in
       let recv =
         match argregs with
         | r :: _ -> as_ref regs.(r)
         | [] -> raise (Segfault "virtual call without receiver")
       in
-      let cid = Int64.to_int (read recv) in
+      let cid = Int64.to_int (read mem recv) in
       if cid < 0 || cid >= Array.length ctx.Ctx.dx.B.dx_classes then
         raise (Segfault "corrupt object header in virtual dispatch");
       let vtable = ctx.Ctx.dx.B.dx_classes.(cid).B.ci_vtable in
@@ -243,54 +254,72 @@ let run_func (ctx : Ctx.t) (f : Hir.func) args =
     | Hir.ALoadC _ | Hir.AStoreC _ | Hir.ArrLenC _ | Hir.IGetC _ | Hir.IPutC _ ->
       failwith "Exec: composite instruction reached the executor \
                 (method was not translated)"
+  with Invalid_argument msg ->
+    (* type confusion in guard-stripped code: on hardware a wild access,
+       i.e. a crash *)
+    raise (Segfault msg)
+
+(* Terminators run outside [exec_instr]'s Invalid_argument conversion. *)
+
+let branch_cost (ctx : Ctx.t) fetch hint taken =
+  let c = ctx.Ctx.cost in
+  Ctx.charge ctx (c.Cost.branch + fetch);
+  match hint, taken with
+  | Hir.Predict_taken, true | Hir.Predict_not_taken, false -> ()
+  | Hir.Predict_taken, false | Hir.Predict_not_taken, true ->
+    Ctx.charge ctx c.Cost.branch_miss
+  | Hir.Predict_none, _ -> Ctx.charge ctx (c.Cost.branch_miss / 2)
+
+let exec_if ctx regs ~fetch cond a rhs bt be hint =
+  let vb =
+    match rhs with
+    | Some rb -> regs.(rb)
+    | None -> zero_like regs.(a)
   in
-  let branch_cost hint taken =
-    charge (c.Cost.branch + fetch_penalty);
-    match hint, taken with
-    | Hir.Predict_taken, true | Hir.Predict_not_taken, false -> ()
-    | Hir.Predict_taken, false | Hir.Predict_not_taken, true ->
-      charge c.Cost.branch_miss
-    | Hir.Predict_none, _ -> charge (c.Cost.branch_miss / 2)
-  in
+  let taken = Interp.eval_cond cond regs.(a) vb in
+  branch_cost ctx fetch hint taken;
+  if taken then bt else be
+
+let exec_ret (ctx : Ctx.t) regs ~wrong_ret r =
+  Ctx.charge ctx ctx.Ctx.cost.Cost.int_alu;
+  match r with
+  | None -> None
+  | Some r ->
+    let v = regs.(r) in
+    if wrong_ret then begin
+      Faults.record Faults.Exec_wrong_ret;
+      Some (perturb_value v)
+    end
+    else Some v
+
+let exec_throw (ctx : Ctx.t) regs r =
+  Ctx.charge ctx ctx.Ctx.cost.Cost.throw_cost;
+  raise (Ctx.App_exception (Value.to_int regs.(r)))
+
+let run_func (ctx : Ctx.t) (f : Hir.func) args =
+  let regs = frame f args in
+  let wrong_ret = fault_entry ctx f in
+  let fetch = fetch_penalty_of f in
+  let step i = exec_instr ctx regs i in
   let result = ref None in
   let running = ref true in
   let bid = ref f.Hir.f_entry in
-  (* Type confusion in guard-stripped code surfaces as Invalid_argument from
-     the value accessors; on hardware that is a wild access, i.e. a crash. *)
-  let exec_instr i =
-    try exec_instr i with Invalid_argument msg -> raise (Segfault msg)
-  in
   while !running do
     (match !block_hook with
      | Some h -> h f.Hir.f_mid !bid ctx.Ctx.cycles
      | None -> ());
     let b = Hir.block f !bid in
-    List.iter exec_instr b.Hir.insns;
-    (match b.Hir.term with
-     | Hir.Goto t ->
-       charge (c.Cost.branch + fetch_penalty);
-       bid := t
-     | Hir.If (cond, a, rhs, bt, be, hint) ->
-       let vb =
-         match rhs with
-         | Some rb -> regs.(rb)
-         | None -> zero_like regs.(a)
-       in
-       let taken = Interp.eval_cond cond regs.(a) vb in
-       branch_cost hint taken;
-       bid := if taken then bt else be
-     | Hir.Ret r ->
-       charge c.Cost.int_alu;
-       result := Option.map (fun r -> regs.(r)) r;
-       (match !result with
-        | Some v when fault_wrong_ret ->
-          Faults.record Faults.Exec_wrong_ret;
-          result := Some (perturb_value v)
-        | Some _ | None -> ());
-       running := false
-     | Hir.ThrowT r ->
-       charge c.Cost.throw_cost;
-       raise (Ctx.App_exception (Value.to_int regs.(r))))
+    List.iter step b.Hir.insns;
+    match b.Hir.term with
+    | Hir.Goto t ->
+      Ctx.charge ctx (ctx.Ctx.cost.Cost.branch + fetch);
+      bid := t
+    | Hir.If (cond, a, rhs, bt, be, hint) ->
+      bid := exec_if ctx regs ~fetch cond a rhs bt be hint
+    | Hir.Ret r ->
+      result := exec_ret ctx regs ~wrong_ret r;
+      running := false
+    | Hir.ThrowT r -> exec_throw ctx regs r
   done;
   !result
 

@@ -12,10 +12,11 @@
 
 exception Segfault of string
 
-(** {2 Cost/semantics helpers shared with {!Blockexec}}
+(** {2 The instruction semantics}
 
-    The block-fused engine must charge byte-identical cycles and raise
-    byte-identical failures; it reuses these rather than re-deriving them. *)
+    The one definition of what an LIR instruction, a function entry and a
+    terminator do: {!run_func} is a block loop over these functions, and
+    {!Blockexec}'s exact path, barriers and terminators call them too. *)
 
 val fetch_penalty_of : Repro_hgraph.Hir.func -> int
 (** Per-function static control-transfer penalty: instruction-cache
@@ -28,11 +29,46 @@ val eval_binop_arm :
   Repro_dex.Ast.binop -> Repro_vm.Value.t -> Repro_vm.Value.t -> Repro_vm.Value.t
 (** ARM-style division semantics: [x / 0 = 0], [x % 0 = x], no trap. *)
 
-val zero_like : Repro_vm.Value.t -> Repro_vm.Value.t
-(** The typed zero an [If] with no second operand compares against. *)
-
 val perturb_value : Repro_vm.Value.t -> Repro_vm.Value.t
-(** Shape-preserving corruption used by the [Exec_wrong_ret] fault point. *)
+(** Shape-preserving corruption, used by the [Exec_wrong_ret] and
+    [Replay_regs] fault points. *)
+
+val frame :
+  Repro_hgraph.Hir.func -> Repro_vm.Value.t list -> Repro_vm.Value.t array
+(** A call's register file, the arguments in its first registers. *)
+
+val fault_entry : Repro_vm.Exec_ctx.t -> Repro_hgraph.Hir.func -> bool
+(** A function entry's fault points, inside a {!Repro_util.Faults}
+    scope: fires [Exec_crash] and [Exec_hang], and returns whether
+    [Exec_wrong_ret] fired (the [~wrong_ret] of {!exec_ret}). *)
+
+val read : Repro_os.Mem.t -> int -> int64
+val write : Repro_os.Mem.t -> int -> int64 -> unit
+
+val as_ref : Repro_vm.Value.t -> int
+(** The address a reference (or, in guard-free code, an integer) names.
+    These three raise {!Segfault} on an unmapped or non-pointer access. *)
+
+val exec_instr :
+  Repro_vm.Exec_ctx.t -> Repro_vm.Value.t array -> Repro_hgraph.Hir.instr ->
+  unit
+(** One instruction: its charge through {!Repro_vm.Exec_ctx.charge},
+    then its effect.  [Invalid_argument] from type confusion in
+    guard-stripped code is converted to {!Segfault}. *)
+
+val exec_if :
+  Repro_vm.Exec_ctx.t -> Repro_vm.Value.t array -> fetch:int ->
+  Repro_dex.Bytecode.cond -> Repro_hgraph.Hir.reg ->
+  Repro_hgraph.Hir.reg option -> Repro_hgraph.Hir.bid ->
+  Repro_hgraph.Hir.bid -> Repro_hgraph.Hir.hint -> Repro_hgraph.Hir.bid
+(** The [If] terminator: charges the branch and returns the successor. *)
+
+val exec_ret :
+  Repro_vm.Exec_ctx.t -> Repro_vm.Value.t array -> wrong_ret:bool ->
+  Repro_hgraph.Hir.reg option -> Repro_vm.Value.t option
+
+val exec_throw :
+  Repro_vm.Exec_ctx.t -> Repro_vm.Value.t array -> Repro_hgraph.Hir.reg -> 'a
 
 val block_hook : (int -> int -> int -> unit) option ref
 (** Lockstep observation point: when set, both executors fire it at every

@@ -1,13 +1,18 @@
 (* The differential net for the block-fused execution engine: every
    observable of a replay — outcome class, crash message, return value,
-   cycle count (also at crash time), dirty memory, profiler samples —
-   must be byte-identical between Repro_lir.Exec (reference) and
-   Repro_lir.Blockexec (fused), for conforming and non-conforming code
-   alike.  A qcheck campaign sweeps random genomes over registry apps and
-   corpus inputs; pinned cases cover the spots where the fused engine
-   could legally have diverged: a branch into the middle of a fusible
-   pair, fuel exhaustion inside a hoisted segment, guard-stripped
-   binaries on adversarial inputs, injected executor faults, and the
+   cycle count (also at crash time), dirty memory, block stream, profiler
+   samples — must be byte-identical between Repro_lir.Exec (reference)
+   and Repro_lir.Blockexec (fused), for conforming and non-conforming code
+   alike.  The fused engine's exact path runs Exec's own instruction code,
+   so what this net guards is what the fused engine adds: fusion,
+   straightening, the headroom proof, the flush on exceptions and the
+   fast-path twins.  A qcheck campaign sweeps random genomes over registry
+   apps and corpus inputs; pinned cases cover the spots where the fused
+   engine could legally have diverged: a branch into the middle of a
+   fusible pair, a dispatch target missing from the graph, fuel
+   exhaustion inside a hoisted segment, every segment of whole O2/O3
+   replays on the exact path, guard-stripped binaries on adversarial
+   inputs, injected executor faults, one plan per load, overlays, and the
    sampling-profiler fallback. *)
 
 module B = Repro_dex.Bytecode
@@ -95,7 +100,7 @@ let outcome_eq a b =
 (* Run the same (dx, snapshot, binary) replay under both engines and
    explain the first divergent block if any observable differs.  Compares
    outcome, post-replay cycle counter (exact also for crashes and
-   timeouts), and the dirty heap/static words. *)
+   timeouts), the dirty heap/static words and the block stream. *)
 let compare_replay ?fuel ?faults_key ~what dx snap binary =
   let loaded = Blockexec.load binary in
   let replay engine () =
@@ -134,7 +139,8 @@ let compare_replay ?fuel ?faults_key ~what dx snap binary =
          rr.Replay.ctx.Ctx.cycles rf.Replay.ctx.Ctx.cycles);
   let dref = Verify.diff_against_snapshot rr.Replay.ctx snap in
   let dfused = Verify.diff_against_snapshot rf.Replay.ctx snap in
-  if dref <> dfused then explain "dirty heap/static words differ"
+  if dref <> dfused then explain "dirty heap/static words differ";
+  if !sref <> !sfused then explain "block streams differ"
 
 (* --------------------- shared app/corpus fixtures ------------------- *)
 
@@ -159,6 +165,13 @@ let fixture name =
 
 let campaign_apps = [ "FFT"; "LU"; "SOR" ]
 
+(* The primary capture and every corpus input, labelled. *)
+let snapshots co =
+  ("primary", co.Pipeline.co_primary.Pipeline.snapshot)
+  :: List.map
+       (fun ce -> (ce.Pipeline.ce_input.App.in_label, ce.Pipeline.ce_snapshot))
+       co.Pipeline.co_entries
+
 (* ------------------------- qcheck campaign -------------------------- *)
 
 (* Random (app, genome, input) triples: compile the genome for the app's
@@ -179,14 +192,6 @@ let campaign =
        match Pipeline.compile_core env genome with
        | Error _ -> true (* nothing to execute *)
        | Ok binary ->
-         let snaps =
-           (("primary", co.Pipeline.co_primary.Pipeline.snapshot)
-            :: List.map
-                 (fun ce ->
-                    (ce.Pipeline.ce_input.App.in_label,
-                     ce.Pipeline.ce_snapshot))
-                 co.Pipeline.co_entries)
-         in
          List.iter
            (fun (label, snap) ->
               compare_replay
@@ -194,8 +199,57 @@ let campaign =
                   (Printf.sprintf "%s/%s genome=%s" name label
                      (Genome.to_string genome))
                 env.Pipeline.dx snap binary)
-           snaps;
+           (snapshots co);
          true)
+
+(* ------------------ pinned: every segment on the exact path ---------- *)
+
+(* The exact path (the reference's own instruction code, fused pairs
+   expanded) is otherwise reached only at the fuel boundary.  Here every
+   function of the campaign apps' O2 and O3 binaries gets an unreachable
+   block naming a register outside its file, so the register-range proof
+   fails on every plan and whole replays of the primary and corpus inputs
+   run every segment exactly.  The pressure cache is pre-filled with the
+   clean function's, so only the proof changes. *)
+let poison (f : Hir.func) =
+  let g = Hir.copy f in
+  g.Hir.f_pressure <- f.Hir.f_pressure;
+  ignore
+    (Hir.add_block g [ Hir.Move (g.Hir.f_nregs + 3, 0) ] (Hir.Ret None));
+  g
+
+let test_exact_path_everywhere () =
+  List.iter
+    (fun name ->
+       let _, co, env = fixture name in
+       List.iter
+         (fun (level, spec) ->
+            let clean =
+              Lir.Compile.llvm_binary env.Pipeline.frontend spec
+                env.Pipeline.region
+            in
+            let binary =
+              Binary.create
+                (List.map
+                   (fun mid -> poison (Option.get (Binary.find clean mid)))
+                   (Binary.mids clean))
+            in
+            let what = Printf.sprintf "%s %s exact path" name level in
+            let plan = Blockplan.build Vm.Cost.default binary in
+            Alcotest.(check bool) (what ^ ": plans built") true
+              (Hashtbl.length plan.Blockplan.pl_funcs > 0);
+            Hashtbl.iter
+              (fun _ fp ->
+                 Alcotest.(check bool) (what ^ ": no register proof") false
+                   fp.Blockplan.fp_regs_ok)
+              plan.Blockplan.pl_funcs;
+            List.iter
+              (fun (label, snap) ->
+                 compare_replay ~what:(Printf.sprintf "%s, %s" what label)
+                   env.Pipeline.dx snap binary)
+              (snapshots co))
+         [ ("O2", Lir.Pipelines.o2); ("O3", Lir.Pipelines.o3) ])
+    campaign_apps
 
 (* ----------------- pinned: branch into a fusible pair --------------- *)
 
@@ -552,6 +606,8 @@ let () =
            test_missing_block;
          Alcotest.test_case "fuel exhaustion mid-block" `Quick
            test_fuel_exhaustion_mid_block;
+         Alcotest.test_case "every segment on the exact path" `Quick
+           test_exact_path_everywhere;
          Alcotest.test_case "guard-stripped killed identically" `Quick
            test_guard_stripped_killed_identically;
          Alcotest.test_case "executor faults through both engines" `Quick

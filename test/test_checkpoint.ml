@@ -257,6 +257,46 @@ let test_fingerprint_mismatch () =
   check_cold_start ~warning:"run configuration mismatch"
     ~target:fft_128_target ~name:"content mismatch" file
 
+(* A journal that parses and carries the right fingerprint, but whose
+   first batch asks for other draws than the configured search makes
+   (its RNG cursor moved by one, the digest recomputed by the save), is
+   abandoned at the first mismatch: one warning, one quarantine entry, and
+   the whole search redone live from scratch. *)
+let test_diverged_journal () =
+  let file = temp_ckpt () in
+  Fun.protect ~finally:(fun () -> rm file) @@ fun () ->
+  Alcotest.(check (option string)) "interrupted run dies" None
+    (run_with_ckpt ~abort_after:3 file);
+  (match Checkpoint.load file with
+   | `Loaded (t, _) ->
+     let batches =
+       match t.Checkpoint.batches with
+       | b :: rest ->
+         { b with Checkpoint.b_cursor = Int64.add b.Checkpoint.b_cursor 1L }
+         :: rest
+       | [] -> Alcotest.fail "empty journal"
+     in
+     Checkpoint.save { t with Checkpoint.batches } file
+   | `Absent | `Damaged _ -> Alcotest.fail "expected a clean journal");
+  let q = Pipeline.create_quarantine_log () in
+  let s =
+    Pipeline.start_search ~seed:3 ~cfg:tiny_cfg ~quarantine:q
+      ~checkpoint:file (fft ()) (Lazy.force capture)
+  in
+  let r = Pipeline.run_session s in
+  Alcotest.(check string) "cold digest = uninterrupted digest"
+    (Lazy.force reference) (Pipeline.search_digest r);
+  Alcotest.(check int) "nothing replayed" 0
+    (Pipeline.session_replayed_batches s);
+  Alcotest.(check (list string)) "warned once"
+    [ Printf.sprintf
+        "checkpoint %s: journal diverged from the configured search \
+         (restarting cold)"
+        file ]
+    (Pipeline.session_warnings s);
+  Alcotest.(check (list string)) "quarantined" [ "checkpoint:" ^ file ]
+    (quarantine_keys q)
+
 (* ----------------------- quarantine log scoping ----------------------- *)
 
 let test_quarantine_scoping () =
@@ -344,7 +384,9 @@ let () =
          Alcotest.test_case "truncated file" `Quick test_truncated_checkpoint;
          Alcotest.test_case "corrupted byte" `Quick test_corrupt_checkpoint;
          Alcotest.test_case "config mismatch" `Quick
-           test_fingerprint_mismatch ]);
+           test_fingerprint_mismatch;
+         Alcotest.test_case "diverged journal restarts cold" `Quick
+           test_diverged_journal ]);
       ("quarantine",
        [ Alcotest.test_case "per-run scoping" `Quick
            test_quarantine_scoping ]) ]
