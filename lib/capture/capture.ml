@@ -103,6 +103,8 @@ let capture_region ~app ?(harvest_on_exn = false) ?(eager = false)
   let fault_cow_ms =
     (per_fault_ms *. float_of_int n_faults) +. cow_total_ms
   in
+  (* program pages are copied out of the child's live frames; boot-common
+     pages are the boot image's immutable frames, aliased *)
   let image_of page =
     match Mem.page_data child ~page with
     | Some data -> Some { Snapshot.pg_index = page; pg_data = data }

@@ -63,7 +63,7 @@ let inject_loader_faults ~key mem (snap : Snapshot.t) =
   in
   (* a page of zeroes reads back as zeroes: truncation of it is a no-op *)
   let nonzero { Snapshot.pg_data; _ } =
-    Array.exists (fun w -> w <> 0L) pg_data
+    Bytes.exists (fun c -> c <> '\000') pg_data
   in
   let targets = List.filter nonzero observable in
   if targets <> [] then begin
@@ -76,7 +76,7 @@ let inject_loader_faults ~key mem (snap : Snapshot.t) =
       in
       let base = last * Mem.page_size in
       for w = 0 to Mem.words_per_page - 1 do
-        Mem.write_word mem (base + (w * 8)) 0L
+        Mem.write_int mem (base + (w * 8)) 0
       done;
       Faults.record Faults.Replay_truncate
     end;

@@ -2,7 +2,7 @@ module Mem = Repro_os.Mem
 module Storage = Repro_os.Storage
 module Trace = Repro_util.Trace
 
-type page_image = { pg_index : int; pg_data : int64 array }
+type page_image = { pg_index : int; pg_data : Bytes.t }
 
 type t = {
   snap_app : string;
@@ -23,9 +23,18 @@ let common_bytes t = List.length t.snap_common * Mem.page_size
    digest of its page indices and words.  Two captures share a name only
    when they hold the same pages, whatever the input, seed or app source
    that produced them.  Boot-common pages are the same for every capture
-   of an app, so they keep one blob per app. *)
+   of an app, so they keep one blob per app.  The digest is taken over
+   each page marshalled as [(index, int64 array)], so stored blob names
+   do not depend on how a page is held in memory. *)
 let program_label t =
-  let pages = Marshal.to_string t.snap_pages [ Marshal.No_sharing ] in
+  let words { pg_index; pg_data } =
+    ( pg_index,
+      Array.init Mem.words_per_page (fun w ->
+          Bytes.get_int64_le pg_data (w * 8)) )
+  in
+  let pages =
+    Marshal.to_string (List.map words t.snap_pages) [ Marshal.No_sharing ]
+  in
   Printf.sprintf "%s/capture/%s" t.snap_app
     (String.sub (Digest.to_hex (Digest.string pages)) 0 12)
 
@@ -125,7 +134,10 @@ let build_template snap =
        Mem.map mem ~base:m.Mem.map_base ~npages:m.Mem.map_npages
          ~kind:m.Mem.map_kind ~name:m.Mem.map_name)
     snap.snap_maps;
-  List.iter (fun (page, data) -> Mem.install_page mem ~page data) pages;
+  List.iter
+    (fun (page, data) ->
+       Mem.install_page ~image:Repro_vm.Image.boot_image mem ~page data)
+    pages;
   mem
 
 let templates : Mem.t memo = new_memo ()

@@ -4,11 +4,15 @@
     Program-specific pages hold the original (pre-region) contents of every
     page the region touched, recovered from the forked child's
     Copy-on-Write frames.  Boot-common pages (immutable runtime objects)
-    are stored once per device boot and shared across captures; mapped code
-    files are only logged as paths. *)
+    are stored once per device boot and shared across captures — in
+    memory too: their page images are the process-wide
+    {!Repro_vm.Image.boot_image} frames themselves.  Mapped code files are
+    only logged as paths. *)
 
-type page_image = { pg_index : int; pg_data : int64 array }
-(** One captured page: its page-table index and original word contents. *)
+type page_image = { pg_index : int; pg_data : Bytes.t }
+(** One captured page: its page-table index and original contents, one
+    flat 4 KB page of little-endian words.  Never written: boot-common
+    images share their bytes with the boot image. *)
 
 type t = {
   snap_app : string;
@@ -36,7 +40,8 @@ val program_label : t -> string
     indices and words (e.g. ["FFT/capture/03551d9acd2b"]).  Captures of
     one app from different inputs or seeds get different blobs; only
     captures that hold the same pages share one.  Computed on each call
-    (one marshal and MD5 over the program pages). *)
+    (one marshal and MD5 over the program pages, each as
+    [(index, int64 array)]). *)
 
 val common_label : t -> string
 (** Store label of this app's boot-common page blob (["app/boot-common"]).
@@ -71,7 +76,10 @@ val invalidate_templates : unit -> unit
 val template : t -> Repro_os.Mem.t
 (** The snapshot's address-space template: mappings recreated and every
     captured page installed (program pages over boot-common ones), built
-    once per (domain, snapshot).  Each domain keeps its 12 most recently
+    once per (domain, snapshot).  A page equal to the boot image's —
+    every boot-common page, whether from memory or from the store —
+    shares the image's immutable frame; only program pages are
+    copied.  Each domain keeps its 12 most recently
     used templates, each an ephemeron keyed on the snapshot (physical
     identity), so a template dies with its snapshot.  Replays
     [Repro_os.Mem.clone] it instead of re-copying every page, making

@@ -35,6 +35,10 @@ let pages_to_scan mem (snap : Snapshot.t) =
   if not fast then Trace.incr "verify.full_scans";
   pages
 
+(* Word [w] of a template page; a page the template lacks reads as zero. *)
+let[@inline] original_word orig w =
+  match orig with Some o -> Bytes.get_int64_le o (w * 8) | None -> 0L
+
 (* Scan [pages] (ascending) against the captured originals, which the
    snapshot's template holds: every captured page installed, program pages
    over boot-common ones, and never written (replays run on clones).
@@ -45,15 +49,15 @@ let diff_pages mem snap pages =
   let diffs = ref [] in
   List.iter
     (fun page ->
-       match Mem.page_words mem ~page with
+       match Mem.page_bytes mem ~page with
        | None -> ()
        | Some now ->
-         let orig = Mem.page_words original ~page in
+         let orig = Mem.page_bytes original ~page in
          let base = page * Mem.page_size in
          for w = 0 to Mem.words_per_page - 1 do
-           let v = now.(w) in
-           let o = match orig with Some a -> a.(w) | None -> 0L in
-           if v <> o then diffs := (base + (w * 8), v) :: !diffs
+           let v = Bytes.get_int64_le now (w * 8) in
+           if not (Int64.equal v (original_word orig w)) then
+             diffs := (base + (w * 8), v) :: !diffs
          done)
     pages;
   List.rev !diffs
@@ -83,17 +87,17 @@ let diff_matches (ctx : Ctx.t) (snap : Snapshot.t) reference_writes =
   try
     List.iter
       (fun page ->
-         match Mem.page_words mem ~page with
+         match Mem.page_bytes mem ~page with
          | None -> ()
          | Some now ->
-           let orig = Mem.page_words original ~page in
+           let orig = Mem.page_bytes original ~page in
            let base = page * Mem.page_size in
            for w = 0 to Mem.words_per_page - 1 do
-             let v = now.(w) in
-             let o = match orig with Some a -> a.(w) | None -> 0L in
-             if v <> o then
+             let v = Bytes.get_int64_le now (w * 8) in
+             if not (Int64.equal v (original_word orig w)) then
                match !rest with
-               | (addr, rv) :: tl when addr = base + (w * 8) && rv = v ->
+               | (addr, rv) :: tl
+                 when addr = base + (w * 8) && Int64.equal rv v ->
                  rest := tl
                | _ -> raise_notrace Mismatch
            done)

@@ -66,7 +66,7 @@ type captured = {
   snapshot : Snapshot.t;
   overhead : Capture.overhead;
   hot_mid : int;
-  online_with_capture : online;
+  capture_cycles : int;
 }
 
 (* The capture targets the second entry into the hot region: warm state,
@@ -99,7 +99,7 @@ let capture_once ?(seed = 42) ?eager app =
       else base ctx' mid args
     in
     Ctx.set_dispatch ctx dispatch;
-    let ret = Interp.run_main ctx in
+    ignore (Interp.run_main ctx);
     (match !result with
      | None -> None
      | Some r ->
@@ -107,8 +107,7 @@ let capture_once ?(seed = 42) ?eager app =
          { snapshot = r.Capture.snapshot;
            overhead = r.Capture.overhead;
            hot_mid;
-           online_with_capture =
-             { ctx; profile = Profile.of_ctx ctx; cycles = ctx.Ctx.cycles; ret } })
+           capture_cycles = ctx.Ctx.cycles })
 
 (* ------------------------- multi-input corpus ------------------------ *)
 

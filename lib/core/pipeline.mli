@@ -30,7 +30,9 @@ type captured = {
   snapshot : Repro_capture.Snapshot.t;
   overhead : Repro_capture.Capture.overhead;
   hot_mid : int;
-  online_with_capture : online;
+  capture_cycles : int;
+      (** simulated cycles of the whole online run that took the capture,
+          its overhead included; the run itself is not kept *)
 }
 
 val capture_once : ?seed:int -> ?eager:bool -> App.t -> captured option

@@ -102,14 +102,14 @@ let run_plan (ctx : Ctx.t) (fp : Blockplan.fplan) args =
   (* Fast-path twins of [Exec.exec_instr]'s hot cases and of the fused
      pairs: identical effects and charge order, with each charge an
      accumulator add instead of a fuel-checked [Ctx.charge].  They convert
-     no exception themselves, so they read and write memory through [Mem]
-     directly: [exec_seg_fast]'s one handler around the segment turns
-     Invalid_argument (from a value accessor or an unmapped address) into
-     Segfault before the accumulator flush, which is observably the
-     reference's per-access conversion.  Shared subexpressions of a fused
-     pair (the guarded pointer, the bounds-checked index) are reused only
-     where the registers provably cannot have changed between the
-     halves. *)
+     no exception themselves, so they access memory through [Value.load],
+     [Value.store] and [Mem] directly: [exec_seg_fast]'s one handler
+     around the segment turns Invalid_argument (from a value accessor or
+     an unmapped address) into Segfault before the accumulator flush,
+     which is observably the reference's per-access conversion.  Shared
+     subexpressions of a fused pair (the guarded pointer, the
+     bounds-checked index) are reused only where the registers provably
+     cannot have changed between the halves. *)
   let exec_mop_fast m =
     match m with
     | Blockplan.Op (Hir.Const (d, const)) ->
@@ -176,33 +176,31 @@ let run_plan (ctx : Ctx.t) (fp : Blockplan.fplan) args =
       let addr =
         Ctx.elem_addr (Exec.as_ref (rget regs a)) (Value.to_int (rget regs i))
       in
-      rset regs d (Value.of_word k (Mem.read_word mem addr))
+      rset regs d (Value.load mem k addr)
     | Blockplan.Op (Hir.StoreElem (_, a, i, v)) ->
       acc := !acc + c.Cost.store;
       let addr =
         Ctx.elem_addr (Exec.as_ref (rget regs a)) (Value.to_int (rget regs i))
       in
-      Mem.write_word mem addr (Value.to_word (rget regs v))
+      Value.store mem addr (rget regs v)
     | Blockplan.Op (Hir.LoadLen (d, a)) ->
       acc := !acc + c.Cost.load;
       let p = Exec.as_ref (rget regs a) in
-      rset regs d (Vint (Int64.to_int (Mem.read_word mem p)))
+      rset regs d (Vint (Mem.read_int mem p))
     | Blockplan.Op (Hir.LoadField (k, d, o, off)) ->
       acc := !acc + c.Cost.load;
       let p = Exec.as_ref (rget regs o) in
-      rset regs d (Value.of_word k (Mem.read_word mem (Ctx.field_addr p off)))
+      rset regs d (Value.load mem k (Ctx.field_addr p off))
     | Blockplan.Op (Hir.StoreField (_, o, v, off)) ->
       acc := !acc + c.Cost.store;
-      Mem.write_word mem (Ctx.field_addr (Exec.as_ref (rget regs o)) off)
-        (Value.to_word (rget regs v))
+      Value.store mem (Ctx.field_addr (Exec.as_ref (rget regs o)) off)
+        (rget regs v)
     | Blockplan.Op (Hir.SGet (k, d, slot)) ->
       acc := !acc + c.Cost.load;
-      rset regs d
-        (Value.of_word k (Mem.read_word mem (Ctx.static_addr ctx slot)))
+      rset regs d (Value.load mem k (Ctx.static_addr ctx slot))
     | Blockplan.Op (Hir.SPut (_, slot, v)) ->
       acc := !acc + c.Cost.store;
-      Mem.write_word mem (Ctx.static_addr ctx slot)
-        (Value.to_word (rget regs v))
+      Value.store mem (Ctx.static_addr ctx slot) (rget regs v)
     | Blockplan.Op i ->
       (* The unspecialized ops ([LoadClass], non-clock [CallNative]) run
          as the reference instruction, charging [ctx] directly while
@@ -222,19 +220,19 @@ let run_plan (ctx : Ctx.t) (fp : Blockplan.fplan) args =
       let p = Exec.as_ref (rget regs a) in
       if p = 0 then raise (Ctx.App_exception Ctx.exc_null_pointer);
       acc := !acc + c.Cost.load;
-      rset regs d (Vint (Int64.to_int (Mem.read_word mem p)))
+      rset regs d (Vint (Mem.read_int mem p))
     | Blockplan.Null_load_field (k, d, o, off) ->
       acc := !acc + c.Cost.null_check;
       let p = Exec.as_ref (rget regs o) in
       if p = 0 then raise (Ctx.App_exception Ctx.exc_null_pointer);
       acc := !acc + c.Cost.load;
-      rset regs d (Value.of_word k (Mem.read_word mem (Ctx.field_addr p off)))
+      rset regs d (Value.load mem k (Ctx.field_addr p off))
     | Blockplan.Null_store_field (_, o, v, off) ->
       acc := !acc + c.Cost.null_check;
       let p = Exec.as_ref (rget regs o) in
       if p = 0 then raise (Ctx.App_exception Ctx.exc_null_pointer);
       acc := !acc + c.Cost.store;
-      Mem.write_word mem (Ctx.field_addr p off) (Value.to_word (rget regs v))
+      Value.store mem (Ctx.field_addr p off) (rget regs v)
     | Blockplan.Bounds_load_elem (k, d, a, i, l) ->
       acc := !acc + c.Cost.bounds_check;
       let idx = Value.to_int (rget regs i)
@@ -243,7 +241,7 @@ let run_plan (ctx : Ctx.t) (fp : Blockplan.fplan) args =
         raise (Ctx.App_exception Ctx.exc_out_of_bounds);
       acc := !acc + c.Cost.load;
       let addr = Ctx.elem_addr (Exec.as_ref (rget regs a)) idx in
-      rset regs d (Value.of_word k (Mem.read_word mem addr))
+      rset regs d (Value.load mem k addr)
     | Blockplan.Bounds_store_elem (_, a, i, v, l) ->
       acc := !acc + c.Cost.bounds_check;
       let idx = Value.to_int (rget regs i)
@@ -252,13 +250,13 @@ let run_plan (ctx : Ctx.t) (fp : Blockplan.fplan) args =
         raise (Ctx.App_exception Ctx.exc_out_of_bounds);
       acc := !acc + c.Cost.store;
       let addr = Ctx.elem_addr (Exec.as_ref (rget regs a)) idx in
-      Mem.write_word mem addr (Value.to_word (rget regs v))
+      Value.store mem addr (rget regs v)
     | Blockplan.Load_elem_op (k, dl, a, i, op, d2, x, y) ->
       acc := !acc + c.Cost.load;
       let addr =
         Ctx.elem_addr (Exec.as_ref (rget regs a)) (Value.to_int (rget regs i))
       in
-      rset regs dl (Value.of_word k (Mem.read_word mem addr));
+      rset regs dl (Value.load mem k addr);
       acc := !acc + Exec.binop_cost c op (rget regs x);
       rset regs d2 (Exec.eval_binop_arm op (rget regs x) (rget regs y))
   in

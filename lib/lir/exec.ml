@@ -115,13 +115,6 @@ let fault_entry (ctx : Ctx.t) (f : Hir.func) =
     end;
     Faults.fire Faults.Exec_wrong_ret ~key
 
-let read mem addr =
-  try Mem.read_word mem addr with Invalid_argument msg -> raise (Segfault msg)
-
-let write mem addr v =
-  try Mem.write_word mem addr v
-  with Invalid_argument msg -> raise (Segfault msg)
-
 let as_ref v =
   match v with
   | Vref a -> a
@@ -193,30 +186,29 @@ let exec_instr (ctx : Ctx.t) regs i =
     | Hir.LoadElem (k, d, a, i) ->
       Ctx.charge ctx c.Cost.load;
       let addr = Ctx.elem_addr (as_ref regs.(a)) (Value.to_int regs.(i)) in
-      regs.(d) <- Value.of_word k (read mem addr)
+      regs.(d) <- Value.load mem k addr
     | Hir.StoreElem (_, a, i, v) ->
       Ctx.charge ctx c.Cost.store;
       let addr = Ctx.elem_addr (as_ref regs.(a)) (Value.to_int regs.(i)) in
-      write mem addr (Value.to_word regs.(v))
+      Value.store mem addr regs.(v)
     | Hir.LoadLen (d, a) ->
       Ctx.charge ctx c.Cost.load;
-      regs.(d) <- Vint (Int64.to_int (read mem (as_ref regs.(a))))
+      regs.(d) <- Vint (Mem.read_int mem (as_ref regs.(a)))
     | Hir.LoadField (k, d, o, off) ->
       Ctx.charge ctx c.Cost.load;
-      regs.(d) <-
-        Value.of_word k (read mem (Ctx.field_addr (as_ref regs.(o)) off))
+      regs.(d) <- Value.load mem k (Ctx.field_addr (as_ref regs.(o)) off)
     | Hir.StoreField (_, o, v, off) ->
       Ctx.charge ctx c.Cost.store;
-      write mem (Ctx.field_addr (as_ref regs.(o)) off) (Value.to_word regs.(v))
+      Value.store mem (Ctx.field_addr (as_ref regs.(o)) off) regs.(v)
     | Hir.LoadClass (d, o) ->
       Ctx.charge ctx c.Cost.load;
-      regs.(d) <- Vint (Int64.to_int (read mem (as_ref regs.(o))))
+      regs.(d) <- Vint (Mem.read_int mem (as_ref regs.(o)))
     | Hir.SGet (k, d, slot) ->
       Ctx.charge ctx c.Cost.load;
-      regs.(d) <- Value.of_word k (read mem (Ctx.static_addr ctx slot))
+      regs.(d) <- Value.load mem k (Ctx.static_addr ctx slot)
     | Hir.SPut (_, slot, v) ->
       Ctx.charge ctx c.Cost.store;
-      write mem (Ctx.static_addr ctx slot) (Value.to_word regs.(v))
+      Value.store mem (Ctx.static_addr ctx slot) regs.(v)
     | Hir.CallStatic (ret, mid, argregs) ->
       Ctx.charge ctx c.Cost.call_overhead;
       let cargs = List.map (fun r -> regs.(r)) argregs in
@@ -231,7 +223,7 @@ let exec_instr (ctx : Ctx.t) regs i =
         | r :: _ -> as_ref regs.(r)
         | [] -> raise (Segfault "virtual call without receiver")
       in
-      let cid = Int64.to_int (read mem recv) in
+      let cid = Mem.read_int mem recv in
       if cid < 0 || cid >= Array.length ctx.Ctx.dx.B.dx_classes then
         raise (Segfault "corrupt object header in virtual dispatch");
       let vtable = ctx.Ctx.dx.B.dx_classes.(cid).B.ci_vtable in

@@ -42,19 +42,17 @@ val fault_entry : Repro_vm.Exec_ctx.t -> Repro_hgraph.Hir.func -> bool
     scope: fires [Exec_crash] and [Exec_hang], and returns whether
     [Exec_wrong_ret] fired (the [~wrong_ret] of {!exec_ret}). *)
 
-val read : Repro_os.Mem.t -> int -> int64
-val write : Repro_os.Mem.t -> int -> int64 -> unit
-
 val as_ref : Repro_vm.Value.t -> int
 (** The address a reference (or, in guard-free code, an integer) names.
-    These three raise {!Segfault} on an unmapped or non-pointer access. *)
+    @raise Segfault on a non-pointer value. *)
 
 val exec_instr :
   Repro_vm.Exec_ctx.t -> Repro_vm.Value.t array -> Repro_hgraph.Hir.instr ->
   unit
 (** One instruction: its charge through {!Repro_vm.Exec_ctx.charge},
     then its effect.  [Invalid_argument] from type confusion in
-    guard-stripped code is converted to {!Segfault}. *)
+    guard-stripped code, or from an access to an unmapped address, is
+    converted to {!Segfault}. *)
 
 val exec_if :
   Repro_vm.Exec_ctx.t -> Repro_vm.Value.t array -> fetch:int ->

@@ -19,17 +19,27 @@ type stats = {
   mutable n_writes : int;
 }
 
-(* A physical frame, shareable between address spaces after fork/clone.
-   Refcounts are plain ints: the sharing discipline (one snapshot template
-   per domain, clones live and die on the domain that made them) keeps every
-   frame confined to a single domain, so no atomics are needed. *)
-type frame = { data : int64 array; mutable refcount : int }
+(* A physical frame: one flat 4 KB page, its words little-endian.
 
-(* The one frame every never-written page shares.  Its data is all-zero and
-   immutable (the write path always un-shares before storing), so it is safe
-   to share across domains; its refcount is never touched. *)
-let zero_frame = { data = Array.make words_per_page 0L; refcount = 0 }
+   A mutable frame is shareable between address spaces after fork/clone and
+   refcounted with a plain int: the sharing discipline (one snapshot template
+   per domain, clones live and die on the domain that made them) keeps every
+   mutable frame confined to a single domain, so no atomics are needed.
+
+   An immutable frame — the zero frame, or a page of a boot image — is never
+   written (a write copies it first) and never refcounted, so every space on
+   every domain may share it. *)
+type frame = { data : Bytes.t; mutable refcount : int; immutable : bool }
+
+(* The one frame every never-written page shares. *)
+let zero_frame =
+  { data = Bytes.make page_size '\000'; refcount = 0; immutable = true }
+
 let some_zero_frame = Some zero_frame
+
+(* A run of immutable frames starting at page [im_first].  The slots are
+   pre-wrapped so that installing one allocates nothing. *)
+type image = { im_first : int; im_slots : frame option array }
 
 (* Flat per-mapping page table: one contiguous slot array per mapping, so a
    page access is mapping-lookup + array index instead of a Hashtbl probe.
@@ -44,7 +54,7 @@ type mtbl = {
 
 type t = {
   mutable tbls : mtbl array;              (* ascending by base *)
-  mutable last : mtbl option;             (* one-entry mapping cache *)
+  mutable last : mtbl;                    (* one-entry mapping cache *)
   mutable handler : (int -> unit) option;
   st : stats;
   mutable dirty : int list;               (* pages privatized in this space *)
@@ -52,9 +62,14 @@ type t = {
   origin : t option;                      (* the clone source, if any *)
 }
 
+(* The empty cache entry: a mapping no page is in. *)
+let no_tbl =
+  { mt_map = { map_base = 0; map_npages = 0; map_kind = Rcode; map_name = "" };
+    mt_first = 0; mt_frames = [||]; mt_protected = None }
+
 let create () = {
   tbls = [||];
-  last = None;
+  last = no_tbl;
   handler = None;
   st = { n_faults = 0; n_cow = 0; n_reads = 0; n_writes = 0 };
   dirty = [];
@@ -100,26 +115,32 @@ let in_tbl mt page =
   let i = page - mt.mt_first in
   i >= 0 && i < mt.mt_map.map_npages
 
-(* Mapping lookup: one-entry cache, then binary search over the (few,
-   sorted) mappings. *)
+(* Binary search over the (few, sorted) mappings. *)
+let rec search tbls page lo hi =
+  if lo >= hi then no_tbl
+  else
+    let mid = (lo + hi) / 2 in
+    let mt = tbls.(mid) in
+    if page < mt.mt_first then search tbls page lo mid
+    else if page >= mt.mt_first + mt.mt_map.map_npages then
+      search tbls page (mid + 1) hi
+    else mt
+
+(* The mapping holding [page], or [no_tbl]: the one-entry cache, then the
+   search.  Allocates nothing, hit or miss, so a word access allocates
+   nothing either. *)
+let lookup t page =
+  let mt = t.last in
+  if in_tbl mt page then mt
+  else begin
+    let mt = search t.tbls page 0 (Array.length t.tbls) in
+    if mt != no_tbl then t.last <- mt;
+    mt
+  end
+
 let find_tbl t page =
-  match t.last with
-  | Some mt when in_tbl mt page -> Some mt
-  | _ ->
-    let tbls = t.tbls in
-    let rec go lo hi =
-      if lo >= hi then None
-      else
-        let mid = (lo + hi) / 2 in
-        let mt = tbls.(mid) in
-        if page < mt.mt_first then go lo mid
-        else if page >= mt.mt_first + mt.mt_map.map_npages then go (mid + 1) hi
-        else begin
-          t.last <- Some mt;
-          Some mt
-        end
-    in
-    go 0 (Array.length tbls)
+  let mt = lookup t page in
+  if mt == no_tbl then None else Some mt
 
 let mapping_of_page t page = Option.map (fun mt -> mt.mt_map) (find_tbl t page)
 let kind_of_page t page = Option.map (fun m -> m.map_kind) (mapping_of_page t page)
@@ -129,9 +150,8 @@ let unmapped_fail op page =
     (Printf.sprintf "Mem.%s: unmapped address %#x" op (addr_of_page page))
 
 let tbl_of t page op =
-  match find_tbl t page with
-  | Some mt -> mt
-  | None -> unmapped_fail op page
+  let mt = lookup t page in
+  if mt == no_tbl then unmapped_fail op page else mt
 
 (* Take the protection fault, if any: run the handler once, then restore
    access so the access can proceed (§3.2 step 3). *)
@@ -143,57 +163,82 @@ let check_fault t mt page idx =
     (match t.handler with Some h -> h page | None -> ())
   | Some _ | None -> ()
 
-let fresh_frame () = { data = Array.make words_per_page 0L; refcount = 1 }
+let fresh_frame () =
+  { data = Bytes.make page_size '\000'; refcount = 1; immutable = false }
 
-let read_word t addr =
+(* Drop one reference to the frame in a slot being overwritten or
+   released; immutable frames are never counted. *)
+let release = function
+  | Some f when not f.immutable -> f.refcount <- f.refcount - 1
+  | Some _ | None -> ()
+
+(* Byte offset of the word holding [addr] within its page. *)
+let word_offset addr = (addr mod page_size) land lnot 7
+
+(* The bytes a read of [addr] sees.  A cold read materializes the page as
+   the shared zero frame, allocating nothing. *)
+let readable t addr =
   let page = addr / page_size in
   let mt = tbl_of t page "read" in
   let idx = page - mt.mt_first in
   check_fault t mt page idx;
   t.st.n_reads <- t.st.n_reads + 1;
   match mt.mt_frames.(idx) with
-  | Some f -> f.data.((addr mod page_size) / 8)
+  | Some f -> f.data
   | None ->
-    (* cold read: materialize as the shared zero frame — no allocation *)
     mt.mt_frames.(idx) <- some_zero_frame;
     t.n_mat <- t.n_mat + 1;
-    0L
+    zero_frame.data
 
-let write_word t addr v =
+(* The bytes a write to [addr] may modify: a frame this space alone owns.
+   A never-written page (no frame, or the zero frame) gets a fresh one; a
+   frame shared with another space, or an immutable boot-image frame, is
+   copied first (Copy-on-Write). *)
+let writable t addr =
   let page = addr / page_size in
   let mt = tbl_of t page "write" in
   let idx = page - mt.mt_first in
   check_fault t mt page idx;
   t.st.n_writes <- t.st.n_writes + 1;
-  let w = (addr mod page_size) / 8 in
   match mt.mt_frames.(idx) with
-  | Some f when f == zero_frame ->
-    (* first write to a never-touched page of this space *)
-    let nf = fresh_frame () in
+  | Some f when (not f.immutable) && f.refcount <= 1 -> f.data
+  | slot ->
+    let nf =
+      match slot with
+      | None ->
+        t.n_mat <- t.n_mat + 1;
+        fresh_frame ()
+      | Some f when f == zero_frame -> fresh_frame ()
+      | Some f ->
+        release slot;
+        t.st.n_cow <- t.st.n_cow + 1;
+        Trace.incr "mem.cow_pages";
+        { data = Bytes.copy f.data; refcount = 1; immutable = false }
+    in
     mt.mt_frames.(idx) <- Some nf;
     t.dirty <- page :: t.dirty;
-    nf.data.(w) <- v
-  | Some f when f.refcount > 1 ->
-    (* Copy-on-Write: un-share the frame before modifying it *)
-    let copy = { data = Array.copy f.data; refcount = 1 } in
-    f.refcount <- f.refcount - 1;
-    mt.mt_frames.(idx) <- Some copy;
-    t.st.n_cow <- t.st.n_cow + 1;
-    t.dirty <- page :: t.dirty;
-    Trace.incr "mem.cow_pages";
-    copy.data.(w) <- v
-  | Some f -> f.data.(w) <- v
-  | None ->
-    let nf = fresh_frame () in
-    mt.mt_frames.(idx) <- Some nf;
-    t.n_mat <- t.n_mat + 1;
-    t.dirty <- page :: t.dirty;
-    nf.data.(w) <- v
+    nf.data
 
-let read_int t addr = Int64.to_int (read_word t addr)
-let write_int t addr v = write_word t addr (Int64.of_int v)
-let read_float t addr = Int64.float_of_bits (read_word t addr)
-let write_float t addr v = write_word t addr (Int64.bits_of_float v)
+let read_int t addr =
+  Int64.to_int (Bytes.get_int64_le (readable t addr) (word_offset addr))
+
+let read_float t addr =
+  Int64.float_of_bits (Bytes.get_int64_le (readable t addr) (word_offset addr))
+
+let read_bool t addr =
+  not (Int64.equal (Bytes.get_int64_le (readable t addr) (word_offset addr)) 0L)
+
+let read_word t addr = Bytes.get_int64_le (readable t addr) (word_offset addr)
+
+let write_int t addr v =
+  Bytes.set_int64_le (writable t addr) (word_offset addr) (Int64.of_int v)
+
+let write_float t addr v =
+  Bytes.set_int64_le (writable t addr) (word_offset addr)
+    (Int64.bits_of_float v)
+
+let write_word t addr v =
+  Bytes.set_int64_le (writable t addr) (word_offset addr) v
 
 let protect t ~page =
   match find_tbl t page with
@@ -231,9 +276,10 @@ let protected t ~page =
 let set_fault_handler t h = t.handler <- h
 
 (* Duplicate the page table of [t] into a fresh space sharing every physical
-   frame.  [on_zero] decides what a zero-frame slot becomes in the child
-   (fork upgrades them to real shared frames to mirror the historical
-   Hashtbl behaviour; clone keeps sharing the zero frame). *)
+   frame.  Immutable frames are shared as they are, except that [on_zero]
+   decides what a zero-frame slot becomes in the child (fork upgrades them
+   to real shared frames to mirror the historical Hashtbl behaviour; clone
+   keeps sharing the zero frame). *)
 let dup_tbls t ~on_zero =
   Array.map
     (fun mt ->
@@ -244,7 +290,7 @@ let dup_tbls t ~on_zero =
          | None -> ()
          | Some f when f == zero_frame -> frames.(i) <- on_zero mt i
          | Some f ->
-           f.refcount <- f.refcount + 1;
+           if not f.immutable then f.refcount <- f.refcount + 1;
            frames.(i) <- mt.mt_frames.(i)
        done;
        { mt with mt_frames = frames; mt_protected = None })
@@ -255,18 +301,18 @@ let fork t =
     dup_tbls t ~on_zero:(fun mt i ->
         (* a cold-read page becomes a real zero-filled frame shared by
            parent and child, exactly as if the read had materialized it *)
-        let nf = { data = Array.make words_per_page 0L; refcount = 2 } in
+        let nf = { (fresh_frame ()) with refcount = 2 } in
         mt.mt_frames.(i) <- Some nf;
         Some nf)
   in
-  { tbls; last = None; handler = None;
+  { tbls; last = no_tbl; handler = None;
     st = { n_faults = 0; n_cow = 0; n_reads = 0; n_writes = 0 };
     dirty = []; n_mat = t.n_mat; origin = None }
 
 let clone t =
   let tbls = dup_tbls t ~on_zero:(fun _ _ -> some_zero_frame) in
   Trace.add "mem.clone_pages" t.n_mat;
-  { tbls; last = None; handler = None;
+  { tbls; last = no_tbl; handler = None;
     st = { n_faults = 0; n_cow = 0; n_reads = 0; n_writes = 0 };
     dirty = []; n_mat = t.n_mat; origin = Some t }
 
@@ -277,46 +323,75 @@ let drop t =
     (fun mt ->
        Array.iteri
          (fun i slot ->
-            (match slot with
-             | Some f when f != zero_frame -> f.refcount <- f.refcount - 1
-             | Some _ | None -> ());
+            release slot;
             mt.mt_frames.(i) <- None)
          mt.mt_frames)
     t.tbls;
   t.tbls <- [||];
-  t.last <- None;
+  t.last <- no_tbl;
   t.dirty <- [];
   t.n_mat <- 0
 
-let install_page t ~page data =
-  if Array.length data <> words_per_page then
-    invalid_arg "Mem.install_page: bad image size";
-  let mt = tbl_of t page "install_page" in
+let check_page_size what data =
+  if Bytes.length data <> page_size then
+    invalid_arg (Printf.sprintf "Mem.%s: bad image size" what)
+
+let image ~first_page pages =
+  { im_first = first_page;
+    im_slots =
+      Array.map
+        (fun data ->
+           check_page_size "image" data;
+           Some { data = Bytes.copy data; refcount = 0; immutable = true })
+        pages }
+
+let image_slot img page =
+  let i = page - img.im_first in
+  if i >= 0 && i < Array.length img.im_slots then img.im_slots.(i) else None
+
+(* Point [page]'s slot at [slot]: the old frame is released and the page's
+   protection cleared. *)
+let set_slot t ~op ~page slot =
+  let mt = tbl_of t page op in
   let idx = page - mt.mt_first in
   (match mt.mt_frames.(idx) with
    | None -> t.n_mat <- t.n_mat + 1
-   | Some f when f != zero_frame -> f.refcount <- f.refcount - 1
-   | Some _ -> ());
+   | old -> release old);
   (match mt.mt_protected with
    | Some b -> Bytes.set b idx '\000'
    | None -> ());
-  mt.mt_frames.(idx) <- Some { data = Array.copy data; refcount = 1 };
-  t.dirty <- page :: t.dirty
+  mt.mt_frames.(idx) <- slot
+
+let map_image t img =
+  Array.iteri
+    (fun i slot -> set_slot t ~op:"map_image" ~page:(img.im_first + i) slot)
+    img.im_slots
+
+let install_page ?image t ~page data =
+  check_page_size "install_page" data;
+  match Option.bind image (fun img -> image_slot img page) with
+  | Some f as shared when Bytes.equal f.data data ->
+    set_slot t ~op:"install_page" ~page shared
+  | _ ->
+    set_slot t ~op:"install_page" ~page
+      (Some { data = Bytes.copy data; refcount = 1; immutable = false });
+    t.dirty <- page :: t.dirty
+
+let page_bytes t ~page =
+  match find_tbl t page with
+  | None -> None
+  | Some mt ->
+    (match mt.mt_frames.(page - mt.mt_first) with
+     | Some f -> Some f.data
+     | None -> None)
 
 let page_data t ~page =
   match find_tbl t page with
   | None -> None
   | Some mt ->
     (match mt.mt_frames.(page - mt.mt_first) with
-     | Some f -> Some (Array.copy f.data)
-     | None -> None)
-
-let page_words t ~page =
-  match find_tbl t page with
-  | None -> None
-  | Some mt ->
-    (match mt.mt_frames.(page - mt.mt_first) with
-     | Some f -> Some f.data
+     | Some f when f.immutable -> Some f.data
+     | Some f -> Some (Bytes.copy f.data)
      | None -> None)
 
 let touched_pages t ~kind =
@@ -339,11 +414,11 @@ let refcount t ~page =
   | None -> None
   | Some mt ->
     (match mt.mt_frames.(page - mt.mt_first) with
-     | Some f when f != zero_frame -> Some f.refcount
+     | Some f when not f.immutable -> Some f.refcount
      | Some _ | None -> None)
 
 let shares_frame a b ~page =
-  match page_words a ~page, page_words b ~page with
+  match page_bytes a ~page, page_bytes b ~page with
   | Some fa, Some fb -> fa == fb
   | _ -> false
 

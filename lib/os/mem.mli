@@ -3,7 +3,8 @@
     repurposes (paper §3.2).
 
     Addresses are byte addresses; accesses are word (8-byte) granular.
-    Pages are 4 KiB.  A page that has never been touched reads as zero.
+    Pages are 4 KiB, each held as one flat [Bytes.t] of little-endian
+    words.  A page that has never been touched reads as zero.
 
     The page table is flat: one contiguous slot array per mapping, fronted
     by a one-entry mapping cache, so a load/store is an array index rather
@@ -21,12 +22,16 @@
     typically records the page and restores access), mirroring [mprotect] +
     SIGSEGV handling.
 
-    {b Domain safety.}  Frame refcounts are plain ints.  The sharing
-    discipline that keeps this safe: a space and every space sharing frames
-    with it (its forks, its clones, its template) must be used from a single
-    domain.  [Repro_capture.Snapshot.template] maintains one template per
-    domain for exactly this reason.  The global zero frame is immutable and
-    its refcount is never touched, so sharing it across domains is safe. *)
+    {b Frame sharing.}  Two kinds of frame back a page.  {e Immutable}
+    frames — the zero frame and the pages of an {!image} (the boot-common
+    runtime image) — are never written and never refcounted: a write
+    copies the page first, and every space on every domain may share
+    them.  Every other frame is {e mutable} and carries a plain-int
+    refcount.  The sharing discipline that keeps this safe: a space and
+    every space sharing mutable frames with it (its forks, its clones, its
+    template) must be used from a single domain.
+    [Repro_capture.Snapshot.template] maintains one template per domain
+    for exactly this reason. *)
 
 type t
 
@@ -69,16 +74,30 @@ val mappings : t -> mapping list
 val stats : t -> stats
 val reset_stats : t -> unit
 
-val read_word : t -> int -> int64
-(** @raise Fault-handler effects first if the page is protected.
-    @raise Invalid_argument if the address is unmapped. *)
+(** {2 Word access}
 
-val write_word : t -> int -> int64 -> unit
+    The word holding a byte address, as an [int], a [float] (IEEE bits) or
+    a [bool] (non-zero).  The replay engines access memory only through
+    these, by element kind, so no [int64] crosses into this module on the
+    replay path.  Every access runs the fault handler first if the page is
+    protected.  @raise Invalid_argument if the address is unmapped. *)
 
 val read_int : t -> int -> int
-val write_int : t -> int -> int -> unit
+(** The word's low 63 bits ([Int64.to_int]). *)
+
 val read_float : t -> int -> float
+val read_bool : t -> int -> bool
+(** Whether any of the word's 64 bits is set. *)
+
+val write_int : t -> int -> int -> unit
+(** Stores the sign-extended [Int64.of_int]. *)
+
 val write_float : t -> int -> float -> unit
+
+val read_word : t -> int -> int64
+(** The raw 64-bit word, for loaders and tests. *)
+
+val write_word : t -> int -> int64 -> unit
 
 val kind_of_page : t -> int -> region_kind option
 (** Kind of the mapping containing the page, if mapped. *)
@@ -125,25 +144,49 @@ val drop : t -> unit
 
 val refcount : t -> page:int -> int option
 (** Sharing count of the physical frame backing [page]: [Some rc] for a
-    real frame, [None] for unmapped, never-touched, or zero-frame pages. *)
+    mutable frame, [None] for unmapped or never-touched pages and for
+    immutable frames (the zero frame, image pages). *)
 
 val shares_frame : t -> t -> page:int -> bool
 (** Whether the two spaces are backed by the same physical frame at
-    [page] (including the shared zero frame). *)
+    [page] (including the shared zero frame and image frames). *)
 
-val install_page : t -> page:int -> int64 array -> unit
-(** Bulk-restore a page image (the replay loader's page placement).  The
-    data is copied; protection is cleared.  @raise Invalid_argument if the
-    page is unmapped or the image is not page-sized. *)
+(** {2 Images and page placement} *)
 
-val page_data : t -> page:int -> int64 array option
-(** Current contents of a materialized page (a copy); [None] if the page was
-    never touched in this address space. *)
+type image
+(** A run of immutable frames at fixed pages: the boot-common runtime
+    image.  Build one once per process, before any worker domain starts;
+    every space that maps it, and every fork and clone of those, shares
+    its frames.  Writing to one of its pages copies that page into the
+    writing space only (counted as Copy-on-Write). *)
 
-val page_words : t -> page:int -> int64 array option
-(** Like {!page_data} but returns the live backing array without copying.
-    Callers must treat it as read-only; writing through it would corrupt
-    frames shared with other spaces.  For verification scans. *)
+val image : first_page:int -> Bytes.t array -> image
+(** [image ~first_page pages] freezes [pages] (copied; each must be
+    page-sized) into immutable frames for pages [first_page],
+    [first_page + 1], ....  @raise Invalid_argument on a bad page size. *)
+
+val map_image : t -> image -> unit
+(** Point every page of the image at its immutable frame, as
+    {!install_page} would with equal data: protection is cleared and no
+    page is copied.  @raise Invalid_argument if a page is unmapped. *)
+
+val install_page : ?image:image -> t -> page:int -> Bytes.t -> unit
+(** Bulk-restore a page image (the replay loader's page placement);
+    protection is cleared.  When [image] holds [page] with equal bytes,
+    the space shares that immutable frame; otherwise the data is copied
+    into a fresh frame.  @raise Invalid_argument if the page is unmapped
+    or the image is not page-sized. *)
+
+val page_data : t -> page:int -> Bytes.t option
+(** Current contents of a materialized page; [None] if the page was
+    never touched in this address space.  A mutable frame's bytes are
+    copied; an immutable frame's are returned as they are (no write ever
+    reaches them), so callers must not write to the result. *)
+
+val page_bytes : t -> page:int -> Bytes.t option
+(** Like {!page_data} but returns the live backing bytes without copying.
+    Callers must treat them as read-only; writing through them would
+    corrupt frames shared with other spaces.  For verification scans. *)
 
 val touched_pages : t -> kind:region_kind -> int list
 (** Materialized (ever-accessed or installed) pages of all mappings of a

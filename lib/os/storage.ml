@@ -1,17 +1,17 @@
 (* Content-addressed snapshot page store.  See storage.mli for the model.
 
-   Layout: [frames] maps the raw MD5 digest of a page's serialized bytes
-   to the stored bytes plus a refcount; [blobs] maps a label to an ordered
-   manifest of (page index, digest) entries.  The digest is both the
-   content address (dedup) and the integrity checksum (any byte flip makes
-   the stored bytes disagree with their key).  Writes are spooled: [write]
-   enqueues raw page images and [drain] does the hashing/storing work,
-   modelling the paper's idle-priority flash writer. *)
+   Layout: [frames] maps the raw MD5 digest of a page's bytes (the flat
+   4 KB frame [Mem] holds) to the stored bytes plus a refcount; [blobs]
+   maps a label to an ordered manifest of (page index, digest) entries.
+   The digest is both the content address (dedup) and the integrity
+   checksum (any byte flip makes the stored bytes disagree with their
+   key).  Writes are spooled: [write] enqueues raw page images and
+   [drain] does the hashing/storing work, modelling the paper's
+   idle-priority flash writer. *)
 
 module Trace = Repro_util.Trace
 
 let page_bytes = Mem.page_size
-let page_words = Mem.words_per_page
 
 type error =
   | Missing_blob of { label : string }
@@ -47,7 +47,7 @@ type pending = {
   p_label : string;
   p_gen : int;              (* dropped at drain if the blob was replaced *)
   p_index : int;
-  p_data : int64 array;
+  p_data : Bytes.t;
 }
 
 type t = {
@@ -71,23 +71,10 @@ let create () =
     gen = 0;
     lock = Mutex.create () }
 
-(* -- serialization of one page ------------------------------------------ *)
-
-let serialize_page (data : int64 array) =
-  let b = Bytes.create page_bytes in
-  for w = 0 to page_words - 1 do
-    Bytes.set_int64_le b (w * 8) data.(w)
-  done;
-  b
-
-let deserialize_page (b : Bytes.t) =
-  let data = Array.make page_words 0L in
-  for w = 0 to page_words - 1 do
-    data.(w) <- Bytes.get_int64_le b (w * 8)
-  done;
-  data
-
-let page_hash data = Digest.bytes (serialize_page data)
+(* A stored frame's bytes are never written in place ([corrupt] replaces
+   them), so the store keeps the very bytes it was handed and returns
+   them to readers: one copy of a page however many hold it. *)
+let page_hash data = Digest.bytes data
 
 (* -- refcount plumbing (caller holds the lock) -------------------------- *)
 
@@ -134,14 +121,13 @@ let delete t ~label =
 let spool_one t (p : pending) =
   match Hashtbl.find_opt t.blobs p.p_label with
   | Some bl when bl.bl_gen = p.p_gen ->
-      let bytes = serialize_page p.p_data in
-      let hash = Digest.bytes bytes in
+      let hash = page_hash p.p_data in
       (match Hashtbl.find_opt t.frames hash with
       | Some fr ->
           fr.fr_refs <- fr.fr_refs + 1;
           Trace.incr "storage.pages_deduped"
       | None ->
-          Hashtbl.replace t.frames hash { fr_bytes = bytes; fr_refs = 1 };
+          Hashtbl.replace t.frames hash { fr_bytes = p.p_data; fr_refs = 1 };
           Trace.add "storage.bytes_written" page_bytes);
       bl.bl_entries <- (p.p_index, hash) :: bl.bl_entries;
       bl.bl_pending <- bl.bl_pending - 1;
@@ -188,9 +174,8 @@ let settle_label t label =
 
 (* -- read path ---------------------------------------------------------- *)
 
-(* walk a manifest validating each frame against its content address and
-   decoding the pages that pass; [damage] sees a copy of each frame's
-   bytes.  Caller holds the lock. *)
+(* walk a manifest validating each frame against its content address;
+   [damage] sees a copy of each frame's bytes.  Caller holds the lock. *)
 let read_entries t ~label ~damage entries =
   let rec go pos acc = function
     | [] -> Ok (List.rev acc)
@@ -214,7 +199,7 @@ let read_entries t ~label ~damage entries =
               Trace.incr "storage.checksum_failures";
               Error (Corrupt_page { label; index; hash })
             end
-            else go (pos + 1) ((index, deserialize_page bytes) :: acc) rest)
+            else go (pos + 1) ((index, bytes) :: acc) rest)
   in
   go 0 [] entries
 
@@ -359,25 +344,14 @@ let pages_of_string text =
   let image = Bytes.make (n_pages * page_bytes) '\000' in
   Bytes.set_int64_le image 0 (Int64.of_int (Bytes.length payload));
   Bytes.blit payload 0 image 8 (Bytes.length payload);
-  List.init n_pages (fun p ->
-      ( p,
-        Array.init page_words (fun w ->
-            Bytes.get_int64_le image ((p * page_bytes) + (w * 8))) ))
+  List.init n_pages (fun p -> (p, Bytes.sub image (p * page_bytes) page_bytes))
 
 let string_of_pages pages =
   let pages = List.sort (fun (a, _) (b, _) -> compare a b) pages in
-  let n_pages = List.length pages in
-  if List.exists (fun (_, words) -> Array.length words <> page_words) pages
+  if List.exists (fun (_, data) -> Bytes.length data <> page_bytes) pages
   then Error "bad page geometry"
   else begin
-    let image = Bytes.create (n_pages * page_bytes) in
-    List.iteri
-      (fun p (_, words) ->
-        Array.iteri
-          (fun w word ->
-            Bytes.set_int64_le image ((p * page_bytes) + (w * 8)) word)
-          words)
-      pages;
+    let image = Bytes.concat Bytes.empty (List.map snd pages) in
     if Bytes.length image < 8 then Error "empty image"
     else
       let len = Int64.to_int (Bytes.get_int64_le image 0) in
@@ -388,6 +362,8 @@ let string_of_pages pages =
 
 (* -- damage hooks ------------------------------------------------------- *)
 
+(* both replace the frame's bytes, never write them: readers and page
+   images may share the old ones *)
 let corrupt t ~hash ~byte =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.frames hash with
@@ -396,8 +372,9 @@ let corrupt t ~hash ~byte =
           let len = Bytes.length fr.fr_bytes in
           if len > 0 then begin
             let i = ((byte mod len) + len) mod len in
-            Bytes.set fr.fr_bytes i
-              (Char.chr (Char.code (Bytes.get fr.fr_bytes i) lxor 0xFF))
+            let b = Bytes.copy fr.fr_bytes in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xFF));
+            fr.fr_bytes <- b
           end)
 
 let truncate t ~hash ~keep =

@@ -8,7 +8,8 @@
     models that store faithfully:
 
     - {b Content addressing.}  A stored page ("frame") is keyed by the
-      digest of its serialized bytes and refcounted; writing the same page
+      digest of its bytes — the flat 4 KB frame {!Repro_os.Mem} holds —
+      and refcounted; writing the same page
       content again — from the same blob or from another application's
       capture — stores nothing new.  The digest doubles as the frame's
       checksum.
@@ -44,7 +45,7 @@
 type t
 
 val page_bytes : int
-(** Serialized size of one page: {!Repro_os.Mem.page_size} bytes. *)
+(** Size of one page: {!Repro_os.Mem.page_size} bytes. *)
 
 type error =
   | Missing_blob of { label : string }
@@ -69,12 +70,13 @@ val create : unit -> t
 
 (** {1 Write path (spooler)} *)
 
-val write : t -> label:string -> pages:(int * int64 array) list -> unit
+val write : t -> label:string -> pages:(int * Bytes.t) list -> unit
 (** [write t ~label ~pages] replaces the blob under [label]: frames of the
-    previous manifest are released and [pages] — [(page index, word
-    contents)], caller must not mutate the arrays afterwards — are
-    enqueued for spooling.  No hashing happens until {!drain}/{!flush} (or
-    a {!read} of this label). *)
+    previous manifest are released and [pages] — [(page index, page
+    bytes)] — are enqueued for spooling.  The store keeps the bytes it is
+    handed (a new frame is not copied), so the caller must never write
+    them afterwards.  No hashing happens until {!drain}/{!flush} (or a
+    {!read} of this label). *)
 
 val delete : t -> label:string -> unit
 (** Drop the blob and release its frames (shared frames survive while any
@@ -83,7 +85,7 @@ val delete : t -> label:string -> unit
 
 val drain : ?max_pages:int -> t -> int
 (** Spool up to [max_pages] queued pages (default: all), oldest first:
-    serialize, hash, dedup against existing frames, append to the owning
+    hash, dedup against existing frames, append to the owning
     blob's manifest.  Returns the number of pages actually stored.  The
     pipeline calls this between GA evaluation batches — the idle-priority
     model. *)
@@ -98,14 +100,16 @@ val pending : t -> int
 
 val read :
   ?damage:(int -> Bytes.t -> Bytes.t) ->
-  t -> label:string -> ((int * int64 array) list, error) result
+  t -> label:string -> ((int * Bytes.t) list, error) result
 (** Read a blob back, validating every frame against its content address;
-    the first failure is returned.  Pages of this label still queued are
-    spooled through first.  [damage], used by the fault-injection net and
-    the corruption tests, is applied to a {e copy} of each frame's bytes
-    (argument: position within the blob) before validation — so an
-    injected single-byte flip or truncation must be caught by the same
-    checksum machinery that guards real corruption. *)
+    the first failure is returned.  The pages are the stored frames'
+    own bytes, not copies: callers must not write them.  Pages of this
+    label still queued are spooled through first.  [damage], used by the
+    fault-injection net and the corruption tests, is applied to a
+    {e copy} of each frame's bytes (argument: position within the blob)
+    before validation — so an injected single-byte flip or truncation
+    must be caught by the same checksum machinery that guards real
+    corruption. *)
 
 val contains : t -> label:string -> bool
 
@@ -114,8 +118,9 @@ val manifest : t -> label:string -> (int * string) list option
     spooling its queued pages.  Digests are raw 16-byte strings (hex them
     with [Digest.to_hex]). *)
 
-val page_hash : int64 array -> string
-(** Content address a page image would be stored under. *)
+val page_hash : Bytes.t -> string
+(** Content address a page would be stored under: the digest of its
+    bytes. *)
 
 val frame_refs : t -> hash:string -> int option
 (** Reference count of a frame: the number of manifest entries (across all
@@ -160,13 +165,13 @@ val blob_accounting : t -> blob_accounting list
 
 (** {1 String framing} *)
 
-val pages_of_string : string -> (int * int64 array) list
+val pages_of_string : string -> (int * Bytes.t) list
 (** Frame an arbitrary string into whole store pages (8-byte LE length
     prefix, zero padding): the payload a text image (genome bank, search
     checkpoint) hands to {!write} so it inherits per-page checksums and
     the deterministic save layout. *)
 
-val string_of_pages : (int * int64 array) list -> (string, string) result
+val string_of_pages : (int * Bytes.t) list -> (string, string) result
 (** Invert {!pages_of_string} on pages returned by {!read}; [Error]
     describes a malformed frame geometry or length prefix. *)
 
@@ -174,7 +179,8 @@ val string_of_pages : (int * int64 array) list -> (string, string) result
 
 val corrupt : t -> hash:string -> byte:int -> unit
 (** Persistently flip one byte of a stored frame (position taken modulo
-    the frame's length).  Every subsequent read of any blob referencing
+    the frame's length).  The frame gets new bytes; pages read before
+    keep the old ones.  Every subsequent read of any blob referencing
     the frame fails its checksum. *)
 
 val truncate : t -> hash:string -> keep:int -> unit

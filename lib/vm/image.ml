@@ -2,7 +2,6 @@ module B = Repro_dex.Bytecode
 module Mem = Repro_os.Mem
 
 type config = {
-  runtime_pages : int;
   code_pages : int;
   heap_pages : int;
   stack_pages : int;
@@ -12,7 +11,6 @@ type config = {
 }
 
 let default_config = {
-  runtime_pages = 3225;        (* 12.6 MB of boot-common runtime objects *)
   code_pages = 2048;
   heap_pages = 16384;          (* 64 MB heap capacity *)
   stack_pages = 8;
@@ -29,17 +27,33 @@ let stack_base = 0x5000_0000
 let gc_aux_base = 0x6000_0000
 let extra_base = 0x7000_0000
 
+let runtime_pages = 3225        (* 12.6 MB of boot-common runtime objects *)
+let runtime_name = "[anon:dalvik-runtime]"
+
 (* Fill pages with position-dependent words so captures have real content. *)
 let materialize mem ~base ~npages =
   for p = 0 to npages - 1 do
-    let addr = base + (p * Mem.page_size) in
-    Mem.write_word mem addr (Int64.of_int (0x5EED + p))
+    Mem.write_int mem (base + (p * Mem.page_size)) (0x5EED + p)
   done
+
+(* The boot-common runtime pages hold the same words in every app, so
+   they are built once, when the module initializes — before any pool
+   domain exists — and frozen into immutable frames that every app,
+   capture, snapshot template and clone shares. *)
+let boot_image =
+  let mem = Mem.create () in
+  Mem.map mem ~base:runtime_base ~npages:runtime_pages ~kind:Mem.Rruntime
+    ~name:runtime_name;
+  materialize mem ~base:runtime_base ~npages:runtime_pages;
+  Mem.image ~first_page:(runtime_base / Mem.page_size)
+    (Array.init runtime_pages (fun p ->
+         Option.get
+           (Mem.page_bytes mem ~page:((runtime_base / Mem.page_size) + p))))
 
 let build ?(config = default_config) ?seed ?fuel (dx : B.dexfile) =
   let mem = Mem.create () in
-  Mem.map mem ~base:runtime_base ~npages:config.runtime_pages ~kind:Mem.Rruntime
-    ~name:"[anon:dalvik-runtime]";
+  Mem.map mem ~base:runtime_base ~npages:runtime_pages ~kind:Mem.Rruntime
+    ~name:runtime_name;
   Mem.map mem ~base:code_base ~npages:config.code_pages ~kind:Mem.Rcode
     ~name:"/system/framework/boot.oat";
   let statics_pages = max 1 ((dx.B.dx_nstatics * 8 / Mem.page_size) + 1) in
@@ -55,7 +69,7 @@ let build ?(config = default_config) ?seed ?fuel (dx : B.dexfile) =
     Mem.map mem ~base:(extra_base + (i * 4 * Mem.page_size)) ~npages:2
       ~kind:Mem.Rcode ~name:(Printf.sprintf "/system/lib64/lib%02d.so" i)
   done;
-  materialize mem ~base:runtime_base ~npages:config.runtime_pages;
+  Mem.map_image mem boot_image;
   materialize mem ~base:stack_base ~npages:config.stack_pages;
   materialize mem ~base:gc_aux_base ~npages:config.gc_aux_pages;
   (* Static initializers. *)

@@ -182,7 +182,7 @@ let interpret (ctx : Exec_ctx.t) mid args =
          let len = Exec_ctx.array_length ctx arr in
          let idx = Value.to_int regs.(i) in
          bounds_check ctx idx len;
-         regs.(d) <- Value.of_word kind (Mem.read_word mem (Exec_ctx.elem_addr arr idx));
+         regs.(d) <- Value.load mem kind (Exec_ctx.elem_addr arr idx);
          incr pc
        | B.AStore (_, a, i, s) ->
          dispatch_charge c.Cost.store;
@@ -191,7 +191,7 @@ let interpret (ctx : Exec_ctx.t) mid args =
          let len = Exec_ctx.array_length ctx arr in
          let idx = Value.to_int regs.(i) in
          bounds_check ctx idx len;
-         Mem.write_word mem (Exec_ctx.elem_addr arr idx) (Value.to_word regs.(s));
+         Value.store mem (Exec_ctx.elem_addr arr idx) regs.(s);
          incr pc
        | B.ArrLen (d, a) ->
          dispatch_charge 0;
@@ -203,22 +203,21 @@ let interpret (ctx : Exec_ctx.t) mid args =
          dispatch_charge c.Cost.load;
          let obj = Value.to_ref regs.(o) in
          null_check ctx obj;
-         regs.(d) <- Value.of_word kind (Mem.read_word mem (Exec_ctx.field_addr obj off));
+         regs.(d) <- Value.load mem kind (Exec_ctx.field_addr obj off);
          incr pc
        | B.IPut (_, o, s, off) ->
          dispatch_charge c.Cost.store;
          let obj = Value.to_ref regs.(o) in
          null_check ctx obj;
-         Mem.write_word mem (Exec_ctx.field_addr obj off) (Value.to_word regs.(s));
+         Value.store mem (Exec_ctx.field_addr obj off) regs.(s);
          incr pc
        | B.SGet (kind, d, slot) ->
          dispatch_charge c.Cost.load;
-         regs.(d) <-
-           Value.of_word kind (Mem.read_word mem (Exec_ctx.static_addr ctx slot));
+         regs.(d) <- Value.load mem kind (Exec_ctx.static_addr ctx slot);
          incr pc
        | B.SPut (_, slot, s) ->
          dispatch_charge c.Cost.store;
-         Mem.write_word mem (Exec_ctx.static_addr ctx slot) (Value.to_word regs.(s));
+         Value.store mem (Exec_ctx.static_addr ctx slot) regs.(s);
          incr pc
        | B.InvokeStatic (ret, callee, argregs) ->
          dispatch_charge c.Cost.call_overhead;

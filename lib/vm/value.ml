@@ -1,4 +1,5 @@
 module B = Repro_dex.Bytecode
+module Mem = Repro_os.Mem
 
 type t =
   | Vint of int
@@ -8,18 +9,21 @@ type t =
 
 let null = Vref 0
 
-let to_word = function
-  | Vint k -> Int64.of_int k
-  | Vfloat f -> Int64.bits_of_float f
-  | Vbool b -> if b then 1L else 0L
-  | Vref a -> Int64.of_int a
-
-let of_word kind w =
+(* A value's memory encoding is one 64-bit word: ints and references
+   sign-extended, floats as their IEEE bits, bools as 1 or 0.  Engines
+   read and write it through [Mem]'s typed accessors, so no [int64] is
+   boxed to cross into [Mem]. *)
+let load mem kind addr =
   match kind with
-  | B.Kint -> Vint (Int64.to_int w)
-  | B.Kfloat -> Vfloat (Int64.float_of_bits w)
-  | B.Kbool -> Vbool (w <> 0L)
-  | B.Kref -> Vref (Int64.to_int w)
+  | B.Kint -> Vint (Mem.read_int mem addr)
+  | B.Kfloat -> Vfloat (Mem.read_float mem addr)
+  | B.Kbool -> Vbool (Mem.read_bool mem addr)
+  | B.Kref -> Vref (Mem.read_int mem addr)
+
+let store mem addr = function
+  | Vint k | Vref k -> Mem.write_int mem addr k
+  | Vfloat f -> Mem.write_float mem addr f
+  | Vbool b -> Mem.write_int mem addr (Bool.to_int b)
 
 let to_int = function
   | Vint k -> k

@@ -11,10 +11,16 @@ type t =
 
 val null : t
 
-val to_word : t -> int64
-(** Raw memory encoding (floats as IEEE bits). *)
+val load : Repro_os.Mem.t -> Repro_dex.Bytecode.elem_kind -> int -> t
+(** The value of a kind in the word at an address: an int or reference is
+    the word's low 63 bits, a float its IEEE bits, a bool [true] when any
+    bit is set.  How the engines read memory.
+    @raise Invalid_argument if the address is unmapped. *)
 
-val of_word : Repro_dex.Bytecode.elem_kind -> int64 -> t
+val store : Repro_os.Mem.t -> int -> t -> unit
+(** Write a value's word at an address: ints and references
+    sign-extended, floats as their IEEE bits, bools as 1 or 0.  How the
+    engines write memory.  @raise Invalid_argument if unmapped. *)
 
 val to_int : t -> int
 (** @raise Invalid_argument when not a [Vint]. *)

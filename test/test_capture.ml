@@ -45,7 +45,7 @@ let test_capture_charges_online_time () =
   let plain = Pipeline.online_run ~seed:5 app in
   let cap = capture_app app in
   Alcotest.(check bool) "capture slows the online run" true
-    (cap.Pipeline.online_with_capture.Pipeline.cycles > plain.Pipeline.cycles)
+    (cap.Pipeline.capture_cycles > plain.Pipeline.cycles)
 
 let test_replay_matches_original_region () =
   let cap = Lazy.force fft_capture in
@@ -413,13 +413,14 @@ let diff_against_table table mem =
   in
   List.concat_map
     (fun page ->
-       let now = Option.get (Mem.page_words mem ~page) in
+       let now = Option.get (Mem.page_bytes mem ~page) in
        let orig = Hashtbl.find_opt table page in
        List.filter_map
          (fun w ->
-            let o = match orig with Some a -> a.(w) | None -> 0L in
-            if now.(w) = o then None
-            else Some ((page * Mem.page_size) + (w * 8), now.(w)))
+            let word data = Bytes.get_int64_le data (w * 8) in
+            let o = match orig with Some a -> word a | None -> 0L in
+            if word now = o then None
+            else Some ((page * Mem.page_size) + (w * 8), word now))
          (List.init Mem.words_per_page Fun.id))
     pages
 
@@ -427,7 +428,7 @@ let diff_against_table table mem =
 let holds what snap tpl =
   Hashtbl.iter
     (fun page words ->
-       if Mem.page_words tpl ~page <> Some words then
+       if Mem.page_bytes tpl ~page <> Some words then
          Alcotest.failf "%s: page %d differs from the capture" what page)
     (captured_table snap)
 
@@ -609,10 +610,16 @@ let test_verify_float_edge_cases () =
   Alcotest.(check bool) "-0.0 <> +0.0 under the verifier" false (eq (-0.0) 0.0);
   Alcotest.(check bool) "(=) would conflate the zeroes" true (-0.0 = 0.0);
   (* the bit-exactness survives the memory encoding used for write sets *)
-  Alcotest.(check bool) "NaN payload survives to_word" true
-    (Vm.Value.to_word (Vm.Value.Vfloat other_nan) = other_bits);
-  Alcotest.(check bool) "-0.0 survives to_word" true
-    (Vm.Value.to_word (Vm.Value.Vfloat (-0.0)) = Int64.min_int)
+  let mem = Mem.create () in
+  Mem.map mem ~base:0x1000 ~npages:1 ~kind:Mem.Rheap ~name:"heap";
+  let word v =
+    Vm.Value.store mem 0x1000 v;
+    Mem.read_word mem 0x1000
+  in
+  Alcotest.(check bool) "NaN payload survives a store" true
+    (word (Vm.Value.Vfloat other_nan) = other_bits);
+  Alcotest.(check bool) "-0.0 survives a store" true
+    (word (Vm.Value.Vfloat (-0.0)) = Int64.min_int)
 
 (* A context whose memory is a fresh clone of the snapshot template has an
    empty dirty-page set: the diff must be empty, must equal the full scan,
@@ -789,31 +796,88 @@ let test_corpus_distinct_references_per_scimark_app () =
          (List.length distinct >= 2))
     [ "FFT"; "SOR"; "MonteCarlo"; "Sparse matmult"; "LU" ]
 
+let material_corpus =
+  lazy
+    (Option.get
+       (Pipeline.capture_corpus ~seed:7 ~k:4
+          (Option.get (App.find "MaterialLife"))))
+
+let corpus_snapshots (co : Pipeline.corpus) =
+  co.Pipeline.co_primary.Pipeline.snapshot
+  :: List.map (fun ce -> ce.Pipeline.ce_snapshot) co.Pipeline.co_entries
+
 (* Every capture of an app holds the same boot-common pages, whatever
-   the input: one APP/boot-common blob per app relies on it. *)
+   the input: one APP/boot-common blob per app relies on it.  In memory
+   they are one boot image: each page is physically the same bytes in the
+   primary, in every corpus entry, and in the templates of every capture
+   built on two pool domains. *)
 let test_one_boot_image_per_app () =
+  let pool = Repro_search.Domainpool.create ~workers:2 in
+  Fun.protect ~finally:(fun () -> Repro_search.Domainpool.shutdown pool)
+  @@ fun () ->
   List.iter
     (fun (co : Pipeline.corpus) ->
        let name = co.Pipeline.co_app.App.name in
        let common = co.Pipeline.co_primary.Pipeline.snapshot.Snapshot.snap_common in
        Alcotest.(check bool) (name ^ ": corpus entries captured") true
          (co.Pipeline.co_entries <> []);
+       let same_frames (pages : Snapshot.page_image list) =
+         List.length pages = List.length common
+         && List.for_all2
+              (fun (a : Snapshot.page_image) (b : Snapshot.page_image) ->
+                 a.Snapshot.pg_index = b.Snapshot.pg_index
+                 && a.Snapshot.pg_data == b.Snapshot.pg_data)
+              pages common
+       in
        List.iter
          (fun ce ->
             Alcotest.(check bool)
-              (Printf.sprintf "%s, %s: the primary's boot-common pages" name
+              (Printf.sprintf "%s, %s: the primary's boot-common frames" name
                  ce.Pipeline.ce_input.App.in_label)
               true
-              (ce.Pipeline.ce_snapshot.Snapshot.snap_common = common))
-         co.Pipeline.co_entries)
-    [ Lazy.force fft_corpus;
-      Option.get
-        (Pipeline.capture_corpus ~seed:7 ~k:4
-           (Option.get (App.find "MaterialLife"))) ]
+              (same_frames ce.Pipeline.ce_snapshot.Snapshot.snap_common))
+         co.Pipeline.co_entries;
+       let shared = Array.make 2 false in
+       Repro_search.Domainpool.run pool (fun wid ->
+           shared.(wid) <-
+             List.for_all
+               (fun snap ->
+                  let tpl = Snapshot.template snap in
+                  List.for_all
+                    (fun (pg : Snapshot.page_image) ->
+                       match Mem.page_bytes tpl ~page:pg.Snapshot.pg_index with
+                       | Some data -> data == pg.Snapshot.pg_data
+                       | None -> false)
+                    common)
+               (corpus_snapshots co));
+       Array.iteri
+         (fun wid ok ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: templates on worker %d share the frames"
+                 name wid)
+              true ok)
+         shared)
+    [ Lazy.force fft_corpus; Lazy.force material_corpus ]
+
+(* No snapshot or template holds its own copy of the boot image:
+   MaterialLife's K=4 corpus and the templates of its four captures reach
+   less than twice the image's own words.  A copy per snapshot and per
+   template would be eight more images. *)
+let test_corpus_and_templates_share_the_image () =
+  let co = Lazy.force material_corpus in
+  let templates = List.map Snapshot.template (corpus_snapshots co) in
+  Alcotest.(check int) "four captures" 4 (List.length templates);
+  let reached = Obj.reachable_words (Obj.repr (co, templates)) in
+  let image = Obj.reachable_words (Obj.repr Vm.Image.boot_image) in
+  Alcotest.(check bool)
+    (Printf.sprintf "corpus + templates: %d words < 2 x image %d" reached image)
+    true
+    (reached < 2 * image)
 
 (* A corpus captured with a store attached: each capture spools its own
    program blob, so every snapshot's template, rebuilt from the store,
-   holds that snapshot's captured words. *)
+   holds that snapshot's captured words, and its boot-common pages share
+   the boot image's frames. *)
 let test_store_backed_corpus_templates () =
   with_store (fun storage ->
       let co = Option.get (Pipeline.capture_corpus ~seed:5 ~k:3 (fft ())) in
@@ -831,8 +895,36 @@ let test_store_backed_corpus_templates () =
         labels;
       Snapshot.invalidate_templates ();
       List.iter
-        (fun snap -> holds "store-backed template" snap (Snapshot.template snap))
+        (fun snap ->
+           let tpl = Snapshot.template snap in
+           holds "store-backed template" snap tpl;
+           Alcotest.(check bool) "store-backed template shares the boot image"
+             true
+             (List.for_all
+                (fun (pg : Snapshot.page_image) ->
+                   match Mem.page_bytes tpl ~page:pg.Snapshot.pg_index with
+                   | Some data -> data == pg.Snapshot.pg_data
+                   | None -> false)
+                snap.Snapshot.snap_common))
         snaps)
+
+(* The store file [repro storage --save] writes for FFT and LU at seed 7,
+   byte for byte: the page codec, the frame order and the blob names
+   (program labels digest each page's words) all show in its MD5. *)
+let test_saved_store_bytes_pinned () =
+  with_store (fun storage ->
+      List.iter
+        (fun name ->
+           ignore
+             (Option.get
+                (Pipeline.capture_once ~seed:7 (Option.get (App.find name)))))
+        [ "FFT"; "LU" ];
+      let file = Filename.temp_file "repro-store" ".bin" in
+      Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+      Storage.save storage file;
+      Alcotest.(check string) "saved store MD5"
+        "ee73762607bf4eef3b7a8917035916fb"
+        (Digest.to_hex (Digest.file file)))
 
 (* The --store contract with a corpus: the same search with and without
    the store attached. *)
@@ -890,9 +982,13 @@ let () =
          Alcotest.test_case "distinct references per app" `Quick
            test_corpus_distinct_references_per_scimark_app;
          Alcotest.test_case "one boot image per app" `Quick
-           test_one_boot_image_per_app ]);
+           test_one_boot_image_per_app;
+         Alcotest.test_case "corpus and templates share the image" `Quick
+           test_corpus_and_templates_share_the_image ]);
       ("storage",
        [ Alcotest.test_case "accounting" `Quick test_storage_accounting;
+         Alcotest.test_case "saved store bytes pinned" `Quick
+           test_saved_store_bytes_pinned;
          Alcotest.test_case "store-backed corpus templates" `Quick
            test_store_backed_corpus_templates;
          Alcotest.test_case "store-backed corpus search" `Quick

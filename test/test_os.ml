@@ -27,6 +27,32 @@ let test_word_roundtrip () =
   Mem.write_int mem (addr 2) (-42);
   Alcotest.(check int) "negative int" (-42) (Mem.read_int mem (addr 2))
 
+(* A word access to a materialized, privately owned page allocates
+   nothing: the mapping lookup allocates nothing, hit or miss, and the
+   word moves through the flat frame unboxed. *)
+let test_word_access_allocates_nothing () =
+  let mem = fresh () in
+  Mem.map mem ~base:0x2000_0000 ~npages:1 ~kind:Mem.Rstatics ~name:"statics";
+  Mem.write_int mem (addr 0) 1;
+  Mem.write_int mem 0x2000_0000 1;
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let idle = words (fun () -> ()) in
+  let accesses =
+    words (fun () ->
+        for i = 1 to 10_000 do
+          (* alternate mappings so the cache misses as well as hits *)
+          Mem.write_int mem (addr (i land 7)) i;
+          Mem.write_float mem 0x2000_0000 (if i land 1 = 0 then 2.5 else -0.0);
+          ignore (Sys.opaque_identity (Mem.read_int mem (addr (i land 7))));
+          ignore (Sys.opaque_identity (Mem.read_bool mem 0x2000_0000))
+        done)
+  in
+  Alcotest.(check (float 0.)) "no words allocated" idle accesses
+
 let test_mapping_rules () =
   let mem = fresh () in
   (try
@@ -129,18 +155,19 @@ let test_fork_after_protection () =
 
 let test_install_page () =
   let mem = fresh () in
-  let data = Array.make Mem.words_per_page 0L in
-  data.(3) <- 77L;
+  let data = Bytes.make Mem.page_size '\000' in
+  Bytes.set_int64_le data 24 77L;
   Mem.install_page mem ~page:(0x1000_0000 / Mem.page_size) data;
   Alcotest.(check int) "installed word" 77 (Mem.read_int mem (addr 3));
-  data.(3) <- 0L;
+  Bytes.set_int64_le data 24 0L;
   Alcotest.(check int) "copied, not aliased" 77 (Mem.read_int mem (addr 3));
   (try
      Mem.install_page mem ~page:0 data;
      Alcotest.fail "expected unmapped rejection"
    with Invalid_argument _ -> ());
   (try
-     Mem.install_page mem ~page:(0x1000_0000 / Mem.page_size) [| 1L |];
+     Mem.install_page mem ~page:(0x1000_0000 / Mem.page_size)
+       (Bytes.make 8 '\001');
      Alcotest.fail "expected size rejection"
    with Invalid_argument _ -> ())
 
@@ -157,6 +184,66 @@ let test_page_data_and_touched () =
 (* ------------------------------ clone/CoW --------------------------- *)
 
 let heap_page = 0x1000_0000 / Mem.page_size
+
+(* An image's frames are immutable and never refcounted.  Every space
+   that maps the image shares them; a write through a clone copies the
+   page into that clone alone (a counted Copy-on-Write), and the image,
+   the template and the other clones still read the old word.  Drop and
+   refcount never touch them. *)
+let test_image_frames_shared_and_immutable () =
+  let page_with w =
+    let b = Bytes.make Mem.page_size '\000' in
+    Bytes.set_int64_le b 0 w;
+    b
+  in
+  let img =
+    Mem.image ~first_page:heap_page [| page_with 11L; page_with 22L |]
+  in
+  let tpl = fresh () in
+  Mem.map_image tpl img;
+  let c1 = Mem.clone tpl in
+  let c2 = Mem.clone tpl in
+  Alcotest.(check int) "clone reads the image" 22
+    (Mem.read_int c1 (0x1000_0000 + Mem.page_size));
+  Alcotest.(check bool) "clone shares the image frame" true
+    (Mem.shares_frame tpl c1 ~page:heap_page);
+  Alcotest.(check (option int)) "image frame has no refcount" None
+    (Mem.refcount tpl ~page:heap_page);
+  Mem.write_int c1 (addr 0) 99;
+  Alcotest.(check int) "writer sees its write" 99 (Mem.read_int c1 (addr 0));
+  Alcotest.(check int) "template keeps the old word" 11
+    (Mem.read_int tpl (addr 0));
+  Alcotest.(check int) "sibling keeps the old word" 11
+    (Mem.read_int c2 (addr 0));
+  Alcotest.(check int) "write counted as Copy-on-Write" 1
+    (Mem.stats c1).Mem.n_cow;
+  Alcotest.(check (list int)) "written page dirty" [ heap_page ]
+    (Mem.dirty_pages c1 ~kind:Mem.Rheap);
+  Alcotest.(check (option int)) "writer owns a private copy" (Some 1)
+    (Mem.refcount c1 ~page:heap_page);
+  Alcotest.(check bool) "sibling still on the image" true
+    (Mem.shares_frame tpl c2 ~page:heap_page);
+  Mem.drop c2;
+  Mem.drop c1;
+  Alcotest.(check (option int)) "drop leaves the image uncounted" None
+    (Mem.refcount tpl ~page:heap_page);
+  let other = fresh () in
+  Mem.map_image other img;
+  Alcotest.(check int) "the image keeps the old word" 11
+    (Mem.read_int other (addr 0));
+  Alcotest.(check bool) "a second space shares the same frame" true
+    (Mem.shares_frame tpl other ~page:heap_page);
+  (* installing a page equal to the image's shares its frame; any other
+     page is copied *)
+  let m = fresh () in
+  Mem.install_page ~image:img m ~page:heap_page (page_with 11L);
+  Mem.install_page ~image:img m ~page:(heap_page + 1) (page_with 23L);
+  Alcotest.(check bool) "equal page shares the image frame" true
+    (Mem.shares_frame m tpl ~page:heap_page);
+  Alcotest.(check bool) "different page copied" false
+    (Mem.shares_frame m tpl ~page:(heap_page + 1));
+  Alcotest.(check (option int)) "the copy is counted" (Some 1)
+    (Mem.refcount m ~page:(heap_page + 1))
 
 let test_clone_shares_then_isolates () =
   let mem = fresh () in
@@ -243,7 +330,11 @@ let test_cloned_from_provenance () =
 (* Deterministic distinct page images: page [k] differs from page [k'] in
    every word unless k = k'. *)
 let page_of k =
-  Array.init Mem.words_per_page (fun w -> Int64.of_int ((k * 8_191) + w))
+  let b = Bytes.create Mem.page_size in
+  for w = 0 to Mem.words_per_page - 1 do
+    Bytes.set_int64_le b (w * 8) (Int64.of_int ((k * 8_191) + w))
+  done;
+  b
 
 let pages_of ks = List.mapi (fun i k -> (i, page_of k)) ks
 
@@ -684,20 +775,20 @@ let test_storage_string_framing_roundtrip () =
   roundtrip "";
   roundtrip "hello\tworld\n";
   roundtrip (String.init 10_000 (fun i -> Char.chr (i mod 256)));
-  (match Storage.string_of_pages [ (0, [| 1L |]) ] with
+  (match Storage.string_of_pages [ (0, Bytes.make 8 '\001') ] with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "bad geometry accepted");
   (* a page image whose length prefix exceeds the payload is malformed *)
   match
     Storage.string_of_pages
       (List.map
-         (fun (i, words) ->
+         (fun (i, data) ->
             if i = 0 then begin
-              let w = Array.copy words in
-              w.(0) <- Int64.max_int;
-              (i, w)
+              let b = Bytes.copy data in
+              Bytes.set_int64_le b 0 Int64.max_int;
+              (i, b)
             end
-            else (i, words))
+            else (i, data))
          (Storage.pages_of_string "payload"))
   with
   | Error _ -> ()
@@ -708,6 +799,8 @@ let () =
     [ ("mem",
        [ Alcotest.test_case "zero fill" `Quick test_zero_fill;
          Alcotest.test_case "word roundtrip" `Quick test_word_roundtrip;
+         Alcotest.test_case "word access allocates nothing" `Quick
+           test_word_access_allocates_nothing;
          Alcotest.test_case "mapping rules" `Quick test_mapping_rules;
          Alcotest.test_case "kind of page" `Quick test_kind_of_page ]);
       ("protection",
@@ -726,6 +819,8 @@ let () =
        [ Alcotest.test_case "shares then isolates" `Quick test_clone_shares_then_isolates;
          Alcotest.test_case "dirty tracking" `Quick test_clone_dirty_tracking;
          Alcotest.test_case "zero frame" `Quick test_cold_reads_share_zero_frame;
+         Alcotest.test_case "image frames immutable" `Quick
+           test_image_frames_shared_and_immutable;
          Alcotest.test_case "drop refcounts" `Quick test_drop_releases_refcounts;
          Alcotest.test_case "provenance" `Quick test_cloned_from_provenance ]);
       ("storage",

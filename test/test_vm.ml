@@ -25,16 +25,27 @@ let expect_float src expected =
 (* ------------------------------ Value ------------------------------- *)
 
 let test_value_roundtrip () =
+  let mem = Mem.create () in
+  Mem.map mem ~base:0x1000 ~npages:1 ~kind:Mem.Rheap ~name:"heap";
   let check v kind =
+    Value.store mem 0x1000 v;
     Alcotest.(check bool) "roundtrip" true
-      (Value.equal v (Value.of_word kind (Value.to_word v)))
+      (Value.equal v (Value.load mem kind 0x1000))
   in
   check (Value.Vint 42) B.Kint;
   check (Value.Vint (-7)) B.Kint;
   check (Value.Vfloat 3.25) B.Kfloat;
   check (Value.Vfloat (-0.0)) B.Kfloat;
   check (Value.Vbool true) B.Kbool;
-  check (Value.Vref 0x40000000) B.Kref
+  check (Value.Vbool false) B.Kbool;
+  check (Value.Vref 0x40000000) B.Kref;
+  (* a word with only its top bit set: a bool sees every bit, an int the
+     low 63 *)
+  Mem.write_word mem 0x1000 Int64.min_int;
+  Alcotest.(check bool) "top bit is true" true
+    (Value.equal (Value.Vbool true) (Value.load mem B.Kbool 0x1000));
+  Alcotest.(check bool) "top bit dropped from an int" true
+    (Value.equal (Value.Vint 0) (Value.load mem B.Kint 0x1000))
 
 (* ------------------------------- Heap ------------------------------- *)
 
