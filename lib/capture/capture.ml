@@ -103,10 +103,10 @@ let capture_region ~app ?(harvest_on_exn = false) ?(eager = false)
   let fault_cow_ms =
     (per_fault_ms *. float_of_int n_faults) +. cow_total_ms
   in
-  (* program pages are copied out of the child's live frames; boot-common
-     pages are the boot image's immutable frames, aliased *)
+  (* the fork froze every frame the child holds, so its pages are aliased,
+     not copied: boot-common pages are the boot image's frames *)
   let image_of page =
-    match Mem.page_data child ~page with
+    match Mem.page_bytes child ~page with
     | Some data -> Some { Snapshot.pg_index = page; pg_data = data }
     | None -> None
   in

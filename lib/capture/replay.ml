@@ -103,38 +103,42 @@ let inject_store_faults ~key (snap : Snapshot.t) =
   match Snapshot.current_store () with
   | None -> None
   | Some storage ->
-    let label = Snapshot.program_label snap in
-    if not (Storage.contains storage ~label) then None
-    else
-      let attempt point damage =
-        if not (Faults.fire point ~key) then None
+    (* [Faults.fire] is a pure function of the seed, point and key, so the
+       label — a marshal and digest of every program page — is computed
+       only once a store fault fires *)
+    let label = lazy (Snapshot.program_label snap) in
+    let attempt point damage =
+      if not (Faults.fire point ~key) then None
+      else
+        let label = Lazy.force label in
+        if not (Storage.contains storage ~label) then None
         else
           match Storage.read storage ~label ~damage with
           | Ok _ -> None (* blob empty: nothing to damage *)
           | Error e ->
             Faults.record point;
             Some ("storage: " ^ Storage.describe e)
-      in
-      let npages = max 1 (List.length snap.Snapshot.snap_pages) in
-      let truncate =
-        attempt Faults.Store_truncate (fun pos b ->
-            let rng = Faults.rng Faults.Store_truncate ~key in
-            let victim = Rng.int rng npages in
-            if pos = victim then Bytes.sub b 0 (Rng.int rng (Bytes.length b))
-            else b)
-      in
-      match truncate with
-      | Some _ as r -> r
-      | None ->
-        attempt Faults.Store_corrupt (fun pos b ->
-            let rng = Faults.rng Faults.Store_corrupt ~key in
-            let victim = Rng.int rng npages in
-            if pos = victim && Bytes.length b > 0 then begin
-              let i = Rng.int rng (Bytes.length b) in
-              Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xFF));
-              b
-            end
-            else b)
+    in
+    let npages = max 1 (List.length snap.Snapshot.snap_pages) in
+    let truncate =
+      attempt Faults.Store_truncate (fun pos b ->
+          let rng = Faults.rng Faults.Store_truncate ~key in
+          let victim = Rng.int rng npages in
+          if pos = victim then Bytes.sub b 0 (Rng.int rng (Bytes.length b))
+          else b)
+    in
+    match truncate with
+    | Some _ as r -> r
+    | None ->
+      attempt Faults.Store_corrupt (fun pos b ->
+          let rng = Faults.rng Faults.Store_corrupt ~key in
+          let victim = Rng.int rng npages in
+          if pos = victim && Bytes.length b > 0 then begin
+            let i = Rng.int rng (Bytes.length b) in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xFF));
+            b
+          end
+          else b)
 
 (* [Replay_regs]: corrupt one captured argument — the "architectural
    state" restored by the loader. *)
@@ -166,9 +170,9 @@ let run ?(fuel = default_fuel) ?engine ?record_vcall ?faults_key
    | Some key -> fun body -> Faults.scoped ~key body)
   @@ fun () ->
   (* 1-3) rebuild the address space: a Copy-on-Write clone of the
-     snapshot's template — page installs happen once per (domain,
-     snapshot) inside [Snapshot.template]; each replay only duplicates
-     the page table and shares every frame until it writes.  When the
+     snapshot's template — page installs happen once per snapshot inside
+     [Snapshot.template]; each replay only duplicates the page table and
+     shares every frame until it writes.  When the
      template materializes from the device store and a stored page fails
      its checksum, the loader cannot rebuild the space: fall back to an
      empty (mappings-only) space and report a crashed replay, which the
@@ -181,13 +185,7 @@ let run ?(fuel = default_fuel) ?engine ?record_vcall ?faults_key
     | exception Storage.Integrity e ->
       storage_broken := Some ("storage: " ^ Storage.describe e);
       Trace.incr "replay.storage_failures";
-      let mem = Mem.create () in
-      List.iter
-        (fun m ->
-           Mem.map mem ~base:m.Mem.map_base ~npages:m.Mem.map_npages
-             ~kind:m.Mem.map_kind ~name:m.Mem.map_name)
-        snap.Snapshot.snap_maps;
-      mem
+      Snapshot.layout snap
   in
   (match faults_key with
    | Some key when !storage_broken = None ->

@@ -57,49 +57,25 @@ let store_ref : Storage.t option Atomic.t = Atomic.make None
 let set_store s = Atomic.set store_ref s
 let current_store () = Atomic.get store_ref
 
-(* ----------------------- per-domain snapshot memo ---------------------- *)
+(* --------------------------- template memo --------------------------- *)
 
-(* Snapshot templates, memoized per (domain, snapshot): per domain, so
-   template frames' plain-int refcounts are never shared across domains.
-   Each domain keeps a small MRU list rather than one entry — corpus
-   verification cycles through K snapshots per candidate — and the cap
-   bounds its footprint.  Entries are ephemerons keyed on the snapshot,
-   so a template dies with its snapshot.  [invalidate_templates] bumps
-   one process-wide generation; a domain drops an older generation's list
-   on its next access, so invalidation reaches every pool worker. *)
+(* Snapshot templates, one per snapshot for the whole process: a template
+   is wholly frozen, so every domain clones and reads the same one.  The
+   memo is a short list — corpus verification cycles through K snapshots
+   per candidate — of ephemerons keyed on the snapshot, so a template dies
+   with its snapshot; the cap bounds its footprint.  Lookups read the list
+   without a lock.  A miss builds under [memo_lock], after looking again,
+   so each snapshot's template is built once per invalidation. *)
 let max_memo_entries = 12
 
-type 'a memo = (int * (t, 'a) Ephemeron.K1.t list) Domain.DLS.key
+let memo : (t, Mem.t) Ephemeron.K1.t list Atomic.t = Atomic.make []
+let memo_lock = Mutex.create ()
 
-let generation = Atomic.make 0
+let cached_template snap =
+  List.find_map (fun e -> Ephemeron.K1.query e snap) (Atomic.get memo)
 
-let invalidate_templates () = Atomic.incr generation
-
-let new_memo () = Domain.DLS.new_key (fun () -> (Atomic.get generation, []))
-
-(* the calling domain's entries, [] when they predate the generation *)
-let entries memo =
-  let gen = Atomic.get generation in
-  match Domain.DLS.get memo with
-  | g, es when g = gen -> (gen, es)
-  | _ -> (gen, [])
-
-let memoized memo build snap =
-  let gen, es = entries memo in
-  let e, v =
-    match
-      List.find_map
-        (fun e -> Option.map (fun v -> (e, v)) (Ephemeron.K1.query e snap))
-        es
-    with
-    | Some hit -> hit
-    | None ->
-      let v = build snap in
-      (Ephemeron.K1.make snap v, v)
-  in
-  let es = e :: List.filter (( != ) e) es in
-  Domain.DLS.set memo (gen, List.filteri (fun i _ -> i < max_memo_entries) es);
-  v
+let invalidate_templates () =
+  Mutex.protect memo_lock (fun () -> Atomic.set memo [])
 
 (* ------------------------- snapshot templates ------------------------ *)
 
@@ -122,27 +98,39 @@ let template_pages snap =
     fetch (common_label snap) @ fetch label
   | _ -> page_list snap.snap_common @ page_list snap.snap_pages
 
-let build_template snap =
-  Trace.span ~cat:"replay" ~args:[ ("app", snap.snap_app) ]
-    "snapshot:build_template"
-  @@ fun () ->
-  Trace.incr "replay.template_builds";
-  let pages = template_pages snap in
+let layout snap =
   let mem = Mem.create () in
   List.iter
     (fun m ->
        Mem.map mem ~base:m.Mem.map_base ~npages:m.Mem.map_npages
          ~kind:m.Mem.map_kind ~name:m.Mem.map_name)
     snap.snap_maps;
+  mem
+
+let build_template snap =
+  Trace.span ~cat:"replay" ~args:[ ("app", snap.snap_app) ]
+    "snapshot:build_template"
+  @@ fun () ->
+  Trace.incr "replay.template_builds";
+  let pages = template_pages snap in
+  let mem = layout snap in
   List.iter
     (fun (page, data) ->
        Mem.install_page ~image:Repro_vm.Image.boot_image mem ~page data)
     pages;
   mem
 
-let templates : Mem.t memo = new_memo ()
-
-let template snap = memoized templates build_template snap
-
-let cached_template snap =
-  List.find_map (fun e -> Ephemeron.K1.query e snap) (snd (entries templates))
+let template snap =
+  match cached_template snap with
+  | Some tpl -> tpl
+  | None ->
+    Mutex.protect memo_lock @@ fun () ->
+    match cached_template snap with
+    | Some tpl -> tpl
+    | None ->
+      let tpl = build_template snap in
+      Atomic.set memo
+        (List.filteri
+           (fun i _ -> i < max_memo_entries)
+           (Ephemeron.K1.make snap tpl :: Atomic.get memo));
+      tpl

@@ -61,33 +61,38 @@ val set_store : Repro_os.Storage.t option -> unit
 (** Attach (or detach, with [None]) the process-wide device store.  While
     one is attached and holds a snapshot's blobs, {!template} materializes
     from the store — checksum-validating every page — instead of from the
-    in-memory page lists.  Every domain reads the attachment when it next
-    builds a template; templates built before a change stay memoized
-    until {!invalidate_templates}. *)
+    in-memory page lists.  A template built before a change stays
+    memoized until {!invalidate_templates}. *)
 
 val current_store : unit -> Repro_os.Storage.t option
 
 val invalidate_templates : unit -> unit
-(** Drop every domain's memoized templates, pool workers included: each
-    domain rebuilds on its next access, so the next {!template} call
-    reads the (possibly mutated) store — used by the corruption tests and
-    fault campaigns. *)
+(** Drop every memoized template, so the next {!template} call on any
+    domain, pool workers included, rebuilds and reads the (possibly
+    mutated) store — used by the corruption tests and fault campaigns. *)
+
+val layout : t -> Repro_os.Mem.t
+(** A fresh address space with the snapshot's mappings and no page: the
+    template's skeleton, and the replay loader's space when the store
+    cannot rebuild the template. *)
 
 val template : t -> Repro_os.Mem.t
 (** The snapshot's address-space template: mappings recreated and every
     captured page installed (program pages over boot-common ones), built
-    once per (domain, snapshot).  A page equal to the boot image's —
-    every boot-common page, whether from memory or from the store —
-    shares the image's immutable frame; only program pages are
-    copied.  Each domain keeps its 12 most recently
-    used templates, each an ephemeron keyed on the snapshot (physical
-    identity), so a template dies with its snapshot.  Replays
-    [Repro_os.Mem.clone] it instead of re-copying every page, making
-    per-replay setup O(page table) and verification O(dirty pages);
-    verification also reads the captured original words from it.  The
-    template must be treated as immutable; never write through it. *)
+    once per snapshot for the whole process.  A page equal to the boot
+    image's — every boot-common page, whether from memory or from the
+    store — shares the image's frame; every other page aliases the
+    captured (or stored) bytes, with no copy.  The template is wholly
+    frozen ({!Repro_os.Mem}), so every domain clones and reads the same
+    one; a domain that misses builds it under one lock while the others
+    wait.  The 12 most recently built templates are kept, each an
+    ephemeron keyed on the snapshot (physical identity), so a template
+    dies with its snapshot.  Replays [Repro_os.Mem.clone] it instead of
+    re-installing every page, making per-replay setup O(page table) and
+    verification O(dirty pages); verification also reads the captured
+    original words from it.  Never write through it. *)
 
 val cached_template : t -> Repro_os.Mem.t option
-(** The calling domain's memoized template for this exact snapshot, if
-    one exists — a cheap provenance check ([==] against
-    {!Repro_os.Mem.cloned_from}) that never builds anything. *)
+(** The memoized template for this exact snapshot, if one exists — a
+    cheap provenance check ([==] against {!Repro_os.Mem.cloned_from})
+    that never builds anything. *)

@@ -21,23 +21,21 @@ type stats = {
 
 (* A physical frame: one flat 4 KB page, its words little-endian.
 
-   A mutable frame is shareable between address spaces after fork/clone and
-   refcounted with a plain int: the sharing discipline (one snapshot template
-   per domain, clones live and die on the domain that made them) keeps every
-   mutable frame confined to a single domain, so no atomics are needed.
-
-   An immutable frame — the zero frame, or a page of a boot image — is never
-   written (a write copies it first) and never refcounted, so every space on
-   every domain may share it. *)
-type frame = { data : Bytes.t; mutable refcount : int; immutable : bool }
+   A frame is private to one space until a second space shares it; from
+   then on it is frozen: never written (a write copies the page first),
+   never counted, and readable from any domain.  [fork] and [clone] freeze
+   what they share, [install_page] freezes the bytes it is handed, and the
+   zero frame and the frames of a boot image are frozen from birth.  The
+   flag is one-way and [freeze] skips a frame already frozen, so nothing
+   ever writes to a frozen frame and any domain may read it. *)
+type frame = { data : Bytes.t; mutable frozen : bool }
 
 (* The one frame every never-written page shares. *)
-let zero_frame =
-  { data = Bytes.make page_size '\000'; refcount = 0; immutable = true }
+let zero_frame = { data = Bytes.make page_size '\000'; frozen = true }
 
 let some_zero_frame = Some zero_frame
 
-(* A run of immutable frames starting at page [im_first].  The slots are
+(* A run of frozen frames starting at page [im_first].  The slots are
    pre-wrapped so that installing one allocates nothing. *)
 type image = { im_first : int; im_slots : frame option array }
 
@@ -138,8 +136,10 @@ let lookup t page =
     mt
   end
 
+(* Page queries search without touching the cache: verification reads a
+   template that every domain shares through them. *)
 let find_tbl t page =
-  let mt = lookup t page in
+  let mt = search t.tbls page 0 (Array.length t.tbls) in
   if mt == no_tbl then None else Some mt
 
 let mapping_of_page t page = Option.map (fun mt -> mt.mt_map) (find_tbl t page)
@@ -163,13 +163,10 @@ let check_fault t mt page idx =
     (match t.handler with Some h -> h page | None -> ())
   | Some _ | None -> ()
 
-let fresh_frame () =
-  { data = Bytes.make page_size '\000'; refcount = 1; immutable = false }
+let fresh_frame () = { data = Bytes.make page_size '\000'; frozen = false }
 
-(* Drop one reference to the frame in a slot being overwritten or
-   released; immutable frames are never counted. *)
-let release = function
-  | Some f when not f.immutable -> f.refcount <- f.refcount - 1
+let freeze = function
+  | Some f when not f.frozen -> f.frozen <- true
   | Some _ | None -> ()
 
 (* Byte offset of the word holding [addr] within its page. *)
@@ -191,9 +188,8 @@ let readable t addr =
     zero_frame.data
 
 (* The bytes a write to [addr] may modify: a frame this space alone owns.
-   A never-written page (no frame, or the zero frame) gets a fresh one; a
-   frame shared with another space, or an immutable boot-image frame, is
-   copied first (Copy-on-Write). *)
+   A never-written page (no frame, or the zero frame) gets a fresh one; any
+   other frozen frame is copied first (Copy-on-Write). *)
 let writable t addr =
   let page = addr / page_size in
   let mt = tbl_of t page "write" in
@@ -201,7 +197,7 @@ let writable t addr =
   check_fault t mt page idx;
   t.st.n_writes <- t.st.n_writes + 1;
   match mt.mt_frames.(idx) with
-  | Some f when (not f.immutable) && f.refcount <= 1 -> f.data
+  | Some f when not f.frozen -> f.data
   | slot ->
     let nf =
       match slot with
@@ -210,10 +206,9 @@ let writable t addr =
         fresh_frame ()
       | Some f when f == zero_frame -> fresh_frame ()
       | Some f ->
-        release slot;
         t.st.n_cow <- t.st.n_cow + 1;
         Trace.incr "mem.cow_pages";
-        { data = Bytes.copy f.data; refcount = 1; immutable = false }
+        { data = Bytes.copy f.data; frozen = false }
     in
     mt.mt_frames.(idx) <- Some nf;
     t.dirty <- page :: t.dirty;
@@ -275,62 +270,56 @@ let protected t ~page =
 
 let set_fault_handler t h = t.handler <- h
 
-(* Duplicate the page table of [t] into a fresh space sharing every physical
-   frame.  Immutable frames are shared as they are, except that [on_zero]
-   decides what a zero-frame slot becomes in the child (fork upgrades them
-   to real shared frames to mirror the historical Hashtbl behaviour; clone
-   keeps sharing the zero frame). *)
-let dup_tbls t ~on_zero =
-  Array.map
-    (fun mt ->
-       let n = Array.length mt.mt_frames in
-       let frames = Array.make n None in
-       for i = 0 to n - 1 do
-         match mt.mt_frames.(i) with
-         | None -> ()
-         | Some f when f == zero_frame -> frames.(i) <- on_zero mt i
-         | Some f ->
-           if not f.immutable then f.refcount <- f.refcount + 1;
-           frames.(i) <- mt.mt_frames.(i)
-       done;
-       { mt with mt_frames = frames; mt_protected = None })
-    t.tbls
-
-let fork t =
+(* A fresh space sharing every frame of [t], which the caller has frozen:
+   the slot arrays are copied, protection, handler and stats are not. *)
+let share t ~origin =
   let tbls =
-    dup_tbls t ~on_zero:(fun mt i ->
-        (* a cold-read page becomes a real zero-filled frame shared by
-           parent and child, exactly as if the read had materialized it *)
-        let nf = { (fresh_frame ()) with refcount = 2 } in
-        mt.mt_frames.(i) <- Some nf;
-        Some nf)
+    Array.map
+      (fun mt ->
+         let n = Array.length mt.mt_frames in
+         let frames = Array.make n None in
+         for i = 0 to n - 1 do
+           match mt.mt_frames.(i) with
+           | None -> ()
+           | slot -> frames.(i) <- slot
+         done;
+         { mt with mt_frames = frames; mt_protected = None })
+      t.tbls
   in
   { tbls; last = no_tbl; handler = None;
     st = { n_faults = 0; n_cow = 0; n_reads = 0; n_writes = 0 };
-    dirty = []; n_mat = t.n_mat; origin = None }
+    dirty = []; n_mat = t.n_mat; origin }
 
-let clone t =
-  let tbls = dup_tbls t ~on_zero:(fun _ _ -> some_zero_frame) in
-  Trace.add "mem.clone_pages" t.n_mat;
-  { tbls; last = no_tbl; handler = None;
-    st = { n_faults = 0; n_cow = 0; n_reads = 0; n_writes = 0 };
-    dirty = []; n_mat = t.n_mat; origin = Some t }
-
-let cloned_from t = t.origin
-
-let drop t =
+let fork t =
   Array.iter
     (fun mt ->
        Array.iteri
          (fun i slot ->
-            release slot;
-            mt.mt_frames.(i) <- None)
+            match slot with
+            | Some f when f == zero_frame ->
+              (* a cold-read page becomes a real zero-filled frame shared by
+                 parent and child, exactly as if the read had materialized
+                 it *)
+              mt.mt_frames.(i) <-
+                Some { data = Bytes.make page_size '\000'; frozen = true }
+            | slot -> freeze slot)
          mt.mt_frames)
     t.tbls;
-  t.tbls <- [||];
-  t.last <- no_tbl;
-  t.dirty <- [];
-  t.n_mat <- 0
+  share t ~origin:None
+
+(* Only the pages [t] privatized can hold unfrozen frames.  A template
+   privatized none, so cloning one writes nothing to it. *)
+let clone t =
+  List.iter
+    (fun page ->
+       match find_tbl t page with
+       | Some mt -> freeze mt.mt_frames.(page - mt.mt_first)
+       | None -> ())
+    t.dirty;
+  Trace.add "mem.clone_pages" t.n_mat;
+  share t ~origin:(Some t)
+
+let cloned_from t = t.origin
 
 let check_page_size what data =
   if Bytes.length data <> page_size then
@@ -342,21 +331,18 @@ let image ~first_page pages =
       Array.map
         (fun data ->
            check_page_size "image" data;
-           Some { data = Bytes.copy data; refcount = 0; immutable = true })
+           Some { data = Bytes.copy data; frozen = true })
         pages }
 
 let image_slot img page =
   let i = page - img.im_first in
   if i >= 0 && i < Array.length img.im_slots then img.im_slots.(i) else None
 
-(* Point [page]'s slot at [slot]: the old frame is released and the page's
-   protection cleared. *)
+(* Point [page]'s slot at [slot] and clear the page's protection. *)
 let set_slot t ~op ~page slot =
   let mt = tbl_of t page op in
   let idx = page - mt.mt_first in
-  (match mt.mt_frames.(idx) with
-   | None -> t.n_mat <- t.n_mat + 1
-   | old -> release old);
+  if Option.is_none mt.mt_frames.(idx) then t.n_mat <- t.n_mat + 1;
   (match mt.mt_protected with
    | Some b -> Bytes.set b idx '\000'
    | None -> ());
@@ -369,13 +355,10 @@ let map_image t img =
 
 let install_page ?image t ~page data =
   check_page_size "install_page" data;
-  match Option.bind image (fun img -> image_slot img page) with
-  | Some f as shared when Bytes.equal f.data data ->
-    set_slot t ~op:"install_page" ~page shared
-  | _ ->
-    set_slot t ~op:"install_page" ~page
-      (Some { data = Bytes.copy data; refcount = 1; immutable = false });
-    t.dirty <- page :: t.dirty
+  set_slot t ~op:"install_page" ~page
+    (match Option.bind image (fun img -> image_slot img page) with
+     | Some f as shared when Bytes.equal f.data data -> shared
+     | _ -> Some { data; frozen = true })
 
 let page_bytes t ~page =
   match find_tbl t page with
@@ -383,15 +366,6 @@ let page_bytes t ~page =
   | Some mt ->
     (match mt.mt_frames.(page - mt.mt_first) with
      | Some f -> Some f.data
-     | None -> None)
-
-let page_data t ~page =
-  match find_tbl t page with
-  | None -> None
-  | Some mt ->
-    (match mt.mt_frames.(page - mt.mt_first) with
-     | Some f when f.immutable -> Some f.data
-     | Some f -> Some (Bytes.copy f.data)
      | None -> None)
 
 let touched_pages t ~kind =
@@ -408,14 +382,6 @@ let touched_pages t ~kind =
 let dirty_pages t ~kind =
   List.sort_uniq Int.compare
     (List.filter (fun page -> kind_of_page t page = Some kind) t.dirty)
-
-let refcount t ~page =
-  match find_tbl t page with
-  | None -> None
-  | Some mt ->
-    (match mt.mt_frames.(page - mt.mt_first) with
-     | Some f when not f.immutable -> Some f.refcount
-     | Some _ | None -> None)
 
 let shares_frame a b ~page =
   match page_bytes a ~page, page_bytes b ~page with

@@ -8,30 +8,31 @@
 
     The page table is flat: one contiguous slot array per mapping, fronted
     by a one-entry mapping cache, so a load/store is an array index rather
-    than a hash probe.  Never-written pages share one immutable zero frame
+    than a hash probe.  Never-written pages share one frozen zero frame
     and cost no allocation to read.
 
     [fork] produces a second address space sharing all physical pages; the
     first write to a shared page from either side copies it (Copy-on-Write),
     and the copy event is counted.  [clone] is the replay-oriented variant:
-    an O(page-table) snapshot of an immutable {e template} space whose
-    privatized ("dirty") pages are tracked, so verification can scan only
-    the pages a replay actually wrote (still physically shared pages are
-    equal to the template by construction).  [protect] removes access to a
-    page; the next access triggers the installed fault handler (which
-    typically records the page and restores access), mirroring [mprotect] +
-    SIGSEGV handling.
+    an O(page-table) snapshot of a {e template} space whose privatized
+    ("dirty") pages are tracked, so verification can scan only the pages a
+    replay actually wrote (still physically shared pages are equal to the
+    template by construction).  [protect] removes access to a page; the
+    next access triggers the installed fault handler (which typically
+    records the page and restores access), mirroring [mprotect] + SIGSEGV
+    handling.
 
-    {b Frame sharing.}  Two kinds of frame back a page.  {e Immutable}
-    frames — the zero frame and the pages of an {!image} (the boot-common
-    runtime image) — are never written and never refcounted: a write
-    copies the page first, and every space on every domain may share
-    them.  Every other frame is {e mutable} and carries a plain-int
-    refcount.  The sharing discipline that keeps this safe: a space and
-    every space sharing mutable frames with it (its forks, its clones, its
-    template) must be used from a single domain.
-    [Repro_capture.Snapshot.template] maintains one template per domain
-    for exactly this reason. *)
+    {b Frame sharing.}  A frame that two address spaces share is
+    {e frozen}: never written, never counted, and readable from any
+    domain.  A write to a frozen frame copies the page into the writing
+    space first, as the kernel does for a page [fork] left read-only.
+    [fork] and [clone] freeze what they share, {!install_page} freezes the
+    bytes it is handed, and the zero frame and the pages of an {!image}
+    are frozen from birth.  Only the pages a space privatized by writing
+    are unfrozen, so a space that writes stays on one domain.  A snapshot
+    template is wholly frozen and only read ({!page_bytes}, {!clone}), so
+    one template serves every domain of the process
+    ([Repro_capture.Snapshot.template]). *)
 
 type t
 
@@ -117,15 +118,20 @@ val set_fault_handler : t -> (int -> unit) option -> unit
     behaviour in §3.2 step 3). *)
 
 val fork : t -> t
-(** Copy-on-Write clone of the address space.  The clone has no protection,
-    no fault handler and fresh stats. *)
+(** Copy-on-Write clone of the address space: every frame of the source
+    is frozen and shared, and a never-written page the source has read
+    becomes a zero-filled frame both share, so the source's next write
+    there counts as Copy-on-Write.  The clone has no protection, no fault
+    handler and fresh stats. *)
 
 val clone : t -> t
-(** Copy-on-Write clone optimized for replay: shares every frame of the
-    source (the {e template}), copies only the page table, and starts an
-    empty dirty set.  Cost is O(mapped pages) pointer copies plus one
-    refcount bump per materialized page — no 4 KiB page copies.  Bumps the
-    [mem.clone_pages] trace counter by the number of shared pages. *)
+(** Copy-on-Write clone optimized for replay: freezes the source's
+    privatized pages and shares every frame of the source (the
+    {e template}), copying only the page table, and starts an empty dirty
+    set.  Cost is O(mapped pages) pointer copies — no 4 KiB page copies —
+    and a wholly frozen template, such as a snapshot's, is only read, so
+    clones of it may be made on any domain.  Bumps the [mem.clone_pages]
+    trace counter by the number of shared pages. *)
 
 val cloned_from : t -> t option
 (** The space this one was [clone]d from, if any ([fork] children return
@@ -137,16 +143,6 @@ val dirty_pages : t -> kind:region_kind -> int list
     source.  Sorted ascending, duplicate-free.  Pages still physically
     sharing the source's frame are never reported. *)
 
-val drop : t -> unit
-(** Release the space's frame references (refcount decrements) and empty
-    its page table.  The space must not be used afterwards; useful to keep
-    refcounts exact in long clone chains and in tests. *)
-
-val refcount : t -> page:int -> int option
-(** Sharing count of the physical frame backing [page]: [Some rc] for a
-    mutable frame, [None] for unmapped or never-touched pages and for
-    immutable frames (the zero frame, image pages). *)
-
 val shares_frame : t -> t -> page:int -> bool
 (** Whether the two spaces are backed by the same physical frame at
     [page] (including the shared zero frame and image frames). *)
@@ -154,7 +150,7 @@ val shares_frame : t -> t -> page:int -> bool
 (** {2 Images and page placement} *)
 
 type image
-(** A run of immutable frames at fixed pages: the boot-common runtime
+(** A run of frozen frames at fixed pages: the boot-common runtime
     image.  Build one once per process, before any worker domain starts;
     every space that maps it, and every fork and clone of those, shares
     its frames.  Writing to one of its pages copies that page into the
@@ -162,31 +158,30 @@ type image
 
 val image : first_page:int -> Bytes.t array -> image
 (** [image ~first_page pages] freezes [pages] (copied; each must be
-    page-sized) into immutable frames for pages [first_page],
+    page-sized) into frozen frames for pages [first_page],
     [first_page + 1], ....  @raise Invalid_argument on a bad page size. *)
 
 val map_image : t -> image -> unit
-(** Point every page of the image at its immutable frame, as
+(** Point every page of the image at its frozen frame, as
     {!install_page} would with equal data: protection is cleared and no
     page is copied.  @raise Invalid_argument if a page is unmapped. *)
 
 val install_page : ?image:image -> t -> page:int -> Bytes.t -> unit
 (** Bulk-restore a page image (the replay loader's page placement);
     protection is cleared.  When [image] holds [page] with equal bytes,
-    the space shares that immutable frame; otherwise the data is copied
-    into a fresh frame.  @raise Invalid_argument if the page is unmapped
-    or the image is not page-sized. *)
-
-val page_data : t -> page:int -> Bytes.t option
-(** Current contents of a materialized page; [None] if the page was
-    never touched in this address space.  A mutable frame's bytes are
-    copied; an immutable frame's are returned as they are (no write ever
-    reaches them), so callers must not write to the result. *)
+    the space shares that frame; otherwise the space aliases the bytes
+    it is handed as a frozen frame, with no copy, so the caller must
+    never write them again.  A write through the space copies them
+    first.  @raise Invalid_argument if the page is unmapped or the image
+    is not page-sized. *)
 
 val page_bytes : t -> page:int -> Bytes.t option
-(** Like {!page_data} but returns the live backing bytes without copying.
-    Callers must treat them as read-only; writing through them would
-    corrupt frames shared with other spaces.  For verification scans. *)
+(** The live backing bytes of a materialized page, not copied; [None] if
+    the page was never touched in this address space.  Callers must
+    treat them as read-only; writing through them would corrupt frames
+    shared with other spaces.  A page query never updates the space's
+    mapping cache, so any domain may read a frozen template through it.
+    For capture and verification scans. *)
 
 val touched_pages : t -> kind:region_kind -> int list
 (** Materialized (ever-accessed or installed) pages of all mappings of a

@@ -2,8 +2,8 @@
 
     [Evalpool] runs every parallel stage on one process-wide pool, so
     domain spawn/join costs are paid once per process rather than per
-    batch, and a worker's domain-local caches (snapshot templates)
-    survive from one batch to the next.  A [Domainpool]
+    batch, and a worker's domain-local state survives from one batch to
+    the next.  A [Domainpool]
     spawns its worker domains once; each {!run} call hands the same job
     closure to every worker (the calling domain participates as worker 0)
     and returns when all of them have finished.  One job runs at a time —

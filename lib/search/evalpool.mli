@@ -24,7 +24,7 @@
     first stage that needs a second worker and replaced by a wider one
     when a later stage asks for more.  No caller owns it and it is never
     shut down: its workers idle between batches and keep their
-    domain-local state (snapshot templates) from one batch to the next.
+    domain-local state from one batch to the next.
     Batches must therefore be driven from one domain at a time — the
     search session and the serve scheduler both step their batches on
     the calling domain.

@@ -365,10 +365,11 @@ let test_invalidation_reaches_pool_workers () =
           | _ -> Alcotest.fail "a worker verified against a stale template")
         (verify tasks))
 
-(* Memo entries are ephemerons keyed on their snapshot: once nothing else
-   holds the snapshot, its templates — on the calling domain and on a pool
-   worker alike — are garbage. *)
-let test_dead_snapshot_frees_memo () =
+(* One template per snapshot serves the whole process, and memo entries
+   are ephemerons keyed on their snapshot: both pool domains receive the
+   very same template, and once nothing else holds the snapshot, that
+   template is garbage. *)
+let test_dead_snapshot_frees_template () =
   let snap0 = (Lazy.force fft_capture).Pipeline.snapshot in
   let templates = Weak.create 2 in
   let pool = Repro_search.Domainpool.create ~workers:2 in
@@ -379,11 +380,15 @@ let test_dead_snapshot_frees_memo () =
     let snap = { snap0 with Snapshot.snap_mid = snap0.Snapshot.snap_mid } in
     Repro_search.Domainpool.run pool (fun wid ->
         Weak.set templates wid (Some (Snapshot.template snap)));
-    let built = List.for_all (Weak.check templates) [ 0; 1 ] in
+    let same =
+      match Weak.get templates 0, Weak.get templates 1 with
+      | Some a, Some b -> a == b
+      | _ -> false
+    in
     ignore (Sys.opaque_identity snap);
-    built
+    same
   in
-  Alcotest.(check bool) "memo entries built on both domains" true (fill ());
+  Alcotest.(check bool) "both domains received one template" true (fill ());
   Gc.full_major ();
   List.iter
     (fun wid ->
@@ -806,6 +811,28 @@ let corpus_snapshots (co : Pipeline.corpus) =
   co.Pipeline.co_primary.Pipeline.snapshot
   :: List.map (fun ce -> ce.Pipeline.ce_snapshot) co.Pipeline.co_entries
 
+(* Verifying a batch on two domains builds each snapshot's template once,
+   however many domains replay it: FFT's K=3 corpus holds three
+   snapshots, so three builds, the capture's own replays included. *)
+let test_one_template_per_snapshot () =
+  Trace.enable ();
+  Trace.reset ();
+  Fun.protect ~finally:Trace.disable @@ fun () ->
+  let app = fft () in
+  let co = Option.get (Pipeline.capture_corpus ~seed:5 ~k:3 app) in
+  let env =
+    Pipeline.make_eval_env ~corpus:co.Pipeline.co_entries app
+      co.Pipeline.co_primary
+  in
+  let rng = Repro_util.Rng.create 17 in
+  ignore
+    (Evalpool.evaluate_batch
+       (Pipeline.make_core_pool ~jobs:2 ~cache:false env)
+       (Array.init 12 (fun i -> (i, Genome.random rng))));
+  Alcotest.(check int) "one build per snapshot"
+    (List.length (corpus_snapshots co))
+    (Trace.counter_value "replay.template_builds")
+
 (* Every capture of an app holds the same boot-common pages, whatever
    the input: one APP/boot-common blob per app relies on it.  In memory
    they are one boot image: each page is physically the same bytes in the
@@ -1000,7 +1027,9 @@ let () =
          Alcotest.test_case "invalidation reaches pool workers" `Quick
            test_invalidation_reaches_pool_workers ]);
       ("memo",
-       [ Alcotest.test_case "a dead snapshot frees its memo entries" `Quick
-           test_dead_snapshot_frees_memo;
+       [ Alcotest.test_case "a dead snapshot frees its template" `Quick
+           test_dead_snapshot_frees_template;
+         Alcotest.test_case "one template per snapshot" `Quick
+           test_one_template_per_snapshot;
          Alcotest.test_case "template holds the captured words" `Quick
            test_template_holds_captured_words ]) ]

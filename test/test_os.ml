@@ -153,14 +153,25 @@ let test_fork_after_protection () =
 
 (* ---------------------------- install_page -------------------------- *)
 
+(* The installed bytes are frozen, not copied: the space shares them, and
+   a write through the space copies the page first. *)
 let test_install_page () =
   let mem = fresh () in
   let data = Bytes.make Mem.page_size '\000' in
   Bytes.set_int64_le data 24 77L;
-  Mem.install_page mem ~page:(0x1000_0000 / Mem.page_size) data;
+  let page = 0x1000_0000 / Mem.page_size in
+  Mem.install_page mem ~page data;
   Alcotest.(check int) "installed word" 77 (Mem.read_int mem (addr 3));
-  Bytes.set_int64_le data 24 0L;
-  Alcotest.(check int) "copied, not aliased" 77 (Mem.read_int mem (addr 3));
+  Alcotest.(check bool) "aliased, not copied" true
+    (Option.get (Mem.page_bytes mem ~page) == data);
+  Mem.write_int mem (addr 3) 78;
+  Alcotest.(check int) "the space sees its write" 78 (Mem.read_int mem (addr 3));
+  Alcotest.(check int) "the write copied the page first" 1
+    (Mem.stats mem).Mem.n_cow;
+  Alcotest.(check bool) "the handed-over bytes are unchanged" true
+    (Bytes.get_int64_le data 24 = 77L);
+  Alcotest.(check bool) "the space holds a copy now" false
+    (Option.get (Mem.page_bytes mem ~page) == data);
   (try
      Mem.install_page mem ~page:0 data;
      Alcotest.fail "expected unmapped rejection"
@@ -178,18 +189,17 @@ let test_page_data_and_touched () =
   let touched = Mem.touched_pages mem ~kind:Mem.Rheap in
   Alcotest.(check int) "two pages" 2 (List.length touched);
   Alcotest.(check bool) "page data present" true
-    (Mem.page_data mem ~page:(List.hd touched) <> None);
+    (Mem.page_bytes mem ~page:(List.hd touched) <> None);
   Alcotest.(check int) "word count" (2 * Mem.words_per_page) (Mem.word_count mem)
 
 (* ------------------------------ clone/CoW --------------------------- *)
 
 let heap_page = 0x1000_0000 / Mem.page_size
 
-(* An image's frames are immutable and never refcounted.  Every space
-   that maps the image shares them; a write through a clone copies the
-   page into that clone alone (a counted Copy-on-Write), and the image,
-   the template and the other clones still read the old word.  Drop and
-   refcount never touch them. *)
+(* An image's frames are frozen.  Every space that maps the image shares
+   them; a write through a clone copies the page into that clone alone (a
+   counted Copy-on-Write), and the image, the template and the other
+   clones still read the old word. *)
 let test_image_frames_shared_and_immutable () =
   let page_with w =
     let b = Bytes.make Mem.page_size '\000' in
@@ -207,8 +217,8 @@ let test_image_frames_shared_and_immutable () =
     (Mem.read_int c1 (0x1000_0000 + Mem.page_size));
   Alcotest.(check bool) "clone shares the image frame" true
     (Mem.shares_frame tpl c1 ~page:heap_page);
-  Alcotest.(check (option int)) "image frame has no refcount" None
-    (Mem.refcount tpl ~page:heap_page);
+  Alcotest.(check bool) "the clones share one frame" true
+    (Mem.shares_frame c1 c2 ~page:heap_page);
   Mem.write_int c1 (addr 0) 99;
   Alcotest.(check int) "writer sees its write" 99 (Mem.read_int c1 (addr 0));
   Alcotest.(check int) "template keeps the old word" 11
@@ -219,14 +229,12 @@ let test_image_frames_shared_and_immutable () =
     (Mem.stats c1).Mem.n_cow;
   Alcotest.(check (list int)) "written page dirty" [ heap_page ]
     (Mem.dirty_pages c1 ~kind:Mem.Rheap);
-  Alcotest.(check (option int)) "writer owns a private copy" (Some 1)
-    (Mem.refcount c1 ~page:heap_page);
+  Alcotest.(check bool) "writer owns a private copy" false
+    (Mem.shares_frame tpl c1 ~page:heap_page);
   Alcotest.(check bool) "sibling still on the image" true
     (Mem.shares_frame tpl c2 ~page:heap_page);
-  Mem.drop c2;
-  Mem.drop c1;
-  Alcotest.(check (option int)) "drop leaves the image uncounted" None
-    (Mem.refcount tpl ~page:heap_page);
+  Alcotest.(check bool) "a later clone still shares the image frame" true
+    (Mem.shares_frame tpl (Mem.clone tpl) ~page:heap_page);
   let other = fresh () in
   Mem.map_image other img;
   Alcotest.(check int) "the image keeps the old word" 11
@@ -234,16 +242,17 @@ let test_image_frames_shared_and_immutable () =
   Alcotest.(check bool) "a second space shares the same frame" true
     (Mem.shares_frame tpl other ~page:heap_page);
   (* installing a page equal to the image's shares its frame; any other
-     page is copied *)
+     page is aliased as it was handed over *)
   let m = fresh () in
+  let different = page_with 23L in
   Mem.install_page ~image:img m ~page:heap_page (page_with 11L);
-  Mem.install_page ~image:img m ~page:(heap_page + 1) (page_with 23L);
+  Mem.install_page ~image:img m ~page:(heap_page + 1) different;
   Alcotest.(check bool) "equal page shares the image frame" true
     (Mem.shares_frame m tpl ~page:heap_page);
-  Alcotest.(check bool) "different page copied" false
+  Alcotest.(check bool) "different page not the image's" false
     (Mem.shares_frame m tpl ~page:(heap_page + 1));
-  Alcotest.(check (option int)) "the copy is counted" (Some 1)
-    (Mem.refcount m ~page:(heap_page + 1))
+  Alcotest.(check bool) "different page aliases the installed bytes" true
+    (Option.get (Mem.page_bytes m ~page:(heap_page + 1)) == different)
 
 let test_clone_shares_then_isolates () =
   let mem = fresh () in
@@ -253,18 +262,18 @@ let test_clone_shares_then_isolates () =
   Alcotest.(check int) "clone reads template data" 41 (Mem.read_int c1 (addr 0));
   Alcotest.(check bool) "frames shared before write" true
     (Mem.shares_frame mem c1 ~page:heap_page);
-  Alcotest.(check (option int)) "template+2 clones" (Some 3)
-    (Mem.refcount mem ~page:heap_page);
+  Alcotest.(check bool) "template and both clones on one frame" true
+    (Mem.shares_frame c1 c2 ~page:heap_page);
   Mem.write_int c1 (addr 0) 99;
   Alcotest.(check int) "template unchanged" 41 (Mem.read_int mem (addr 0));
   Alcotest.(check int) "sibling unchanged" 41 (Mem.read_int c2 (addr 0));
   Alcotest.(check int) "clone sees its write" 99 (Mem.read_int c1 (addr 0));
   Alcotest.(check bool) "unshared after write" false
     (Mem.shares_frame mem c1 ~page:heap_page);
-  Alcotest.(check (option int)) "writer owns its copy" (Some 1)
-    (Mem.refcount c1 ~page:heap_page);
-  Alcotest.(check (option int)) "template+sibling still share" (Some 2)
-    (Mem.refcount mem ~page:heap_page)
+  Alcotest.(check bool) "writer owns its copy" false
+    (Mem.shares_frame c1 c2 ~page:heap_page);
+  Alcotest.(check bool) "template and sibling still share" true
+    (Mem.shares_frame mem c2 ~page:heap_page)
 
 let test_clone_dirty_tracking () =
   let mem = fresh () in
@@ -292,29 +301,13 @@ let test_cold_reads_share_zero_frame () =
   ignore (Mem.read_int mem (addr 9));
   Alcotest.(check bool) "both on the zero frame" true
     (Mem.shares_frame mem c ~page:heap_page);
-  Alcotest.(check (option int)) "zero frame has no refcount" None
-    (Mem.refcount c ~page:heap_page);
+  Alcotest.(check bool) "a second clone shares it too" true
+    (Mem.shares_frame c (Mem.clone mem) ~page:heap_page);
   Alcotest.(check int) "still counts as resident" Mem.words_per_page
     (Mem.word_count c);
   Mem.write_int c (addr 9) 5;
   Alcotest.(check int) "write privatizes" 5 (Mem.read_int c (addr 9));
   Alcotest.(check int) "template still zero" 0 (Mem.read_int mem (addr 9))
-
-let test_drop_releases_refcounts () =
-  let mem = fresh () in
-  Mem.write_int mem (addr 0) 1;
-  let c1 = Mem.clone mem in
-  let c2 = Mem.clone mem in
-  Alcotest.(check (option int)) "three holders" (Some 3)
-    (Mem.refcount mem ~page:heap_page);
-  Mem.drop c1;
-  Alcotest.(check (option int)) "two after drop" (Some 2)
-    (Mem.refcount mem ~page:heap_page);
-  Mem.write_int c2 (addr 0) 2;
-  Alcotest.(check (option int)) "template alone after CoW" (Some 1)
-    (Mem.refcount mem ~page:heap_page);
-  Alcotest.(check (option int)) "writer alone" (Some 1)
-    (Mem.refcount c2 ~page:heap_page)
 
 let test_cloned_from_provenance () =
   let mem = fresh () in
@@ -613,46 +606,79 @@ let prop_clone_isolation =
        && List.for_all (fun (w, v) -> Mem.read_int c2 (addr w) = v) before
        && List.for_all (fun (w, v) -> Mem.read_int c1 (addr w) = v) expected)
 
-(* satellite (c): frame refcounts stay exact under arbitrary
-   clone/write/drop sequences.  The model: a frame's refcount must equal
-   the number of live spaces whose slot holds that very frame. *)
-let prop_refcounts_exact =
-  let apply_op live (op, a, b) =
-    match live with
-    | [] -> live
-    | _ ->
-      let pick xs k = List.nth xs (k mod List.length xs) in
-      (match op mod 3 with
-       | 0 when List.length live < 6 -> Mem.clone (pick live a) :: live
-       | 1 ->
-         Mem.write_int (pick live a) (addr ((b mod 8) * Mem.words_per_page)) b;
-         live
-       | 2 when List.length live > 1 ->
-         let victim = pick live a in
-         Mem.drop victim;
-         List.filter (fun m -> m != victim) live
-       | _ -> live)
+(* Random fork, clone, read and write steps against a model: every space
+   reads exactly the words its model holds, and every frame two spaces
+   shared still holds the bytes it had when it was first shared — a
+   shared frame is frozen, never written.  Each case starts with a clone
+   of a written clone and a fork of a clone. *)
+let prop_frozen_model =
+  let words = [| 0; 1; Mem.words_per_page - 1 |] in
+  let addr_of k =
+    let page = k mod 8 and w = words.(k / 8 mod Array.length words) in
+    0x1000_0000 + (page * Mem.page_size) + (w * 8)
   in
-  QCheck.Test.make ~name:"refcounts exact under clone/write/drop" ~count:200
+  let addrs = List.init (8 * Array.length words) addr_of in
+  let pick xs k = List.nth xs (k mod List.length xs) in
+  (* a space with its model: address -> word, absent = 0 *)
+  let step live (op, a, b) =
+    let space, model = pick live a in
+    match op mod 4 with
+    | 0 when List.length live < 7 -> (Mem.clone space, model) :: live
+    | 1 when List.length live < 7 -> (Mem.fork space, model) :: live
+    | 2 ->
+      let at = addr_of b in
+      Mem.write_int space at b;
+      List.map
+        (fun ((s, m) as e) ->
+           if s == space then (s, (at, b) :: List.remove_assoc at m) else e)
+        live
+    | _ ->
+      ignore (Mem.read_int space (addr_of b));
+      live
+  in
+  (* the bytes of every frame two live spaces share, as first shared *)
+  let record_shared shared live =
+    List.fold_left
+      (fun shared (s, _) ->
+         List.fold_left
+           (fun shared (s', _) ->
+              if s == s' then shared
+              else
+                List.fold_left
+                  (fun shared page ->
+                     match Mem.page_bytes s ~page with
+                     | Some bytes
+                       when Mem.shares_frame s s' ~page
+                            && not (List.exists (fun (b, _) -> b == bytes) shared)
+                       -> (bytes, Bytes.copy bytes) :: shared
+                     | _ -> shared)
+                  shared
+                  (List.init 8 (fun i -> heap_page + i)))
+           shared live)
+      shared live
+  in
+  let prefix = [ (2, 0, 3); (0, 0, 0); (2, 0, 11); (0, 0, 0); (1, 1, 0) ] in
+  QCheck.Test.make ~name:"fork/clone/write agree with a model" ~count:200
     QCheck.(list_of_size Gen.(int_range 1 25)
               (triple (int_bound 1000) (int_bound 1000) (int_bound 1000)))
     (fun ops ->
-       let root = fresh () in
-       Mem.write_int root (addr 0) 1;
-       Mem.write_int root (addr Mem.words_per_page) 2;
-       let live = List.fold_left apply_op [ root ] ops in
-       List.for_all
-         (fun s ->
-            List.for_all
-              (fun page ->
-                 match Mem.refcount s ~page with
-                 | None -> true
-                 | Some rc ->
-                   rc
-                   = List.length
-                       (List.filter (fun s' -> Mem.shares_frame s s' ~page) live))
-              (List.init 8 (fun i -> heap_page + i)))
-         live)
+       let live, shared =
+         List.fold_left
+           (fun (live, shared) op ->
+              let live = step live op in
+              (live, record_shared shared live))
+           ([ (fresh (), []) ], [])
+           (prefix @ ops)
+       in
+       List.for_all (fun (bytes, first) -> Bytes.equal bytes first) shared
+       && List.for_all
+            (fun (s, model) ->
+               List.for_all
+                 (fun at ->
+                    Mem.read_int s at
+                    = Option.value (List.assoc_opt at model) ~default:0)
+                 addrs)
+            live)
 
 (* -------------------------- storage qcheck -------------------------- *)
 
@@ -821,7 +847,6 @@ let () =
          Alcotest.test_case "zero frame" `Quick test_cold_reads_share_zero_frame;
          Alcotest.test_case "image frames immutable" `Quick
            test_image_frames_shared_and_immutable;
-         Alcotest.test_case "drop refcounts" `Quick test_drop_releases_refcounts;
          Alcotest.test_case "provenance" `Quick test_cloned_from_provenance ]);
       ("storage",
        [ Alcotest.test_case "replace/labels" `Quick test_storage_replace_and_labels;
@@ -845,6 +870,6 @@ let () =
       ("os-properties",
        List.map QCheck_alcotest.to_alcotest
          [ prop_read_after_write; prop_fork_isolation; prop_clone_isolation;
-           prop_refcounts_exact; prop_storage_roundtrip;
+           prop_frozen_model; prop_storage_roundtrip;
            prop_storage_refcounts_exact; prop_storage_flip_detected;
            prop_storage_totals_dedup_adjusted ]) ]
