@@ -138,6 +138,7 @@ let capture_region ~app ?(harvest_on_exn = false) ?(eager = false)
     snap_code_files = code_files;
     snap_heap_next = heap_next0;
     snap_alloc_since_gc = alloc0;
+    snap_template = Snapshot.no_template ();
   } in
   (* the child spools its pages: enqueued here, hashed by the store's
      idle-priority drains *)

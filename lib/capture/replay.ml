@@ -23,15 +23,23 @@ type outcome =
 type run = {
   outcome : outcome;
   ctx : Ctx.t;
-  loader_collisions : int;
 }
 
 (* The loader program occupies a fixed low range; captured pages landing
    there must first be parked and moved after break-free (Figure 5).  With
-   the Android address-space layout this is rare; we track the count to
-   keep the mechanism observable. *)
+   the Android address-space layout this is rare; we count them to keep
+   the mechanism observable. *)
 let loader_base = 0x0050_0000
 let loader_pages = 64
+
+let loader_collisions (snap : Snapshot.t) =
+  let lo = loader_base / Mem.page_size in
+  let count acc { Snapshot.pg_index; _ } =
+    if pg_index >= lo && pg_index < lo + loader_pages then acc + 1 else acc
+  in
+  List.fold_left count
+    (List.fold_left count 0 snap.Snapshot.snap_common)
+    snap.Snapshot.snap_pages
 
 let default_fuel = 200_000_000
 
@@ -195,18 +203,6 @@ let run ?(fuel = default_fuel) ?engine ?record_vcall ?faults_key
         storage_broken := broken
       | None -> ())
    | _ -> ());
-  (* count captured pages landing in the loader's own range *)
-  let loader_lo = loader_base / Mem.page_size in
-  let loader_hi = loader_lo + loader_pages in
-  let count_collisions acc { Snapshot.pg_index; _ } =
-    if pg_index >= loader_lo && pg_index < loader_hi then acc + 1 else acc
-  in
-  let collisions =
-    List.fold_left count_collisions
-      (List.fold_left count_collisions 0 snap.Snapshot.snap_common)
-      snap.Snapshot.snap_pages
-  in
-  Mem.reset_stats mem;
   (match faults_key with
    | Some key -> inject_loader_faults ~key mem snap
    | None -> ());
@@ -250,7 +246,7 @@ let run ?(fuel = default_fuel) ?engine ?record_vcall ?faults_key
         | exception Exec.Segfault msg -> Crashed ("segfault: " ^ msg)
         | exception Ctx.Timeout -> Hung)
   in
-  { outcome; ctx; loader_collisions = collisions }
+  { outcome; ctx }
 
 let cycles r =
   match r.outcome with

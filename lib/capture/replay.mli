@@ -23,8 +23,11 @@ type outcome =
 type run = {
   outcome : outcome;
   ctx : Repro_vm.Exec_ctx.t;      (** post-replay state, for verification *)
-  loader_collisions : int;        (** captured pages that hit loader pages *)
 }
+
+val loader_collisions : Snapshot.t -> int
+(** Captured pages, boot-common ones included, that land in the loader's
+    own address range and so need the break-free relocation step. *)
 
 val run :
   ?fuel:int ->

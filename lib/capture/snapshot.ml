@@ -4,6 +4,11 @@ module Trace = Repro_util.Trace
 
 type page_image = { pg_index : int; pg_data : Bytes.t }
 
+(* A built template and the generation it was built under. *)
+type template_slot = (int * Mem.t) option Atomic.t
+
+let no_template () = Atomic.make None
+
 type t = {
   snap_app : string;
   snap_mid : int;
@@ -14,6 +19,7 @@ type t = {
   snap_code_files : (string * int) list;
   snap_heap_next : int;
   snap_alloc_since_gc : int;
+  snap_template : template_slot;
 }
 
 let program_bytes t = List.length t.snap_pages * Mem.page_size
@@ -56,26 +62,6 @@ let store storage t =
 let store_ref : Storage.t option Atomic.t = Atomic.make None
 let set_store s = Atomic.set store_ref s
 let current_store () = Atomic.get store_ref
-
-(* --------------------------- template memo --------------------------- *)
-
-(* Snapshot templates, one per snapshot for the whole process: a template
-   is wholly frozen, so every domain clones and reads the same one.  The
-   memo is a short list — corpus verification cycles through K snapshots
-   per candidate — of ephemerons keyed on the snapshot, so a template dies
-   with its snapshot; the cap bounds its footprint.  Lookups read the list
-   without a lock.  A miss builds under [memo_lock], after looking again,
-   so each snapshot's template is built once per invalidation. *)
-let max_memo_entries = 12
-
-let memo : (t, Mem.t) Ephemeron.K1.t list Atomic.t = Atomic.make []
-let memo_lock = Mutex.create ()
-
-let cached_template snap =
-  List.find_map (fun e -> Ephemeron.K1.query e snap) (Atomic.get memo)
-
-let invalidate_templates () =
-  Mutex.protect memo_lock (fun () -> Atomic.set memo [])
 
 (* ------------------------- snapshot templates ------------------------ *)
 
@@ -120,17 +106,31 @@ let build_template snap =
     pages;
   mem
 
+(* Each snapshot holds its own template, so a template lives exactly as
+   long as its snapshot.  A template is wholly frozen, so every domain
+   clones and reads the same one.  A slot is read without a lock; a
+   template built before the last [invalidate_templates] is stale.  A miss
+   builds under [build_lock], after looking again, so each snapshot's
+   template is built once per invalidation. *)
+let generation = Atomic.make 0
+let build_lock = Mutex.create ()
+
+let invalidate_templates () = Atomic.incr generation
+
+let current_template snap =
+  match Atomic.get snap.snap_template with
+  | Some (gen, tpl) when gen = Atomic.get generation -> Some tpl
+  | _ -> None
+
 let template snap =
-  match cached_template snap with
+  match current_template snap with
   | Some tpl -> tpl
   | None ->
-    Mutex.protect memo_lock @@ fun () ->
-    match cached_template snap with
+    Mutex.protect build_lock @@ fun () ->
+    match current_template snap with
     | Some tpl -> tpl
     | None ->
+      let gen = Atomic.get generation in
       let tpl = build_template snap in
-      Atomic.set memo
-        (List.filteri
-           (fun i _ -> i < max_memo_entries)
-           (Ephemeron.K1.make snap tpl :: Atomic.get memo));
+      Atomic.set snap.snap_template (Some (gen, tpl));
       tpl

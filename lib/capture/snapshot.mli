@@ -14,6 +14,12 @@ type page_image = { pg_index : int; pg_data : Bytes.t }
     flat 4 KB page of little-endian words.  Never written: boot-common
     images share their bytes with the boot image. *)
 
+type template_slot
+(** Where a snapshot keeps its {!template} once built. *)
+
+val no_template : unit -> template_slot
+(** An empty slot, for a snapshot whose template is yet to be built. *)
+
 type t = {
   snap_app : string;
   snap_mid : int;                        (** hot-region root method *)
@@ -24,6 +30,8 @@ type t = {
   snap_code_files : (string * int) list; (** mmapped files: path, pages *)
   snap_heap_next : int;                  (** allocator bump pointer *)
   snap_alloc_since_gc : int;             (** GC accounting at capture *)
+  snap_template : template_slot;
+      (** this snapshot's template; a [{ snap with ... }] copy shares it *)
 }
 
 val program_bytes : t -> int
@@ -67,7 +75,7 @@ val set_store : Repro_os.Storage.t option -> unit
 val current_store : unit -> Repro_os.Storage.t option
 
 val invalidate_templates : unit -> unit
-(** Drop every memoized template, so the next {!template} call on any
+(** Make every built template stale, so the next {!template} call on any
     domain, pool workers included, rebuilds and reads the (possibly
     mutated) store — used by the corruption tests and fault campaigns. *)
 
@@ -79,20 +87,17 @@ val layout : t -> Repro_os.Mem.t
 val template : t -> Repro_os.Mem.t
 (** The snapshot's address-space template: mappings recreated and every
     captured page installed (program pages over boot-common ones), built
-    once per snapshot for the whole process.  A page equal to the boot
-    image's — every boot-common page, whether from memory or from the
-    store — shares the image's frame; every other page aliases the
-    captured (or stored) bytes, with no copy.  The template is wholly
-    frozen ({!Repro_os.Mem}), so every domain clones and reads the same
-    one; a domain that misses builds it under one lock while the others
-    wait.  The 12 most recently built templates are kept, each an
-    ephemeron keyed on the snapshot (physical identity), so a template
-    dies with its snapshot.  Replays [Repro_os.Mem.clone] it instead of
-    re-installing every page, making per-replay setup O(page table) and
-    verification O(dirty pages); verification also reads the captured
-    original words from it.  Never write through it. *)
-
-val cached_template : t -> Repro_os.Mem.t option
-(** The memoized template for this exact snapshot, if one exists — a
-    cheap provenance check ([==] against {!Repro_os.Mem.cloned_from})
-    that never builds anything. *)
+    once per snapshot for the whole process and kept in the snapshot's
+    own slot until {!invalidate_templates}, so a template lives exactly as
+    long as its snapshot.  A page equal to the boot image's — every
+    boot-common page, whether from memory or from the store — shares the
+    image's frame; every other page aliases the captured (or stored)
+    bytes, with no copy.  The template is wholly frozen
+    ({!Repro_os.Mem}), so every domain clones and reads the same one; a
+    domain that misses builds it under one lock while the others wait.
+    Replays [Repro_os.Mem.clone] it instead of re-installing every page,
+    making per-replay setup O(page table) and verification O(dirty
+    pages); verification reads the captured original words from the
+    template a replay's space was cloned from.  Never write through it.
+    @raise Repro_os.Storage.Integrity when a stored page fails its
+    checksum. *)

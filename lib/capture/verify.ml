@@ -10,98 +10,90 @@ type t = {
   ret : Value.t option;
 }
 
-(* Pages a replay could have changed.  When [mem] is a clone of this very
-   snapshot's template (the normal replay path), only the pages the clone
-   actually privatized can differ — everything still sharing a template
-   frame is equal by construction — so the scan is O(dirty pages).  Any
-   other provenance falls back to scanning every materialized page. *)
-let pages_to_scan mem (snap : Snapshot.t) =
-  let fast =
-    match Mem.cloned_from mem, Snapshot.cached_template snap with
-    | Some src, Some tpl when src == tpl -> true
-    | _ -> false
-  in
+(* The captured words a replay's space is diffed against: for a clone
+   (the replay path), the template it was cloned from, so a diff never
+   builds one; for any other space, the snapshot's template. *)
+let original mem (snap : Snapshot.t) =
+  match Mem.cloned_from mem with
+  | Some tpl -> tpl
+  | None -> Snapshot.template snap
+
+let touched mem =
+  List.sort Int.compare
+    (Mem.touched_pages mem ~kind:Mem.Rheap
+     @ Mem.touched_pages mem ~kind:Mem.Rstatics)
+
+(* Pages a replay could have changed, ascending.  A clone differs from its
+   template only in the pages it privatized — everything still sharing a
+   template frame is equal by construction — so the scan is O(dirty
+   pages).  Any other space is scanned in full. *)
+let pages_to_scan mem =
   let pages =
-    if fast then
+    match Mem.cloned_from mem with
+    | Some _ ->
       List.merge Int.compare
         (Mem.dirty_pages mem ~kind:Mem.Rheap)
         (Mem.dirty_pages mem ~kind:Mem.Rstatics)
-    else
-      List.sort Int.compare
-        (Mem.touched_pages mem ~kind:Mem.Rheap
-         @ Mem.touched_pages mem ~kind:Mem.Rstatics)
+    | None ->
+      Trace.incr "verify.full_scans";
+      touched mem
   in
   Trace.add "verify.pages_scanned" (List.length pages);
-  if not fast then Trace.incr "verify.full_scans";
   pages
 
 (* Word [w] of a template page; a page the template lacks reads as zero. *)
 let[@inline] original_word orig w =
   match orig with Some o -> Bytes.get_int64_le o (w * 8) | None -> 0L
 
-(* Scan [pages] (ascending) against the captured originals, which the
-   snapshot's template holds: every captured page installed, program pages
-   over boot-common ones, and never written (replays run on clones).
-   Diffs come out already sorted by address because pages and in-page
-   words are visited in ascending order and addresses are unique. *)
-let diff_pages mem snap pages =
-  let original = Snapshot.template snap in
-  let diffs = ref [] in
+(* Call [f now page w] for every word [w] of [pages] (ascending) that
+   differs from [original], in address order; [now] is the page's bytes in
+   [mem].  Passing the bytes and the index, not the word, keeps the
+   early-exit walk free of allocation. *)
+let iter_diffs mem original pages f =
   List.iter
     (fun page ->
        match Mem.page_bytes mem ~page with
        | None -> ()
        | Some now ->
          let orig = Mem.page_bytes original ~page in
-         let base = page * Mem.page_size in
          for w = 0 to Mem.words_per_page - 1 do
-           let v = Bytes.get_int64_le now (w * 8) in
-           if not (Int64.equal v (original_word orig w)) then
-             diffs := (base + (w * 8), v) :: !diffs
+           if not (Int64.equal (Bytes.get_int64_le now (w * 8))
+                     (original_word orig w))
+           then f now page w
          done)
-    pages;
+    pages
+
+let word_addr page w = (page * Mem.page_size) + (w * 8)
+
+let diff_list mem original pages =
+  let diffs = ref [] in
+  iter_diffs mem original pages (fun now page w ->
+      diffs := (word_addr page w, Bytes.get_int64_le now (w * 8)) :: !diffs);
   List.rev !diffs
 
-let diff_against_snapshot (ctx : Ctx.t) (snap : Snapshot.t) =
+let diff_against_snapshot (ctx : Ctx.t) snap =
   let mem = ctx.Ctx.mem in
-  diff_pages mem snap (pages_to_scan mem snap)
+  diff_list mem (original mem snap) (pages_to_scan mem)
 
-let diff_against_snapshot_full (ctx : Ctx.t) (snap : Snapshot.t) =
+let diff_against_snapshot_full (ctx : Ctx.t) snap =
   let mem = ctx.Ctx.mem in
-  let pages =
-    List.sort Int.compare
-      (Mem.touched_pages mem ~kind:Mem.Rheap
-       @ Mem.touched_pages mem ~kind:Mem.Rstatics)
-  in
-  diff_pages mem snap pages
+  diff_list mem (original mem snap) (touched mem)
 
 (* Early-exit comparison for the hot path: walk the replay's diffs in
    address order in lockstep with the (sorted) reference write map and bail
    on the first divergence, without materializing the diff list. *)
-let diff_matches (ctx : Ctx.t) (snap : Snapshot.t) reference_writes =
+let diff_matches (ctx : Ctx.t) snap reference_writes =
   let mem = ctx.Ctx.mem in
-  let original = Snapshot.template snap in
-  let pages = pages_to_scan mem snap in
   let exception Mismatch in
   let rest = ref reference_writes in
   try
-    List.iter
-      (fun page ->
-         match Mem.page_bytes mem ~page with
-         | None -> ()
-         | Some now ->
-           let orig = Mem.page_bytes original ~page in
-           let base = page * Mem.page_size in
-           for w = 0 to Mem.words_per_page - 1 do
-             let v = Bytes.get_int64_le now (w * 8) in
-             if not (Int64.equal v (original_word orig w)) then
-               match !rest with
-               | (addr, rv) :: tl
-                 when addr = base + (w * 8) && Int64.equal rv v ->
-                 rest := tl
-               | _ -> raise_notrace Mismatch
-           done)
-      pages;
+    iter_diffs mem (original mem snap) (pages_to_scan mem) (fun now page w ->
+        match !rest with
+        | (addr, rv) :: tl
+          when addr = word_addr page w
+               && Int64.equal rv (Bytes.get_int64_le now (w * 8)) ->
+          rest := tl
+        | _ -> raise_notrace Mismatch);
     !rest = []
   with Mismatch -> false
 

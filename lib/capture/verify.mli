@@ -11,16 +11,19 @@ type t = {
 
 val diff_against_snapshot : Repro_vm.Exec_ctx.t -> Snapshot.t -> (int * int64) list
 (** All heap/static words whose post-replay value differs from the captured
-    original, read from the snapshot's {!Snapshot.template} (program
-    pages shadow boot-common ones; absent pages read as zero).  When the context's memory is a
-    clone of this snapshot's template (the normal replay path) only the
-    pages the replay privatized are scanned — O(dirty pages), counted by
-    the [verify.pages_scanned] trace counter; otherwise every materialized
-    heap/static page is scanned (counted by [verify.full_scans]). *)
+    original, in address order (program pages shadow boot-common ones;
+    absent pages read as zero).  When the context's memory is a clone —
+    the replay path — the originals are read from the template it was
+    cloned from ({!Repro_os.Mem.cloned_from}) and only the pages the
+    replay privatized are scanned: O(dirty pages), counted by the
+    [verify.pages_scanned] trace counter, and never a template build.
+    Any other memory is scanned in full against the snapshot's
+    {!Snapshot.template} (counted by [verify.full_scans]). *)
 
 val diff_against_snapshot_full : Repro_vm.Exec_ctx.t -> Snapshot.t -> (int * int64) list
 (** Reference implementation: always scan every materialized heap/static
-    page.  Used by tests to prove the dirty-page scan equivalent. *)
+    page, against the same originals.  Used by tests to prove the
+    dirty-page scan equivalent. *)
 
 val diff_matches : Repro_vm.Exec_ctx.t -> Snapshot.t -> (int * int64) list -> bool
 (** [diff_matches ctx snap writes] is

@@ -69,8 +69,39 @@ type captured = {
   capture_cycles : int;
 }
 
-(* The capture targets the second entry into the hot region: warm state,
-   after first-call initialization. *)
+(* Run [ctx]'s app online under the Android binary and capture one entry
+   into [hot_mid], counted over every entry (recursive ones included), so
+   exactly one capture runs.  The primary captures the second entry (warm
+   state, after first-call initialization) and runs to completion.  A
+   [variant] captures the first entry (adversarial inputs may trap before
+   a second entry happens), harvests even when the region traps (the
+   forked child's pages predate the region), and stops the online run
+   right after: variants exist only to be replayed. *)
+let capture_entry ?eager ~variant app ctx ~hot_mid =
+  let exception Captured_stop in
+  let nth = if variant then 1 else 2 in
+  let base = Exec.dispatcher (android_binary_for app) in
+  let result = ref None in
+  let entries = ref 0 in
+  Ctx.set_dispatch ctx (fun ctx' mid args ->
+      if mid = hot_mid then incr entries;
+      if mid <> hot_mid || !entries <> nth then base ctx' mid args
+      else begin
+        let r =
+          Capture.capture_region ~app:app.App.name ~harvest_on_exn:variant
+            ?eager ctx' ~mid ~args
+            ~run:(fun () -> base ctx' mid args)
+        in
+        result := Some r;
+        if variant then raise_notrace Captured_stop;
+        r.Capture.region_ret
+      end);
+  (* a variant's run ends in [Captured_stop], and its input may
+     legitimately crash the driver before the region: only a completed
+     capture matters there *)
+  (try ignore (Interp.run_main ctx) with _ when variant -> ());
+  !result
+
 let capture_once ?(seed = 42) ?eager app =
   Trace.span ~cat:"pipeline" ~args:[ ("app", app.App.name) ] "capture_once"
   @@ fun () ->
@@ -80,34 +111,12 @@ let capture_once ?(seed = 42) ?eager app =
   | None -> None
   | Some hot_mid ->
     let ctx = App.build_ctx ~seed app in
-    ctx.Ctx.sample_period <- 20_000;
-    ctx.Ctx.next_sample <- 20_000;
-    let binary = android_binary_for app in
-    let base = Exec.dispatcher binary in
-    let result = ref None in
-    let entries = ref 0 in
-    let dispatch ctx' mid args =
-      if mid = hot_mid then incr entries;
-      if mid = hot_mid && !entries = 2 && !result = None then begin
-        let r =
-          Capture.capture_region ~app:app.App.name ?eager ctx' ~mid ~args
-            ~run:(fun () -> base ctx' mid args)
-        in
-        result := Some r;
-        r.Capture.region_ret
-      end
-      else base ctx' mid args
-    in
-    Ctx.set_dispatch ctx dispatch;
-    ignore (Interp.run_main ctx);
-    (match !result with
-     | None -> None
-     | Some r ->
-       Some
-         { snapshot = r.Capture.snapshot;
-           overhead = r.Capture.overhead;
-           hot_mid;
-           capture_cycles = ctx.Ctx.cycles })
+    capture_entry ?eager ~variant:false app ctx ~hot_mid
+    |> Option.map (fun r ->
+        { snapshot = r.Capture.snapshot;
+          overhead = r.Capture.overhead;
+          hot_mid;
+          capture_cycles = ctx.Ctx.cycles })
 
 (* ------------------------- multi-input corpus ------------------------ *)
 
@@ -124,42 +133,15 @@ type corpus = {
   co_entries : corpus_entry list;
 }
 
-(* One secondary capture: re-run the app online under the Android binary
-   with the variant input poked in, capture the *first* entry into the
-   primary's hot region (adversarial inputs may trap before a second
-   entry happens), and abort the rest of the online run — variants exist
-   only to be replayed, their online completion is not needed.  The
-   capture harvests even when the region traps: the forked child's pages
-   predate the region. *)
+(* One secondary capture: re-run the app online with the variant input
+   poked in and capture the first entry into the primary's hot region. *)
 let capture_variant app ~seed ~hot_mid input =
   Trace.span ~cat:"pipeline"
     ~args:[ ("app", app.App.name); ("input", input.App.in_label) ]
     "capture_variant"
   @@ fun () ->
-  let exception Captured_stop in
   let ctx = App.build_ctx ~seed ~input app in
-  ctx.Ctx.sample_period <- 20_000;
-  ctx.Ctx.next_sample <- 20_000;
-  let binary = android_binary_for app in
-  let base = Exec.dispatcher binary in
-  let result = ref None in
-  let dispatch ctx' mid args =
-    if mid = hot_mid && !result = None then begin
-      let r =
-        Capture.capture_region ~app:app.App.name ~harvest_on_exn:true ctx' ~mid
-          ~args
-          ~run:(fun () -> base ctx' mid args)
-      in
-      result := Some r;
-      raise_notrace Captured_stop
-    end
-    else base ctx' mid args
-  in
-  Ctx.set_dispatch ctx dispatch;
-  (* the variant input may legitimately crash the driver before (or
-     after) the region; only a completed capture matters here *)
-  (try ignore (Interp.run_main ctx) with Captured_stop | _ -> ());
-  match !result with
+  match capture_entry ~variant:true app ctx ~hot_mid with
   | None -> None
   | Some r ->
     (match Verify.collect (App.dexfile app) r.Capture.snapshot with

@@ -1,19 +1,19 @@
 (* Domain-based parallel evaluation of GA generations with two-level
    memoization.  See the interface for the determinism contract.
 
-   Scheduling: tasks are first resolved against the genome memo on the
-   calling domain, the surviving unique genomes are compiled in parallel,
-   then the unique unseen binaries are verified in parallel.  Workers only
-   ever run the caller-supplied [compile]/[verify] stages on disjoint
-   tasks; all cache reads and writes happen on the calling domain, so no
-   synchronization beyond the work-queue index is needed and results are
-   reproducible by construction.
+   Scheduling: one [resolve] step maps the batch's canonical genomes onto
+   the genome memo and picks a representative per unseen genome; those
+   compile in parallel.  The same step maps the compiled binaries' keys
+   onto the binary memo; the representatives of the unseen keys verify in
+   parallel.  Workers only ever run the caller-supplied [compile]/[verify]
+   stages on disjoint tasks; all cache reads and writes happen on the
+   calling domain, so no synchronization beyond the work-queue index is
+   needed and results are reproducible by construction.
 
    Every parallel stage runs on one process-wide [Domainpool], created by
    the first stage that needs a second worker and widened when a later
-   stage asks for more.  Its workers outlive a batch, so their
-   domain-local snapshot templates are built once and reused by every
-   later batch.
+   stage asks for more.  Its workers outlive a batch, so no stage pays
+   for spawning domains.
 
    The memos are entry-budgeted {!Repro_util.Lru} tables, owned by the
    calling domain.  Eviction can only cause re-computation of a
@@ -201,6 +201,43 @@ let parallel_map t f arr =
     Array.map (function Some v -> v | None -> assert false) out
   end
 
+(* Where one item of a batch gets its core: from the memo, or from the
+   [p]-th representative the batch computes. *)
+type 'core source = Memo of 'core | Rep of int
+
+(* Resolve [keys] against [memo] in index order, on the calling domain.
+   A memo hit ([Lru.find], which touches recency) and a key that an
+   earlier item already stands for both count as [hit]; any other item
+   becomes the next representative and counts as [miss].  With the cache
+   off nothing is looked up and every item represents itself.  Returns
+   each item's source and the representatives' item indices. *)
+let resolve t memo keys ~hit ~miss =
+  let n = Array.length keys in
+  let sources = Array.make n (Rep 0) in
+  let owners = Hashtbl.create 16 in
+  let reps = ref [] and nrep = ref 0 in
+  for i = 0 to n - 1 do
+    let key = keys.(i) in
+    let known =
+      if not t.cache then None
+      else
+        match Lru.find memo key with
+        | Some v -> Some (Memo v)
+        | None -> Option.map (fun p -> Rep p) (Hashtbl.find_opt owners key)
+    in
+    match known with
+    | Some src ->
+      sources.(i) <- src;
+      hit ()
+    | None ->
+      if t.cache then Hashtbl.add owners key !nrep;
+      sources.(i) <- Rep !nrep;
+      reps := i :: !reps;
+      incr nrep;
+      miss ()
+  done;
+  (sources, Array.of_list (List.rev !reps))
+
 let evaluate_batch t tasks =
   Trace.span ~cat:"evalpool"
     ~args:[ ("tasks", string_of_int (Array.length tasks)) ]
@@ -225,115 +262,54 @@ let evaluate_batch t tasks =
     cumulative.c_key_hits <- cumulative.c_key_hits + 1;
     Trace.incr "evalpool.key_hits"
   in
+  (* Genomes: resolve against the genome memo, then compile the
+     representatives in parallel. *)
   let canons = Array.map (fun (_, g) -> t.canon g) tasks in
-  let cores : 'core option array = Array.make n None in
-  (* Stage 0 (calling domain): genome-memo lookups and in-batch dedup.
-     [reps] holds the indices of tasks that actually need a compile; with
-     the cache disabled, every task is its own representative. *)
-  let seen_in_batch = Hashtbl.create 16 in
-  let rep_rev = ref [] in
-  Array.iteri
-    (fun i (_, _) ->
-       let c = canons.(i) in
-       match if t.cache then Lru.find t.genome_cache c else None with
-       | Some core ->
-         cores.(i) <- Some core;
-         bump_hit ()
-       | None ->
-         if t.cache && Hashtbl.mem seen_in_batch c then bump_hit ()
-         else begin
-           if t.cache then Hashtbl.add seen_in_batch c ();
-           rep_rev := i :: !rep_rev;
-           bump_miss ()
-         end)
-    tasks;
-  let reps = Array.of_list (List.rev !rep_rev) in
+  let genome_src, reps =
+    resolve t t.genome_cache canons ~hit:bump_hit ~miss:bump_miss
+  in
   let nrep = Array.length reps in
-  (* Stage A (parallel): compile the representative genomes. *)
   let compiled = parallel_map t (fun i -> t.compile (snd tasks.(i))) reps in
   t.ctr.c_compiles <- t.ctr.c_compiles + nrep;
   cumulative.c_compiles <- cumulative.c_compiles + nrep;
   Trace.add "evalpool.compiles" nrep;
-  let rep_core : 'core option array = Array.make nrep None in
-  let rep_bin : ('bin * string) option array = Array.make nrep None in
+  (* Binaries: representative [p] compiled to binary [bin_index.(p)], or
+     failed and is its own core.  Resolve the binaries' keys against the
+     binary memo, then verify that step's representatives in parallel. *)
+  let bin_index = Array.make nrep (-1) and bins = ref [] and nbin = ref 0 in
   Array.iteri
-    (fun k result ->
-       match result with
-       | Error core -> rep_core.(k) <- Some core
-       | Ok bin -> rep_bin.(k) <- Some (bin, t.key_of bin))
+    (fun p -> function
+       | Ok bin ->
+         bin_index.(p) <- !nbin;
+         incr nbin;
+         bins := bin :: !bins
+       | Error _ -> ())
     compiled;
-  (* Stage B plan (calling domain): resolve binaries against the key memo
-     and pick one representative per unseen key. *)
-  let key_owner = Hashtbl.create 16 in
-  let verify_rev = ref [] in
-  Array.iteri
-    (fun k bin ->
-       match bin with
-       | None -> ()
-       | Some (_, key) ->
-         (match if t.cache then Lru.find t.key_cache key else None with
-          | Some core ->
-            rep_core.(k) <- Some core;
-            bump_key_hit ()
-          | None ->
-            if t.cache && Hashtbl.mem key_owner key then bump_key_hit ()
-            else begin
-              if t.cache then Hashtbl.add key_owner key k;
-              verify_rev := k :: !verify_rev
-            end))
-    rep_bin;
-  let vreps = Array.of_list (List.rev !verify_rev) in
-  (* Stage B (parallel): verified replay of the unique new binaries. *)
-  let verified =
-    parallel_map t
-      (fun k ->
-         match rep_bin.(k) with
-         | Some (bin, _) -> t.verify bin
-         | None -> assert false)
-      vreps
+  let bins = Array.of_list (List.rev !bins) in
+  let keys = Array.map t.key_of bins in
+  let key_src, vreps =
+    resolve t t.key_cache keys ~hit:bump_key_hit ~miss:ignore
   in
-  t.ctr.c_verifies <- t.ctr.c_verifies + Array.length vreps;
-  cumulative.c_verifies <- cumulative.c_verifies + Array.length vreps;
-  Trace.add "evalpool.verifies" (Array.length vreps);
-  Array.iteri (fun j k -> rep_core.(k) <- Some verified.(j)) vreps;
-  (* Fill same-key siblings and the key memo. *)
-  Array.iteri
-    (fun k bin ->
-       match bin, rep_core.(k) with
-       | Some (_, key), None ->
-         (match Hashtbl.find_opt key_owner key with
-          | Some owner -> rep_core.(k) <- rep_core.(owner)
-          | None -> assert false)
-       | _, _ -> ())
-    rep_bin;
-  if t.cache then
-    Array.iteri
-      (fun k bin ->
-         match bin, rep_core.(k) with
-         | Some (_, key), Some core -> Lru.add t.key_cache key core
-         | _, _ -> ())
-      rep_bin;
-  (* Publish representative results into an in-batch table first (and the
-     genome memo when caching): duplicates later in the batch must resolve
-     even if the memo evicts a representative before they are filled. *)
-  let batch_results = Hashtbl.create 16 in
-  Array.iteri
-    (fun k i ->
-       let core =
-         match rep_core.(k) with Some c -> c | None -> assert false
-       in
-       cores.(i) <- Some core;
-       Hashtbl.replace batch_results canons.(i) core;
-       if t.cache then Lru.add t.genome_cache canons.(i) core)
-    reps;
-  Array.mapi
-    (fun i core ->
-       match core with
-       | Some c -> c
-       | None ->
-         (* duplicate of an earlier representative in this batch *)
-         Hashtbl.find batch_results canons.(i))
-    cores
+  let verified = parallel_map t (fun j -> t.verify bins.(j)) vreps in
+  let nver = Array.length vreps in
+  t.ctr.c_verifies <- t.ctr.c_verifies + nver;
+  cumulative.c_verifies <- cumulative.c_verifies + nver;
+  Trace.add "evalpool.verifies" nver;
+  let bin_cores =
+    Array.map (function Memo v -> v | Rep q -> verified.(q)) key_src
+  in
+  let rep_core p =
+    match compiled.(p) with
+    | Error core -> core
+    | Ok _ -> bin_cores.(bin_index.(p))
+  in
+  (* Every memo read and write happens on the calling domain in an order
+     the batch alone fixes, so evictions never depend on scheduling. *)
+  if t.cache then begin
+    Array.iteri (fun j core -> Lru.add t.key_cache keys.(j) core) bin_cores;
+    Array.iteri (fun p i -> Lru.add t.genome_cache canons.(i) (rep_core p)) reps
+  end;
+  Array.map (function Memo v -> v | Rep p -> rep_core p) genome_src
 
 let print_stats s =
   Printf.printf

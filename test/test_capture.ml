@@ -365,19 +365,18 @@ let test_invalidation_reaches_pool_workers () =
           | _ -> Alcotest.fail "a worker verified against a stale template")
         (verify tasks))
 
-(* One template per snapshot serves the whole process, and memo entries
-   are ephemerons keyed on their snapshot: both pool domains receive the
-   very same template, and once nothing else holds the snapshot, that
-   template is garbage. *)
+(* One template per snapshot serves the whole process, and the snapshot
+   holds it: both pool domains receive the very same template, and once
+   nothing else holds the snapshot, that template is garbage. *)
 let test_dead_snapshot_frees_template () =
   let snap0 = (Lazy.force fft_capture).Pipeline.snapshot in
   let templates = Weak.create 2 in
   let pool = Repro_search.Domainpool.create ~workers:2 in
   Fun.protect ~finally:(fun () -> Repro_search.Domainpool.shutdown pool)
   @@ fun () ->
-  (* a fresh snapshot record is a memo key nothing else holds *)
+  (* a fresh snapshot record, with a slot nothing else holds *)
   let[@inline never] fill () =
-    let snap = { snap0 with Snapshot.snap_mid = snap0.Snapshot.snap_mid } in
+    let snap = { snap0 with Snapshot.snap_template = Snapshot.no_template () } in
     Repro_search.Domainpool.run pool (fun wid ->
         Weak.set templates wid (Some (Snapshot.template snap)));
     let same =
@@ -504,11 +503,9 @@ let test_eager_mode_costs_more () =
 
 let test_loader_collision_tracking () =
   let cap = Lazy.force fft_capture in
-  let dx = App.dexfile (fft ()) in
-  let r = Replay.run dx cap.Pipeline.snapshot Replay.Interpreter in
   (* our layout places app data far from the loader range *)
   Alcotest.(check int) "no collisions with this layout" 0
-    r.Replay.loader_collisions
+    (Replay.loader_collisions cap.Pipeline.snapshot)
 
 (* ----------------- dirty-page verification (CoW replay) ------------- *)
 
@@ -811,15 +808,40 @@ let corpus_snapshots (co : Pipeline.corpus) =
   co.Pipeline.co_primary.Pipeline.snapshot
   :: List.map (fun ce -> ce.Pipeline.ce_snapshot) co.Pipeline.co_entries
 
-(* Verifying a batch on two domains builds each snapshot's template once,
-   however many domains replay it: FFT's K=3 corpus holds three
-   snapshots, so three builds, the capture's own replays included. *)
-let test_one_template_per_snapshot () =
+(* One capture per snapshot: a recursive hot region is entered again
+   while its capture runs, and those entries run uncaptured.  A K=4
+   corpus is four captures, as four [capture] spans. *)
+let test_corpus_captures_never_nest () =
+  Trace.enable ();
+  Fun.protect ~finally:(fun () -> Trace.reset (); Trace.disable ())
+  @@ fun () ->
+  List.iter
+    (fun name ->
+       Trace.reset ();
+       let co =
+         Option.get
+           (Pipeline.capture_corpus ~seed:7 ~k:4 (Option.get (App.find name)))
+       in
+       Alcotest.(check int) (name ^ ": four snapshots") 4
+         (List.length (corpus_snapshots co));
+       Alcotest.(check int) (name ^ ": four capture spans") 4
+         (List.length
+            (List.filter
+               (fun ev ->
+                  ev.Trace.ev_name = "capture" && ev.Trace.ev_ph = Trace.B)
+               (Trace.events ()))))
+    [ "Fibonacci.recv"; "Brainstonz" ]
+
+(* Trace the capture of FFT's K-input corpus and the verification of [n]
+   random genomes on two domains: the corpus's snapshot count, then the
+   template builds and corpus checks, the capture's own replays
+   included. *)
+let verify_fft_corpus ~seed ~k ~n =
   Trace.enable ();
   Trace.reset ();
   Fun.protect ~finally:Trace.disable @@ fun () ->
   let app = fft () in
-  let co = Option.get (Pipeline.capture_corpus ~seed:5 ~k:3 app) in
+  let co = Option.get (Pipeline.capture_corpus ~seed ~k app) in
   let env =
     Pipeline.make_eval_env ~corpus:co.Pipeline.co_entries app
       co.Pipeline.co_primary
@@ -828,10 +850,26 @@ let test_one_template_per_snapshot () =
   ignore
     (Evalpool.evaluate_batch
        (Pipeline.make_core_pool ~jobs:2 ~cache:false env)
-       (Array.init 12 (fun i -> (i, Genome.random rng))));
-  Alcotest.(check int) "one build per snapshot"
-    (List.length (corpus_snapshots co))
-    (Trace.counter_value "replay.template_builds")
+       (Array.init n (fun i -> (i, Genome.random rng))));
+  ( List.length (corpus_snapshots co),
+    Trace.counter_value "replay.template_builds",
+    Trace.counter_value "verify.corpus_checks" )
+
+(* Verifying a batch on two domains builds each snapshot's template once,
+   however many domains replay it: FFT's K=3 corpus holds three
+   snapshots, so three builds. *)
+let test_one_template_per_snapshot () =
+  let snapshots, builds, _ = verify_fft_corpus ~seed:5 ~k:3 ~n:12 in
+  Alcotest.(check int) "one build per snapshot" snapshots builds
+
+(* Each snapshot keeps its own template, however many a corpus holds:
+   FFT's K=13 corpus builds thirteen, where a memo capped below thirteen
+   entries rebuilds on almost every corpus check. *)
+let test_thirteen_snapshots_thirteen_templates () =
+  let snapshots, builds, checks = verify_fft_corpus ~seed:7 ~k:13 ~n:6 in
+  Alcotest.(check int) "thirteen snapshots" 13 snapshots;
+  Alcotest.(check bool) "corpus checks ran" true (checks >= 13);
+  Alcotest.(check int) "one build per snapshot" 13 builds
 
 (* Every capture of an app holds the same boot-common pages, whatever
    the input: one APP/boot-common blob per app relies on it.  In memory
@@ -1011,7 +1049,9 @@ let () =
          Alcotest.test_case "one boot image per app" `Quick
            test_one_boot_image_per_app;
          Alcotest.test_case "corpus and templates share the image" `Quick
-           test_corpus_and_templates_share_the_image ]);
+           test_corpus_and_templates_share_the_image;
+         Alcotest.test_case "captures never nest" `Quick
+           test_corpus_captures_never_nest ]);
       ("storage",
        [ Alcotest.test_case "accounting" `Quick test_storage_accounting;
          Alcotest.test_case "saved store bytes pinned" `Quick
@@ -1031,5 +1071,7 @@ let () =
            test_dead_snapshot_frees_template;
          Alcotest.test_case "one template per snapshot" `Quick
            test_one_template_per_snapshot;
+         Alcotest.test_case "thirteen snapshots, thirteen templates" `Quick
+           test_thirteen_snapshots_thirteen_templates;
          Alcotest.test_case "template holds the captured words" `Quick
            test_template_holds_captured_words ]) ]

@@ -272,6 +272,187 @@ let test_parallel_matches_sequential () =
   Alcotest.(check bool) "4 domains, same outputs" true (seq = par);
   Alcotest.(check int) "aligned with input" 40 (fst seq.(39))
 
+(* ---------------- the two-pass algorithm, as a reference ------------- *)
+
+(* The [evaluate_batch] that [Evalpool]'s one [resolve] step replaced,
+   kept here as a test-only, sequential reference over the same LRU
+   tables: a genome pass with an in-batch [seen] table, a key pass with
+   an owner table, a sibling fill, the binary-memo adds, then the
+   genome-memo adds through an in-batch result table. *)
+module Two_pass = struct
+  module Lru = Repro_util.Lru
+
+  type counts = {
+    mutable batches : int;
+    mutable tasks : int;
+    mutable genome_hits : int;
+    mutable genome_misses : int;
+    mutable key_hits : int;
+    mutable compiles : int;
+    mutable verifies : int;
+    mutable evictions : int;
+  }
+
+  type ('bin, 'core) t = {
+    cache : bool;
+    compile : Genome.t -> ('bin, 'core) result;
+    key_of : 'bin -> string;
+    verify : 'bin -> 'core;
+    genome_cache : 'core Lru.t;
+    key_cache : 'core Lru.t;
+    c : counts;
+  }
+
+  let create ~cache ~memo_budget ~compile ~key_of ~verify =
+    let c =
+      { batches = 0; tasks = 0; genome_hits = 0; genome_misses = 0;
+        key_hits = 0; compiles = 0; verifies = 0; evictions = 0 }
+    in
+    let memo () =
+      Lru.create ~budget:memo_budget ~weight:(fun _ -> 1)
+        ~on_evict:(fun _ _ -> c.evictions <- c.evictions + 1)
+        ()
+    in
+    { cache; compile; key_of; verify; genome_cache = memo ();
+      key_cache = memo (); c }
+
+  let evaluate_batch t tasks =
+    let n = Array.length tasks in
+    t.c.batches <- t.c.batches + 1;
+    t.c.tasks <- t.c.tasks + n;
+    let canons = Array.map (fun (_, g) -> Genome.to_string g) tasks in
+    let cores = Array.make n None in
+    let seen_in_batch = Hashtbl.create 16 in
+    let rep_rev = ref [] in
+    Array.iteri
+      (fun i c ->
+         match if t.cache then Lru.find t.genome_cache c else None with
+         | Some core ->
+           cores.(i) <- Some core;
+           t.c.genome_hits <- t.c.genome_hits + 1
+         | None ->
+           if t.cache && Hashtbl.mem seen_in_batch c then
+             t.c.genome_hits <- t.c.genome_hits + 1
+           else begin
+             if t.cache then Hashtbl.add seen_in_batch c ();
+             rep_rev := i :: !rep_rev;
+             t.c.genome_misses <- t.c.genome_misses + 1
+           end)
+      canons;
+    let reps = Array.of_list (List.rev !rep_rev) in
+    let nrep = Array.length reps in
+    let compiled = Array.map (fun i -> t.compile (snd tasks.(i))) reps in
+    t.c.compiles <- t.c.compiles + nrep;
+    let rep_core = Array.make nrep None and rep_bin = Array.make nrep None in
+    Array.iteri
+      (fun k -> function
+         | Error core -> rep_core.(k) <- Some core
+         | Ok bin -> rep_bin.(k) <- Some (bin, t.key_of bin))
+      compiled;
+    let key_owner = Hashtbl.create 16 in
+    let verify_rev = ref [] in
+    Array.iteri
+      (fun k -> function
+         | None -> ()
+         | Some (_, key) ->
+           (match if t.cache then Lru.find t.key_cache key else None with
+            | Some core ->
+              rep_core.(k) <- Some core;
+              t.c.key_hits <- t.c.key_hits + 1
+            | None ->
+              if t.cache && Hashtbl.mem key_owner key then
+                t.c.key_hits <- t.c.key_hits + 1
+              else begin
+                if t.cache then Hashtbl.add key_owner key k;
+                verify_rev := k :: !verify_rev
+              end))
+      rep_bin;
+    let vreps = Array.of_list (List.rev !verify_rev) in
+    Array.iter
+      (fun k -> rep_core.(k) <- Some (t.verify (fst (Option.get rep_bin.(k)))))
+      vreps;
+    t.c.verifies <- t.c.verifies + Array.length vreps;
+    Array.iteri
+      (fun k bin ->
+         match bin, rep_core.(k) with
+         | Some (_, key), None ->
+           rep_core.(k) <- rep_core.(Hashtbl.find key_owner key)
+         | _, _ -> ())
+      rep_bin;
+    if t.cache then
+      Array.iteri
+        (fun k bin ->
+           match bin, rep_core.(k) with
+           | Some (_, key), Some core -> Lru.add t.key_cache key core
+           | _, _ -> ())
+        rep_bin;
+    let batch_results = Hashtbl.create 16 in
+    Array.iteri
+      (fun k i ->
+         let core = Option.get rep_core.(k) in
+         cores.(i) <- Some core;
+         Hashtbl.replace batch_results canons.(i) core;
+         if t.cache then Lru.add t.genome_cache canons.(i) core)
+      reps;
+    Array.mapi
+      (fun i -> function
+         | Some c -> c
+         | None -> Hashtbl.find batch_results canons.(i))
+      cores
+end
+
+(* Random sequences of batches over a ten-genome pool, so that genomes
+   repeat within and across batches; genomes 3 and 7 fail to compile,
+   and binary keys collide across distinct genomes (the key is the
+   genome's index mod 4, while the verified core depends on the binary
+   itself).  Under the cache on and off, every small budget and one and
+   two workers, the pool returns the reference's cores batch by batch
+   and ends with the same counts. *)
+let prop_resolve_matches_two_pass =
+  let compile g =
+    let i = (List.hd g).Genome.g_params.(0) in
+    if i = 3 || i = 7 then Error (-i) else Ok i
+  and key_of i = string_of_int (i mod 4)
+  and verify i = (100 * i) + 1 in
+  QCheck.Test.make ~name:"resolve = the two-pass algorithm" ~count:300
+    QCheck.(
+      quad bool
+        (oneofl [ Some 1; Some 2; Some 3; None ])
+        (int_range 1 2)
+        (list_of_size Gen.(int_range 1 6)
+           (list_of_size Gen.(int_range 0 8) (int_bound 9))))
+    (fun (cache, memo_budget, jobs, batches) ->
+       let pool =
+         Evalpool.create ~jobs ~cache ?memo_budget ~canon:Genome.to_string
+           ~compile ~key_of ~verify ()
+       in
+       let reference =
+         Two_pass.create ~cache
+           (* 65536 is the pool's default budget *)
+           ~memo_budget:(Option.value memo_budget ~default:65536)
+           ~compile ~key_of ~verify
+       in
+       let same_cores =
+         List.for_all
+           (fun batch ->
+              let tasks =
+                Array.of_list (List.mapi (fun i g -> (i, genome_of_int g)) batch)
+              in
+              Evalpool.evaluate_batch pool tasks
+              = Two_pass.evaluate_batch reference tasks)
+           batches
+       in
+       let s = Evalpool.stats pool and c = reference.Two_pass.c in
+       same_cores
+       && s.Evalpool.batches = c.Two_pass.batches
+       && s.Evalpool.tasks = c.Two_pass.tasks
+       && s.Evalpool.genome_hits = c.Two_pass.genome_hits
+       && s.Evalpool.genome_misses = c.Two_pass.genome_misses
+       && s.Evalpool.key_hits = c.Two_pass.key_hits
+       && s.Evalpool.compiles = c.Two_pass.compiles
+       && s.Evalpool.verifies = c.Two_pass.verifies
+       && s.Evalpool.evictions = c.Two_pass.evictions)
+
 let test_worker_errors_propagate () =
   let pool =
     Evalpool.create ~jobs:2 ~cache:false ~canon:Genome.to_string
@@ -308,7 +489,8 @@ let () =
          Alcotest.test_case "memo budget bounds and evicts" `Quick
            test_memo_budget_bounds_and_evicts;
          Alcotest.test_case "eviction never changes the search" `Quick
-           test_memo_budget_digest_invariant ]);
+           test_memo_budget_digest_invariant;
+         QCheck_alcotest.to_alcotest prop_resolve_matches_two_pass ]);
       ("parallelism",
        [ Alcotest.test_case "parallel = sequential" `Quick
            test_parallel_matches_sequential;
